@@ -311,13 +311,13 @@ def _uncertified(name: str) -> CheckRow:
 
 
 def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
-                     g: GainConstants, sig: Disturbance,
-                     gains: GainFunctions | None = None) -> CheckReport:
+                     g: GainConstants, sig: Disturbance) -> CheckReport:
     """Verify every applicable inequality on a logged run.
 
     Protocol-level checks always run; decay-dependent checks (value
     contraction, the in-stage envelopes, and the global ISS envelope) run
-    only when the design certificate holds.
+    only when the design certificate holds (``g.valid``); the ISS envelope
+    composes its gain functions from ``g`` with :func:`iss_gains`.
     """
     if log.center.shape[1] != d.P.shape[0]:
         raise ValueError("log and constants disagree on the state dimension")
@@ -336,8 +336,6 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
     sym = log.symbol
     dsup = log.d_sup_prev
     eta_state, eta_dist, _, search_bound0, chi_e0, _, _ = _search_maps(d, p)
-    if gains is None and g.valid:
-        gains = iss_gains(d, p, g)
 
     rows: list[CheckRow] = []
 
@@ -468,7 +466,8 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         rows.append(acc.row())
 
         acc = _Acc("iss_envelope")
-        if gains is not None and dense_norm.size:
+        if dense_norm.size:
+            gains = iss_gains(d, p, g)
             bound = gains.gamma1(x_norm[0]) + gains.gamma2(sup_norm_on(sig, 0.0, t[last]))
             acc.add(dense_norm, np.full(dense_norm.size, bound))
         rows.append(acc.row())

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -20,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, codec, design, plant
-from .config import (ConfigError, ScenarioConfig, load_config, save_config,
-                     serialize_config)
+from .config import ConfigError, ScenarioConfig, fmt_num, load_config, save_config
 from .scenarios import BUNDLED_NAME, bundled_scenario
 from .signals import PulseTrain, SeededUniform
 from .svgplot import Series, render_svg
@@ -29,15 +27,6 @@ from .svgplot import Series, render_svg
 __all__ = ["main"]
 
 ENV_OUT = "QRATE_OUT"
-
-
-def _fmt(x) -> str:
-    v = float(x)
-    if v != v:
-        return "nan"
-    if v in (math.inf, -math.inf):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -59,8 +48,8 @@ def _out_dir(args, cfg: ScenarioConfig | None) -> Path:
     return path
 
 
-def _load(args) -> ScenarioConfig:
-    cfg = load_config(args.config)
+def _override(cfg: ScenarioConfig, args) -> ScenarioConfig:
+    """Apply the --substeps and --seed flags to a scenario."""
     if args.substeps is not None:
         cfg.substeps = args.substeps
     if args.seed is not None and isinstance(cfg.disturbance, SeededUniform):
@@ -69,17 +58,20 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
+def _load(args) -> tuple[ScenarioConfig, Path]:
+    """The scenario with the flags applied, and its output directory."""
+    cfg = _override(load_config(args.config), args)
+    return cfg, _out_dir(args, cfg)
+
+
 def _certified_design(cfg: ScenarioConfig):
     """Report for the configured triple, synthesizing a fresh one when the
     scenario allows it and the triple fails its certificate."""
     report = design.validate_design(cfg.plant, cfg.design)
-    params = cfg.design
-    synthesized = False
-    if not report.certified and cfg.synthesize_if_invalid:
-        params = design.synthesize_design(cfg.plant, cfg.design)
-        report = design.validate_design(cfg.plant, params)
-        synthesized = True
-    return params, report, synthesized
+    if report.certified or not cfg.synthesize_if_invalid:
+        return cfg.design, report, False
+    params = design.synthesize_design(cfg.plant, cfg.design)
+    return params, design.validate_design(cfg.plant, params), True
 
 
 def _report_lines(m: design.PlantModel, report: design.CertificateReport,
@@ -90,7 +82,7 @@ def _report_lines(m: design.PlantModel, report: design.CertificateReport,
         f"assumption 2 (growth below grid count):  {flag(report.assumption2_ok)}",
         f"condition on psi:                        {flag(report.psi_ok)}",
         f"condition on rho:                        {flag(report.rho_ok)}",
-        f"condition on nu (contraction):           {flag(report.nu_ok)}  nu = {_fmt(report.nu)}",
+        f"condition on nu (contraction):           {flag(report.nu_ok)}  nu = {fmt_num(report.nu)}",
         f"certified: {'yes' if report.certified else 'no'}",
     ]
     for msg in report.messages:
@@ -98,11 +90,11 @@ def _report_lines(m: design.PlantModel, report: design.CertificateReport,
     if d is not None:
         lines += [
             "",
-            f"growth per period        = {_fmt(d.growth)} (effective {_fmt(d.growth_eff)})",
-            f"disturbance gain         = {_fmt(d.dist_gain)}",
-            f"search growth per period = {_fmt(d.search_growth)}",
-            f"intersample gain         = {_fmt(d.intersample_gain)}",
-            f"data rate                = {_fmt(d.data_rate_bits)} bits/s "
+            f"growth per period        = {fmt_num(d.growth)} (effective {fmt_num(d.growth_eff)})",
+            f"disturbance gain         = {fmt_num(d.dist_gain)}",
+            f"search growth per period = {fmt_num(d.search_growth)}",
+            f"intersample gain         = {fmt_num(d.intersample_gain)}",
+            f"data rate                = {fmt_num(d.data_rate_bits)} bits/s "
             f"({codec.symbol_count(d.n_levels, m.n_x)} symbols per sample)",
         ]
     return lines
@@ -115,15 +107,14 @@ def _write_certificate_csv(path: Path, report: design.CertificateReport) -> None
         ("psi", str(report.psi_ok).lower()),
         ("rho", str(report.rho_ok).lower()),
         ("nu", str(report.nu_ok).lower()),
-        ("nu_value", _fmt(report.nu)),
+        ("nu_value", fmt_num(report.nu)),
         ("certified", str(report.certified).lower()),
     ]
     _write_csv(path, ["item", "value"], rows)
 
 
 def cmd_validate(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
+    cfg, out = _load(args)
     report = design.validate_design(cfg.plant, cfg.design)
     d = None
     if report.assumption1_ok:
@@ -136,66 +127,75 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
+    cfg, out = _load(args)
     try:
         params = design.synthesize_design(cfg.plant, cfg.design)
     except ValueError as exc:
         print(f"synthesis infeasible: {exc}", file=sys.stderr)
         return 1
     report = design.validate_design(cfg.plant, params)
-    new_cfg = dataclasses.replace(cfg)
-    new_cfg.design = params
-    save_config(new_cfg, out / "synthesized.cfg")
-    print(f"psi = {_fmt(params.psi)}")
-    print(f"rho = {_fmt(params.rho)}")
-    print(f"phi = {_fmt(params.phi)}")
-    print(f"nu  = {_fmt(report.nu)} (certified: {'yes' if report.certified else 'no'})")
+    save_config(dataclasses.replace(cfg, design=params), out / "synthesized.cfg")
+    print(f"psi = {fmt_num(params.psi)}")
+    print(f"rho = {fmt_num(params.rho)}")
+    print(f"phi = {fmt_num(params.phi)}")
+    print(f"nu  = {fmt_num(report.nu)} (certified: {'yes' if report.certified else 'no'})")
     print(f"wrote {out / 'synthesized.cfg'}")
     return 0 if report.certified else 1
 
 
-def _run_scenario(cfg: ScenarioConfig):
+def _run(cfg: ScenarioConfig, out: Path, check: bool, corrupt: bool = False):
+    """Run the scenario, check it when asked, and write every output file.
+
+    Returns (log, check report or None, whether a synthesized triple was
+    used); ``corrupt`` damages the log first so the checker must flag it.
+    """
     params, report, synthesized = _certified_design(cfg)
     d = design.derive_constants(cfg.plant, params)
     log = plant.run_closed_loop(cfg.plant, params, d, cfg.disturbance,
                                 cfg.x0, cfg.horizon, cfg.substeps)
-    return params, report, synthesized, d, log
+    result = None
+    if check:
+        if corrupt:
+            _corrupt(log, d, params)
+        g = analysis.gain_constants(d, params)
+        result = analysis.check_trajectory(log, d, params, g, cfg.disturbance)
+        _write_csv(out / "checks.csv", ["name", "checked", "worst_margin", "verdict"],
+                   ([r.name, str(r.n_checked), fmt_num(r.worst_margin), r.status]
+                    for r in result.rows))
+    _write_outputs(out, cfg, report, d, log)
+    return log, result, synthesized
 
 
-def _write_outputs(out: Path, cfg: ScenarioConfig, params, report, d, log) -> None:
+def _write_outputs(out: Path, cfg: ScenarioConfig, report, d, log) -> None:
     m = cfg.plant
-    n_x, n_u = m.n_x, m.n_u
-    header = (["k", "t"] + [f"x_{i+1}" for i in range(n_x)]
-              + [f"xhat_{i+1}" for i in range(n_x)]
-              + ["symbol", "stage", "E", "V", "d_sup_prev"])
+    states = (["k", "t"] + [f"x_{i+1}" for i in range(m.n_x)]
+              + [f"xhat_{i+1}" for i in range(m.n_x)])
+    header = states + ["symbol", "stage", "E", "V", "d_sup_prev"]
     stage_name = {1: "stabilizing", 0: "searching"}
     rows = []
     for k in range(log.n_samples):
-        rows.append([str(k), _fmt(log.t[k])]
-                    + [_fmt(v) for v in log.x[k]]
-                    + [_fmt(v) for v in log.xhat[k]]
+        rows.append([str(k), fmt_num(log.t[k])]
+                    + [fmt_num(v) for v in log.x[k]]
+                    + [fmt_num(v) for v in log.xhat[k]]
                     + [str(int(log.symbol[k])), stage_name[int(log.stage[k])],
-                       _fmt(log.radius[k]), _fmt(log.value[k]), _fmt(log.d_sup_prev[k])])
+                       fmt_num(log.radius[k]), fmt_num(log.value[k]), fmt_num(log.d_sup_prev[k])])
     _write_csv(out / "samples.csv", header, rows)
 
-    header = (["k", "t"] + [f"x_{i+1}" for i in range(n_x)]
-              + [f"xhat_{i+1}" for i in range(n_x)]
-              + [f"u_{i+1}" for i in range(n_u)])
-    rows = ([str(int(log.dense_k[i])), _fmt(log.dense_t[i])]
-            + [_fmt(v) for v in log.dense_x[i]]
-            + [_fmt(v) for v in log.dense_xhat[i]]
-            + [_fmt(v) for v in log.dense_u[i]]
+    header = states + [f"u_{i+1}" for i in range(m.n_u)]
+    rows = ([str(int(log.dense_k[i])), fmt_num(log.dense_t[i])]
+            + [fmt_num(v) for v in log.dense_x[i]]
+            + [fmt_num(v) for v in log.dense_xhat[i]]
+            + [fmt_num(v) for v in log.dense_u[i]]
             for i in range(log.dense_t.size))
     _write_csv(out / "dense.csv", header, rows)
 
     _write_csv(out / "events.csv", ["kind", "k", "t"],
-               ([ev.kind, str(ev.k), _fmt(ev.t)] for ev in log.events))
+               ([ev.kind, str(ev.k), fmt_num(ev.t)] for ev in log.events))
 
     lines = _report_lines(m, report, d)
     lines += ["", f"samples: {log.n_samples}", f"events: {len(log.events)}"]
     for ev in log.events:
-        lines.append(f"  {ev.kind} at k={ev.k} (t={_fmt(ev.t)})")
+        lines.append(f"  {ev.kind} at k={ev.k} (t={fmt_num(ev.t)})")
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     _write_plots(out, cfg, log)
@@ -233,10 +233,8 @@ def _searching_spans(log, dt: float) -> list[tuple[float, float]]:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
-    params, report, synthesized, d, log = _run_scenario(cfg)
-    _write_outputs(out, cfg, params, report, d, log)
+    cfg, out = _load(args)
+    _, _, synthesized = _run(cfg, out, check=False)
     if synthesized:
         print("note: configured triple failed its certificate; synthesized replacement used")
     print(f"wrote simulation outputs to {out}")
@@ -244,20 +242,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
-    params, report, synthesized, d, log = _run_scenario(cfg)
-    if getattr(args, "corrupt_log", False):
-        _corrupt(log, d, params)
-    g = analysis.gain_constants(d, params)
-    check = analysis.check_trajectory(log, d, params, g, cfg.disturbance)
-    _write_outputs(out, cfg, params, report, d, log)
-    _write_csv(out / "checks.csv", ["name", "checked", "worst_margin", "verdict"],
-               ([r.name, str(r.n_checked), _fmt(r.worst_margin), r.status]
-                for r in check.rows))
+    cfg, out = _load(args)
+    _, check, _ = _run(cfg, out, check=True, corrupt=args.corrupt_log)
     for r in check.rows:
         print(f"{r.status.upper():>14}  {r.name}  (n={r.n_checked}, "
-              f"worst margin={_fmt(r.worst_margin)})")
+              f"worst margin={fmt_num(r.worst_margin)})")
     if not check.certified:
         print("design not certified: decay-dependent checks were skipped")
     return 0 if check.all_pass else 1
@@ -271,8 +260,7 @@ def _corrupt(log, d, params) -> None:
 
 
 def cmd_gains(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
+    cfg, out = _load(args)
     params, report, _ = _certified_design(cfg)
     if not report.certified:
         print("design is not certified; run the validate subcommand and fix "
@@ -290,12 +278,12 @@ def cmd_gains(args) -> int:
         grid = [0.0] + list(np.logspace(-3, 2, 26))
     rows = []
     for s in grid:
-        rows.append([_fmt(s), _fmt(f.eta_state(s)), _fmt(f.eta_dist(s)),
-                     _fmt(f.eta_smooth(s)), _fmt(f.capture0_gain(s)),
-                     _fmt(f.capture_gain(s)), _fmt(f.post_escape_gain(s)),
-                     _fmt(f.post_recapture_gain(s)),
-                     _fmt(f.first_stage_gain(params.radius0, s)),
-                     _fmt(f.gamma1(s)), _fmt(f.gamma2(s)), _fmt(f.gamma3(s))])
+        rows.append([fmt_num(s), fmt_num(f.eta_state(s)), fmt_num(f.eta_dist(s)),
+                     fmt_num(f.eta_smooth(s)), fmt_num(f.capture0_gain(s)),
+                     fmt_num(f.capture_gain(s)), fmt_num(f.post_escape_gain(s)),
+                     fmt_num(f.post_recapture_gain(s)),
+                     fmt_num(f.first_stage_gain(params.radius0, s)),
+                     fmt_num(f.gamma1(s)), fmt_num(f.gamma2(s)), fmt_num(f.gamma3(s))])
     _write_csv(out / "gains.csv",
                ["s", "eta_state", "eta_dist", "eta_smooth", "capture0",
                 "capture", "post_escape", "post_recapture", "first_stage",
@@ -310,25 +298,21 @@ def cmd_reproduce(args) -> int:
     for label, certified in (("raw", False), ("certified", True)):
         sub = out / label
         sub.mkdir(parents=True, exist_ok=True)
-        cfg = bundled_scenario(certified=certified)
-        if args.substeps is not None:
-            cfg.substeps = args.substeps
+        cfg = _override(bundled_scenario(certified=certified), args)
         save_config(cfg, sub / f"{BUNDLED_NAME}_{label}.cfg")
-        params, report, _, d, log = _run_scenario(cfg)
-        g = analysis.gain_constants(d, params)
-        check = analysis.check_trajectory(log, d, params, g, cfg.disturbance)
-        _write_outputs(sub, cfg, params, report, d, log)
-        _write_csv(sub / "checks.csv", ["name", "checked", "worst_margin", "verdict"],
-                   ([r.name, str(r.n_checked), _fmt(r.worst_margin), r.status]
-                    for r in check.rows))
+        log, check, _ = _run(cfg, sub, check=True)
         n_fail = sum(r.status == "fail" for r in check.rows)
         print(f"{label}: certified={'yes' if check.certified else 'no'}, "
               f"{len(log.events)} events, {n_fail} failed checks -> {sub}")
-        if not check.all_pass:
-            status = 1
-        if certified and not check.certified:
+        if not check.all_pass or (certified and not check.certified):
             status = 1
     return status
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got '{text}'")
+    return int(text)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -337,34 +321,33 @@ def _parser() -> argparse.ArgumentParser:
         description="simulate and certify quantized sampled-data feedback loops")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="scenario file")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="scenario file")
     common.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or ./qrate_out)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the seed of a uniform disturbance")
-    common.add_argument("--substeps", type=int, default=None,
+    common.add_argument("--substeps", type=_positive_int, default=None,
                         help="integration substeps per sampling period")
+    scenario = [config, common]
 
-    sub.add_parser("validate", parents=[common],
+    sub.add_parser("validate", parents=scenario,
                    help="check the design inequalities").set_defaults(fn=cmd_validate)
-    sub.add_parser("synthesize", parents=[common],
+    sub.add_parser("synthesize", parents=scenario,
                    help="synthesize an admissible parameter triple").set_defaults(fn=cmd_synthesize)
-    sub.add_parser("simulate", parents=[common],
+    sub.add_parser("simulate", parents=scenario,
                    help="run the closed loop and write logs/plots").set_defaults(fn=cmd_simulate)
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=scenario,
                        help="simulate, then verify every certificate inequality")
     p.add_argument("--corrupt-log", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_check)
-    p = sub.add_parser("gains", parents=[common],
+    p = sub.add_parser("gains", parents=scenario,
                        help="tabulate the ISS gain functions")
     p.add_argument("--s-grid", default=None, help="comma-separated grid values")
     p.set_defaults(fn=cmd_gains)
-    p = sub.add_parser("reproduce-paper",
-                       help="run the bundled scenario (raw and certified triples)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--substeps", type=int, default=None)
-    p.set_defaults(fn=cmd_reproduce)
+    sub.add_parser("reproduce-paper", parents=[common],
+                   help="run the bundled scenario (raw and certified triples)"
+                   ).set_defaults(fn=cmd_reproduce)
     return ap
 
 
@@ -375,11 +358,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # infeasible scenario (e.g. unstable closed loop): diagnostic, not a traceback
+    except (FileNotFoundError, ValueError) as exc:
+        # missing file or infeasible scenario (e.g. unstable closed loop)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

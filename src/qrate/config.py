@@ -9,6 +9,7 @@ scenario reproduces bit-identical runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +37,14 @@ class ScenarioConfig:
     out_dir: str | None = None
 
 
-def _fmt_num(x: float) -> str:
-    if float(x) == int(x) and abs(x) < 1e15:
-        return str(int(x))
+def fmt_num(x) -> str:
+    """17 significant digits: every finite float reads back to the same
+    bits (-0.0 included); infinities and nan print as inf, -inf, nan."""
     return format(float(x), ".17g")
 
 
 def _fmt_row(row) -> str:
-    return " ".join(_fmt_num(v) for v in np.atleast_1d(row))
+    return " ".join(fmt_num(v) for v in np.atleast_1d(row))
 
 
 def _fmt_matrix(M: np.ndarray) -> str:
@@ -58,6 +59,18 @@ def _parse_row(text: str, where: str) -> list[float]:
         return [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+
+
+def _parse_number(text: str, where: str, integer: bool = False):
+    """A finite float, or with ``integer`` an int written without a fraction."""
+    try:
+        v = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if not math.isfinite(v) or (integer and v != int(v)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where}: expected {kind}, got '{text}'")
+    return int(v) if integer else v
 
 
 def _parse_matrix(text: str, where: str) -> np.ndarray:
@@ -128,7 +141,7 @@ def parse_config(text: str) -> ScenarioConfig:
             D=_parse_matrix(need("plant.D"), where("plant.D")),
             K=_parse_matrix(need("plant.K"), where("plant.K")),
             dt=float(need("plant.dt")),
-            n_levels=int(float(need("plant.n_levels"))),
+            n_levels=_parse_number(need("plant.n_levels"), where("plant.n_levels"), integer=True),
         )
     except ConfigError:
         raise
@@ -155,9 +168,14 @@ def parse_config(text: str) -> ScenarioConfig:
     x0 = _parse_vector(need("sim.x0"), where("sim.x0"))
     if x0.size != plant.n_x:
         raise ConfigError(f"{where('sim.x0')}: dimension {x0.size} != n_x {plant.n_x}")
-    horizon = float(need("sim.horizon"))
+    horizon = _parse_number(need("sim.horizon"), where("sim.horizon"))
     if horizon < plant.dt:
         raise ConfigError("sim.horizon must cover at least one sampling period")
+
+    substeps = _parse_number(entries.get("sim.substeps", "100"), where("sim.substeps"),
+                             integer=True)
+    if substeps < 1:
+        raise ConfigError(f"{where('sim.substeps')}: must be a positive integer")
 
     disturbance = _parse_disturbance(entries, plant.n_d, where)
     return ScenarioConfig(
@@ -166,7 +184,7 @@ def parse_config(text: str) -> ScenarioConfig:
         x0=x0,
         horizon=horizon,
         disturbance=disturbance,
-        substeps=int(float(entries.get("sim.substeps", "100"))),
+        substeps=substeps,
         synthesize_if_invalid=_parse_bool(entries.get("sim.synthesize_if_invalid", "false"),
                                           "sim.synthesize_if_invalid"),
         out_dir=entries.get("outputs.dir"),
@@ -206,7 +224,8 @@ def _parse_disturbance(entries: dict[str, str], n_d: int, where) -> Disturbance:
     if kind == "uniform":
         return SeededUniform(
             bound=float(need("disturbance.bound")),
-            seed=int(float(entries.get("disturbance.seed", "0"))),
+            seed=_parse_number(entries.get("disturbance.seed", "0"), where("disturbance.seed"),
+                               integer=True),
             hold=float(entries.get("disturbance.hold", "0.1")),
             dim=n_d,
         )
@@ -221,20 +240,20 @@ def serialize_config(cfg: ScenarioConfig) -> str:
         f"plant.B = {_fmt_matrix(m.B)}",
         f"plant.D = {_fmt_matrix(m.D)}",
         f"plant.K = {_fmt_matrix(m.K)}",
-        f"plant.dt = {_fmt_num(m.dt)}",
+        f"plant.dt = {fmt_num(m.dt)}",
         f"plant.n_levels = {m.n_levels}",
-        f"design.radius0 = {_fmt_num(p.radius0)}",
-        f"design.search_margin = {_fmt_num(p.search_margin)}",
-        f"design.dist_level = {_fmt_num(p.dist_level)}",
-        f"design.psi = {_fmt_num(p.psi)}",
-        f"design.rho = {_fmt_num(p.rho)}",
-        f"design.phi = {_fmt_num(p.phi)}",
+        f"design.radius0 = {fmt_num(p.radius0)}",
+        f"design.search_margin = {fmt_num(p.search_margin)}",
+        f"design.dist_level = {fmt_num(p.dist_level)}",
+        f"design.psi = {fmt_num(p.psi)}",
+        f"design.rho = {fmt_num(p.rho)}",
+        f"design.phi = {fmt_num(p.phi)}",
     ]
     if p.Q is not None:
         out.append(f"design.Q = {_fmt_matrix(p.Q)}")
-    out.append(f"design.floor_margin = {_fmt_num(p.floor_margin)}")
+    out.append(f"design.floor_margin = {fmt_num(p.floor_margin)}")
     out.append(f"sim.x0 = {_fmt_row(cfg.x0)}")
-    out.append(f"sim.horizon = {_fmt_num(cfg.horizon)}")
+    out.append(f"sim.horizon = {fmt_num(cfg.horizon)}")
     out.append(f"sim.substeps = {cfg.substeps}")
     out.append(f"sim.synthesize_if_invalid = {'true' if cfg.synthesize_if_invalid else 'false'}")
 
@@ -246,19 +265,19 @@ def serialize_config(cfg: ScenarioConfig) -> str:
         out.append(f"disturbance.level = {_fmt_row(sig.level)}")
     elif isinstance(sig, PulseTrain):
         out.append("disturbance.kind = pulses")
-        rows = " ; ".join(f"{_fmt_num(s)} {_fmt_num(e)} {_fmt_row(lv)}"
+        rows = " ; ".join(f"{fmt_num(s)} {fmt_num(e)} {_fmt_row(lv)}"
                           for s, e, lv in sig.pulses)
         out.append(f"disturbance.pulses = {rows}")
     elif isinstance(sig, Sinusoid):
         out.append("disturbance.kind = sinusoid")
         out.append(f"disturbance.amplitude = {_fmt_row(sig.amplitude)}")
-        out.append(f"disturbance.freq_hz = {_fmt_num(sig.freq_hz)}")
-        out.append(f"disturbance.phase = {_fmt_num(sig.phase)}")
+        out.append(f"disturbance.freq_hz = {fmt_num(sig.freq_hz)}")
+        out.append(f"disturbance.phase = {fmt_num(sig.phase)}")
     elif isinstance(sig, SeededUniform):
         out.append("disturbance.kind = uniform")
-        out.append(f"disturbance.bound = {_fmt_num(sig.bound)}")
+        out.append(f"disturbance.bound = {fmt_num(sig.bound)}")
         out.append(f"disturbance.seed = {sig.seed}")
-        out.append(f"disturbance.hold = {_fmt_num(sig.hold)}")
+        out.append(f"disturbance.hold = {fmt_num(sig.hold)}")
     else:
         raise ConfigError(f"cannot serialize disturbance {type(sig).__name__}")
 

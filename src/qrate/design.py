@@ -3,10 +3,12 @@ constants that both endpoints of the quantized feedback loop share.
 
 The certificate inequalities validated here are what later make the
 closed-loop value function contract at rate ``nu`` during stabilizing
-stages; all of them are plain arithmetic over the constants computed in
-:func:`derive_constants`.
+stages.  One private derivation computes each one-period exponential once,
+solves the Lyapunov equation, and holds the only copy of each inequality;
+:func:`validate_design`, :func:`synthesize_design` and
+:func:`derive_constants` are arithmetic over it, and only the last adds the
+interval quadratures.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -186,63 +188,74 @@ class CertificateReport:
                 and self.psi_ok and self.rho_ok and self.nu_ok)
 
 
+class _Derivation:
+    """One-period transitions, Lyapunov solution and design-inequality formulas.
+
+    Without ``p`` only the transitions and the assumptions are set.  dlyap
+    runs only for a stable closed loop; otherwise P and Q stay None and
+    ``chi``, ``quant_gain`` (= (n-1)^2/n^2 chi) and ``contraction`` are nan.
+    """
+
+    def __init__(self, m: PlantModel, p: DesignParams | None = None):
+        S = self.S_closed = matnum.expm(m.closed_loop(), m.dt)
+        self.S_open = matnum.expm(m.A, m.dt)
+        self.growth = matnum.inf_norm_mat(self.S_open)
+        self.assumptions = (matnum.is_schur_stable(S), self.growth < m.n_levels)
+        if p is None:
+            return
+        self.growth_eff = max(self.growth, 1.0 + p.floor_margin)
+        self.n_levels = n = m.n_levels
+        self.Q = self.P = None
+        self.chi = self.contraction = math.nan
+        if self.assumptions[0]:
+            self.Q = p.resolved_q(m.n_x)
+            self.P = matnum.dlyap(S, self.Q)
+            q_min, _ = matnum.sym_eig_extremes(self.Q)
+            _, p_max = matnum.sym_eig_extremes(self.P)
+            sps = matnum.inf_norm_mat(S.T @ self.P @ S)
+            self.chi = 2.0 * m.n_x**2 * sps**2 / q_min + m.n_x * sps
+            self.contraction = 1.0 - q_min / (2.0 * p_max)
+        self.quant_gain = ((n - 1) ** 2 / n**2) * self.chi
+
+    def psi_lhs(self, psi: float) -> float:
+        return (1.0 + psi) * self.growth_eff**2 / self.n_levels**2
+
+    def quantization(self, psi: float, rho: float) -> float:
+        return self.quant_gain / rho + self.psi_lhs(psi)
+
+    def nu_base(self, psi: float, rho: float) -> float:
+        return max(self.contraction, self.quantization(psi, rho))
+
+    def nu(self, p: DesignParams) -> float:
+        return self.nu_base(p.psi, p.rho) + (1.0 + 1.0 / p.psi) * p.phi * p.rho
+
+
 def check_assumptions(m: PlantModel) -> tuple[bool, bool]:
     """(closed loop stable, per-period growth below the grid count)."""
-    stable = matnum.is_schur_stable(matnum.expm(m.closed_loop(), m.dt))
-    growth = matnum.inf_norm_mat(matnum.expm(m.A, m.dt))
-    return stable, growth < m.n_levels
-
-
-def _growth_eff(m: PlantModel, p: DesignParams) -> float:
-    growth = matnum.inf_norm_mat(matnum.expm(m.A, m.dt))
-    return max(growth, 1.0 + p.floor_margin)
-
-
-def _chi_nu(m: PlantModel, p: DesignParams):
-    """Lyapunov solution and the scalar certificate quantities.
-
-    Raises if the closed loop is not stable (no Lyapunov solution).
-    """
-    S = matnum.expm(m.closed_loop(), m.dt)
-    Q = p.resolved_q(m.n_x)
-    P = matnum.dlyap(S, Q)
-    q_min, _ = matnum.sym_eig_extremes(Q)
-    _, p_max = matnum.sym_eig_extremes(P)
-    sps = matnum.inf_norm_mat(S.T @ P @ S)
-    n_x = m.n_x
-    chi = 2.0 * n_x**2 * sps**2 / q_min + n_x * sps
-
-    n = m.n_levels
-    geff = _growth_eff(m, p)
-    contraction = 1.0 - q_min / (2.0 * p_max)
-    quantization = ((n - 1) ** 2 / n**2) * chi / p.rho + (1.0 + p.psi) * geff**2 / n**2
-    nu_base = max(contraction, quantization)
-    nu = nu_base + (1.0 + 1.0 / p.psi) * p.phi * p.rho
-    return S, Q, P, chi, nu_base, nu
+    return _Derivation(m).assumptions
 
 
 def derive_constants(m: PlantModel, p: DesignParams) -> DerivedConstants:
     """Compute every shared constant for the given plant and parameters."""
-    S, Q, P, chi, nu_base, nu = _chi_nu(m, p)
-    S_open = matnum.expm(m.A, m.dt)
-    growth = matnum.inf_norm_mat(S_open)
-    geff = max(growth, 1.0 + p.floor_margin)
-    sg = (1.0 + p.search_margin) * geff
+    c = _Derivation(m, p)
+    if c.P is None:
+        raise ValueError("dlyap requires spectral radius of S below 1")
+    sg = (1.0 + p.search_margin) * c.growth_eff
     peak_cl = matnum.max_norm_over_interval(m.closed_loop(), m.dt)
     peak_op = matnum.max_norm_over_interval(m.A, m.dt)
     return DerivedConstants(
-        S_closed=S,
-        S_open=S_open,
-        growth=growth,
-        growth_eff=geff,
+        S_closed=c.S_closed,
+        S_open=c.S_open,
+        growth=c.growth,
+        growth_eff=c.growth_eff,
         search_growth=sg,
-        search_ratio=(sg - 1.0) / (geff - 1.0),
+        search_ratio=(sg - 1.0) / (c.growth_eff - 1.0),
         dist_gain=matnum.phi_integral(m.A, m.D, m.dt),
-        P=P,
-        Q=Q,
-        chi=chi,
-        nu=nu,
-        nu_base=nu_base,
+        P=c.P,
+        Q=c.Q,
+        chi=c.chi,
+        nu=c.nu(p),
+        nu_base=c.nu_base(p.psi, p.rho),
         peak_closed=peak_cl,
         peak_open=peak_op,
         intersample_gain=2.0 * peak_cl + peak_op,
@@ -253,33 +266,30 @@ def derive_constants(m: PlantModel, p: DesignParams) -> DerivedConstants:
 
 def validate_design(m: PlantModel, p: DesignParams) -> CertificateReport:
     """Check the design inequalities; violations are data, not errors."""
-    a1, a2 = check_assumptions(m)
+    c = _Derivation(m, p)
+    a1, a2 = c.assumptions
     msgs: list[str] = []
     if not a1:
         msgs.append("closed loop A + BK is not stable over one period")
     if not a2:
         msgs.append("per-period growth is not below the grid count")
 
-    n = m.n_levels
-    geff = _growth_eff(m, p)
-    psi_lhs = (1.0 + p.psi) * geff**2 / n**2
+    psi_lhs = c.psi_lhs(p.psi)
     psi_ok = psi_lhs < 1.0
     if not psi_ok:
         msgs.append(f"(1+psi)*growth_eff^2/n^2 = {psi_lhs:.6g} is not below 1")
 
-    if a1:
-        _, _, _, chi, nu_base, nu = _chi_nu(m, p)
-        rho_lhs = ((n - 1) ** 2 / n**2) * chi / p.rho + psi_lhs
-        rho_ok = rho_lhs < 1.0
-        if not rho_ok:
-            msgs.append(f"quantization term {rho_lhs:.6g} is not below 1 (rho too small)")
-        nu_ok = nu < 1.0
-        if not nu_ok:
-            msgs.append(f"contraction factor nu = {nu:.6g} is not below 1")
-    else:
-        rho_ok = nu_ok = False
-        nu = math.nan
+    # Both are nan without a stable closed loop, so both verdicts read False.
+    rho_lhs = c.quantization(p.psi, p.rho)
+    nu = c.nu(p)
+    rho_ok = rho_lhs < 1.0
+    nu_ok = nu < 1.0
+    if not a1:
         msgs.append("Lyapunov-based conditions unavailable without a stable closed loop")
+    if a1 and not rho_ok:
+        msgs.append(f"quantization term {rho_lhs:.6g} is not below 1 (rho too small)")
+    if a1 and not nu_ok:
+        msgs.append(f"contraction factor nu = {nu:.6g} is not below 1")
 
     return CertificateReport(a1, a2, psi_ok, rho_ok, nu_ok, nu, msgs)
 
@@ -291,27 +301,17 @@ def synthesize_design(m: PlantModel, hints: DesignParams) -> DesignParams:
     rho and phi are then sized so each remaining inequality holds with a
     factor-of-two slack.  Every other field is copied from ``hints``.
     """
-    a1, a2 = check_assumptions(m)
+    c = _Derivation(m, hints)
+    a1, a2 = c.assumptions
     if not a1:
         raise ValueError("cannot synthesize: closed loop is not stable")
     if not a2:
         raise ValueError("cannot synthesize: per-period growth reaches the grid count")
 
-    n = m.n_levels
-    geff = _growth_eff(m, hints)
-    psi_cap = 0.5 * (n**2 / geff**2 - 1.0)
+    psi_cap = 0.5 * (m.n_levels**2 / c.growth_eff**2 - 1.0)
     if psi_cap <= 0:
         raise ValueError("cannot synthesize: growth floor reaches the grid count")
     psi = min(hints.psi, psi_cap)
-
-    base = dataclasses.replace(hints, psi=psi)
-    S, Q, P, chi, _, _ = _chi_nu(m, base)
-    psi_lhs = (1.0 + psi) * geff**2 / n**2
-    rho = chi * ((n - 1) ** 2 / n**2) / (THETA_RHO * (1.0 - psi_lhs))
-
-    q_min, _ = matnum.sym_eig_extremes(Q)
-    _, p_max = matnum.sym_eig_extremes(P)
-    nu_base = max(1.0 - q_min / (2.0 * p_max),
-                  ((n - 1) ** 2 / n**2) * chi / rho + psi_lhs)
-    phi = THETA_PHI * (1.0 - nu_base) * psi / ((1.0 + psi) * rho)
+    rho = c.quant_gain / (THETA_RHO * (1.0 - c.psi_lhs(psi)))
+    phi = THETA_PHI * (1.0 - c.nu_base(psi, rho)) * psi / ((1.0 + psi) * rho)
     return dataclasses.replace(hints, psi=psi, rho=rho, phi=phi)

@@ -105,7 +105,7 @@ def _rk4_step(M: np.ndarray, w_of, a: float, h: float, z: np.ndarray) -> np.ndar
 
 def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
                   sig: Disturbance, t_k: float, substeps: int = DEFAULT_SUBSTEPS,
-                  zoh_cache: dict | None = None, decimation: int = 1):
+                  zoh_cache: dict | None = None):
     """Integrate one sampling period from t_k.
 
     Returns (x at the end of the period, xhat at the end of the period,
@@ -134,9 +134,8 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
     rec_t, rec_z = [], []
     for i in range(edges.size - 1):
         a, b = edges[i], edges[i + 1]
-        if i % decimation == 0:
-            rec_t.append(a)
-            rec_z.append(z)
+        rec_t.append(a)
+        rec_z.append(z)
         h = b - a
         if sig.piecewise_constant:
             key = (stage, h)
@@ -163,7 +162,7 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
 
 def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
                     sig: Disturbance, x0, horizon: float,
-                    substeps: int = DEFAULT_SUBSTEPS, decimation: int = 1) -> TrajectoryLog:
+                    substeps: int = DEFAULT_SUBSTEPS) -> TrajectoryLog:
     """Run the full sampled protocol: encode, decode, reset, integrate,
     and propagate both codec states, logging everything.
 
@@ -222,7 +221,7 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
             break
 
         x, _, (ts, xs, xhats, us) = step_interval(
-            m, x, xhat, stage, sig, t_k, substeps, cache, decimation)
+            m, x, xhat, stage, sig, t_k, substeps, cache)
         dense_t.append(ts)
         dense_k.append(np.full(ts.size, k, dtype=int))
         dense_x.append(xs)

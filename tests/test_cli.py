@@ -1,9 +1,14 @@
 import dataclasses
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qrate import ConfigError, SeededUniform, parse_config, serialize_config
+from qrate.config import fmt_num
 from qrate.cli import main
 from qrate.scenarios import bundled_scenario
 
@@ -78,6 +83,40 @@ def test_config_rejects_bad_dimension():
     text = serialize_config(cfg).replace("sim.x0 = 1 1", "sim.x0 = 1 1 1")
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("plant.n_levels", "5.7"),
+    ("sim.substeps", "2.9"),
+    ("sim.substeps", "0"),
+    ("sim.horizon", "inf"),
+    ("sim.horizon", "nan"),
+])
+def test_config_rejects_truncated_or_non_finite_numbers(key, bad):
+    lines = serialize_config(bundled_scenario()).splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(key + " "))
+    lines[lineno - 1] = f"{key} = {bad}"
+    with pytest.raises(ConfigError, match=f"line {lineno}, {key}"):
+        parse_config("\n".join(lines) + "\n")
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_fmt_num_round_trips_every_finite_float(x):
+    assert struct.pack("<d", float(fmt_num(x))) == struct.pack("<d", x)
+
+
+def test_fmt_num_non_finite():
+    assert [fmt_num(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+
+
+def test_config_round_trip_keeps_negative_zero():
+    cfg = bundled_scenario()
+    A = cfg.plant.A.copy()
+    A[0, 1] = -0.0
+    cfg.plant = dataclasses.replace(cfg.plant, A=A)
+    parsed = parse_config(serialize_config(cfg))
+    assert np.signbit(parsed.plant.A[0, 1])
+    assert serialize_config(parsed) == serialize_config(cfg)
 
 
 def test_validate_exit_codes(raw_cfg_path, cert_cfg_path, tmp_path, capsys):
@@ -217,3 +256,21 @@ def test_env_var_default_out(cert_cfg_path, tmp_path, monkeypatch):
     monkeypatch.setenv("QRATE_OUT", str(target))
     assert main(["validate", "--config", str(cert_cfg_path)]) == 0
     assert (target / "certificate.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "synthesize", "simulate", "check",
+                                     "gains", "reproduce-paper"])
+@pytest.mark.parametrize("value", ["0", "-3", "2.5", "x"])
+def test_substeps_flag_rejects_non_positive_integers(command, value, cert_cfg_path,
+                                                     tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--substeps", value]
+    if command != "reproduce-paper":
+        argv += ["--config", str(cert_cfg_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"qrate {command}: error: argument --substeps: "
+                      f"expected a positive integer, got '{value}'"]
+    assert not out.exists()

@@ -185,3 +185,58 @@ def test_design_params_validation():
     with pytest.raises(ValueError):
         DesignParams(radius0=1.0, search_margin=0.2, dist_level=0.1,
                      psi=0.2, rho=1.0, phi=0.01, Q=-np.eye(2))
+
+
+def test_one_derivation_per_design_call(ref_plant, raw_params, monkeypatch):
+    # validate_design and synthesize_design each take e^{(A+BK)dt} and
+    # e^{A dt} once and solve the Lyapunov equation at most once, and
+    # their results match the values recorded before that was so, bit for bit.
+    from qrate import matnum
+    calls = {"expm": 0, "dlyap": 0}
+
+    def counting(name):
+        original = getattr(matnum, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(matnum, "expm", counting("expm"))
+    monkeypatch.setattr(matnum, "dlyap", counting("dlyap"))
+
+    def counted(fn, *args):
+        calls.update(expm=0, dlyap=0)
+        out = fn(*args)
+        assert calls["expm"] == 2 and calls["dlyap"] <= 1
+        return out
+
+    raw = counted(validate_design, ref_plant, raw_params)
+    assert (raw.assumption1_ok, raw.assumption2_ok, raw.psi_ok, raw.rho_ok, raw.nu_ok) \
+        == (True, True, True, False, False)
+    assert raw.nu.hex() == "0x1.f5615671ef682p+9"
+    assert raw.messages == ["quantization term 1002.75 is not below 1 (rho too small)",
+                            "contraction factor nu = 1002.76 is not below 1"]
+
+    p = counted(synthesize_design, ref_plant, raw_params)
+    assert (p.psi.hex(), p.rho.hex(), p.phi.hex()) == (
+        "0x1.999999999999ap-3", "0x1.aa0e919c6695cp+7", "0x1.3ddef5bd8e302p-15")
+
+    cert = counted(validate_design, ref_plant, p)
+    assert cert.certified and cert.messages == []
+    assert cert.nu.hex() == "0x1.e733aab0ebb72p-1"
+
+
+def test_unstable_closed_loop_skips_dlyap(ref_plant, raw_params, monkeypatch):
+    from qrate import matnum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dlyap called for an unstable closed loop")
+
+    monkeypatch.setattr(matnum, "dlyap", refuse)
+    m = PlantModel(A=ref_plant.A, B=ref_plant.B, D=ref_plant.D,
+                   K=np.zeros((1, 2)), dt=0.1, n_levels=5)
+    rep = validate_design(m, raw_params)
+    assert rep.messages[-1] == "Lyapunov-based conditions unavailable without a stable closed loop"
+    with pytest.raises(ValueError, match="spectral radius"):
+        derive_constants(m, raw_params)
