@@ -18,7 +18,7 @@ import numpy as np
 
 from .design import DerivedConstants, DesignParams
 from .matnum import inf_norm_mat, sym_eig_extremes
-from .plant import TrajectoryLog, sup_norm_on
+from .plant import TrajectoryLog
 from .signals import Disturbance
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 SLACK = 1e-9
+_BLOCK_RUNS = 64  # sampling intervals per intersample_envelope block
 
 Map1 = Callable[[float], float]
 Map2 = Callable[[float, float], float]
@@ -289,14 +290,16 @@ class _Acc:
         self.worst = math.inf
         self.violations = 0
 
-    def add(self, lhs, rhs):
+    def add(self, lhs, rhs, n_checked: int | None = None):
+        """Check lhs <= rhs elementwise.  ``n_checked`` overrides the count
+        when each entry stands for several inequalities (its tightest)."""
         lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         lhs, rhs = np.broadcast_arrays(lhs, rhs)
         if lhs.size == 0:
             return
         margin = rhs - lhs
-        self.n += lhs.size
+        self.n += lhs.size if n_checked is None else n_checked
         self.worst = min(self.worst, float(margin.min()))
         tol = SLACK * np.maximum(1.0, np.abs(rhs))
         self.violations += int(np.count_nonzero(lhs > rhs + tol))
@@ -363,11 +366,18 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
 
     acc = _Acc("intersample_envelope")
     dense_norm = np.max(np.abs(log.dense_x), axis=1) if log.dense_x.size else np.empty(0)
-    for k in np.unique(log.dense_k):
-        mask = log.dense_k == k
-        sups = np.array([sup_norm_on(sig, t[k], ti) for ti in log.dense_t[mask]])
-        acc.add(dense_norm[mask],
-                d.intersample_gain * x_norm[k] + d.dist_gain * sups)
+    if dense_norm.size:
+        # Each run of equal dense_k shares one start time, so one sup_prefix
+        # call covers it; blocks of whole runs keep the temporaries small.
+        dk = log.dense_k
+        cuts = [0] + (np.flatnonzero(np.diff(dk)) + 1).tolist() + [dk.size]
+        for j in range(0, len(cuts) - 1, _BLOCK_RUNS):
+            block = cuts[j:j + _BLOCK_RUNS + 1]
+            lo, hi = block[0], block[-1]
+            sups = np.concatenate([sig.sup_prefix(t[dk[a]], log.dense_t[a:b])
+                                   for a, b in zip(block, block[1:])])
+            acc.add(dense_norm[lo:hi],
+                    d.intersample_gain * x_norm[dk[lo:hi]] + d.dist_gain * sups)
     rows.append(acc.row())
 
     escapes = [ev for ev in log.events if ev.kind == "escaped"]
@@ -389,11 +399,11 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         x0_ratio = x_norm[0] / p.radius0
         if first_capture is not None:
             bound = max(eta_state(x0_ratio),
-                        eta_dist(sup_norm_on(sig, 0.0, t[first_capture]) / p.dist_level))
+                        eta_dist(sig.sup_norm(0.0, t[first_capture]) / p.dist_level))
             acc.add(float(first_capture), bound)
         else:
             bound = max(eta_state(x0_ratio),
-                        eta_dist(sup_norm_on(sig, 0.0, t[last]) / p.dist_level))
+                        eta_dist(sig.sup_norm(0.0, t[last]) / p.dist_level))
             if last > bound:
                 acc.add(float(last), bound)
     rows.append(acc.row())
@@ -402,10 +412,10 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
     for ev in escapes:
         nxt = next((c for c in captures if c.k > ev.k), None)
         if nxt is not None:
-            s = sup_norm_on(sig, t[ev.k - 1], t[nxt.k]) / p.dist_level
+            s = sig.sup_norm(t[ev.k - 1], t[nxt.k]) / p.dist_level
             acc.add(float(nxt.k), ev.k + max(eta_dist(s), 1.0))
         else:
-            s = sup_norm_on(sig, t[ev.k - 1], t[last]) / p.dist_level
+            s = sig.sup_norm(t[ev.k - 1], t[last]) / p.dist_level
             bound = ev.k + max(eta_dist(s), 1.0)
             if last > bound:
                 acc.add(float(last), bound)
@@ -414,14 +424,14 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
     acc = _Acc("initial_search_state_bound")
     if lost_at_start:
         k_end = first_capture if first_capture is not None else last
-        r = sup_norm_on(sig, 0.0, t[k_end])
+        r = sig.sup_norm(0.0, t[k_end])
         bound = search_bound0(x_norm[0], x_norm[0]) + search_bound0(r, r)
         acc.add(x_norm[: k_end + 1], bound)
     rows.append(acc.row())
 
     acc = _Acc("initial_capture_radius")
     if lost_at_start and first_capture is not None:
-        r = sup_norm_on(sig, 0.0, t[first_capture])
+        r = sig.sup_norm(0.0, t[first_capture])
         acc.add(E[first_capture], chi_e0(p.radius0, x_norm[0], r))
     rows.append(acc.row())
 
@@ -444,31 +454,12 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         acc.add(x_norm[ks + 1], g.c3 * np.sqrt(V[ks]) + d.dist_gain * dsup[ks + 1])
         rows.append(acc.row())
 
-        acc = _Acc("exp_decay_envelope")
-        sqrt_nu = math.sqrt(d.nu)
-        for run in _stabilizing_runs(stab):
-            m = run.size
-            if m < 2:
-                continue
-            base = g.c_exp * (x_norm[run] + E[run])  # indexed by l
-            lhs_all = x_norm[run]
-            extra = d.dist_gain * dsup[run]
-            for i0 in range(1, m, 512):
-                i1 = min(i0 + 512, m)
-                ks_rel = np.arange(i0, i1)
-                # bound |x(t_k)| from every earlier l in the same run
-                gap = ks_rel[:, None] - np.arange(m)[None, :]
-                valid_pairs = gap > 0
-                power = sqrt_nu ** np.maximum(gap, 0)
-                rhs = power * base[None, :] + extra[ks_rel, None]
-                acc.add(np.broadcast_to(lhs_all[ks_rel][:, None], rhs.shape)[valid_pairs],
-                        rhs[valid_pairs])
-        rows.append(acc.row())
+        rows.append(_exp_decay_envelope(stab, x_norm, E, dsup, g.c_exp, d.nu, d.dist_gain))
 
         acc = _Acc("iss_envelope")
         if dense_norm.size:
             gains = iss_gains(d, p, g)
-            bound = gains.gamma1(x_norm[0]) + gains.gamma2(sup_norm_on(sig, 0.0, t[last]))
+            bound = gains.gamma1(x_norm[0]) + gains.gamma2(sig.sup_norm(0.0, t[last]))
             acc.add(dense_norm, np.full(dense_norm.size, bound))
         rows.append(acc.row())
     else:
@@ -477,6 +468,46 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
             "next_state_bound_c3", "exp_decay_envelope", "iss_envelope"))
 
     return CheckReport(rows=rows, certified=g.valid)
+
+
+def _exp_decay_envelope(stab: np.ndarray, x_norm: np.ndarray, E: np.ndarray,
+                        dsup: np.ndarray, c_exp: float, nu: float,
+                        dist_gain: float) -> CheckRow:
+    """|x(t_k)| <= nu^{(k-l)/2} c_exp (|x(t_l)| + E_l) + dist_gain dsup_k
+    for every pair l < k in one stabilizing run.
+
+    The right side grows with its first term, so a run violates the
+    envelope iff it does at the l minimizing that term; only that pair is
+    evaluated for each k, while ``n_checked`` counts all m(m-1)/2 pairs.
+    """
+    acc = _Acc("exp_decay_envelope")
+    sqrt_nu = math.sqrt(nu)
+    for run in _stabilizing_runs(stab):
+        m = run.size
+        if m < 2:
+            continue
+        base = c_exp * (x_norm[run] + E[run])  # indexed by l
+        ls = _tightest_earlier(base, sqrt_nu)
+        rhs = sqrt_nu ** (np.arange(1, m) - ls) * base[ls] + dist_gain * dsup[run[1:]]
+        acc.add(x_norm[run[1:]], rhs, n_checked=m * (m - 1) // 2)
+    return acc.row()
+
+
+def _tightest_earlier(base: np.ndarray, q: float) -> np.ndarray:
+    """For k = 1..m-1, the l < k minimizing q^(k-l) * base[l].
+
+    Runs the recurrence r_k = q * min(r_{k-1}, base_{k-1}) and keeps the
+    index of the minimum, so the caller can evaluate the bound at that l
+    exactly as the full pair grid would.
+    """
+    ls = np.empty(base.size - 1, dtype=np.int64)
+    r, arg = math.inf, 0
+    for k, b in enumerate(base[:-1].tolist()):
+        if b <= r:
+            r, arg = b, k
+        ls[k] = arg
+        r *= q
+    return ls
 
 
 def _stabilizing_runs(stab: np.ndarray) -> list[np.ndarray]:

@@ -5,6 +5,14 @@ Integration is exact zero-order-hold stepping (block matrix exponentials)
 on every subinterval where the disturbance is constant, and fixed-step RK4
 otherwise.  Substeps are split at disturbance discontinuities so the ZOH
 path stays exact for pulse-type signals.
+
+On a sampling interval with no breakpoint inside, a piecewise-constant
+input is evaluated once and each substep is one product z <- Phi_h z + c_h,
+with c_h = Psi_h w formed once per substep width h.  That repeats the
+arithmetic of stepping segment by segment with a fresh input each time, so
+the trajectory is the same to the bit.  It has to be: the bundled plant has
+an open-loop eigenvalue of +1, so any rounding difference grows like e^t
+until it flips a symbol.
 """
 
 from __future__ import annotations
@@ -95,12 +103,57 @@ def _zoh_pair(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return E[:n, :n], E[:n, n:]
 
 
-def _rk4_step(M: np.ndarray, w_of, a: float, h: float, z: np.ndarray) -> np.ndarray:
-    k1 = M @ z + w_of(a)
-    k2 = M @ (z + 0.5 * h * k1) + w_of(a + 0.5 * h)
-    k3 = M @ (z + 0.5 * h * k2) + w_of(a + 0.5 * h)
-    k4 = M @ (z + h * k3) + w_of(a + h)
+def _rk4_step(M: np.ndarray, w_a: np.ndarray, w_mid: np.ndarray, w_b: np.ndarray,
+              h: float, z: np.ndarray) -> np.ndarray:
+    """Classical RK4 step; w_a, w_mid, w_b are the inputs at a, a + h/2, a + h."""
+    k1 = M @ z + w_a
+    k2 = M @ (z + 0.5 * h * k1) + w_mid
+    k3 = M @ (z + 0.5 * h * k2) + w_mid
+    k4 = M @ (z + h * k3) + w_b
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _zoh_lookup(cache: dict, M: np.ndarray, stage: Stage,
+                h: float) -> tuple[np.ndarray, np.ndarray]:
+    key = (stage, h)
+    pair = cache.get(key)
+    if pair is None:
+        pair = _zoh_pair(M, h)
+        cache[key] = pair
+    return pair
+
+
+def _zoh_steps(M: np.ndarray, stage: Stage, edges: np.ndarray, z0: np.ndarray, cache: dict,
+               w_of, constant_input: bool) -> np.ndarray:
+    """ZOH substeps z <- Phi_h z + Psi_h w, with w taken at each segment's
+    midpoint; returns the states at every edge.
+
+    With ``constant_input`` (no breakpoint inside the interval) w is
+    evaluated once and Psi_h w formed once per distinct width h.  Either
+    way every float operation equals that of stepping segment by segment
+    with a fresh input, and the cache is filled in the same order.
+    """
+    hs = np.diff(edges).tolist()
+    if constant_input:
+        w = w_of(0.5 * (edges[0] + edges[1]))
+        by_width = {}
+        for h in dict.fromkeys(hs):  # distinct widths in order of first use
+            Phi, Psi = _zoh_lookup(cache, M, stage, h)
+            by_width[h] = (Phi, Psi @ w)
+        steps = [by_width[h] for h in hs]
+    else:
+        steps = []
+        for h, t in zip(hs, (0.5 * (edges[:-1] + edges[1:])).tolist()):
+            Phi, Psi = _zoh_lookup(cache, M, stage, h)
+            steps.append((Phi, Psi @ w_of(t)))
+    zs = np.empty((edges.size, z0.size))
+    zs[0] = z0
+    rows = list(zs)
+    phi_z = np.empty(z0.size)
+    for (Phi, c), src, dst in zip(steps, rows, rows[1:]):
+        np.matmul(Phi, src, out=phi_z)
+        np.add(phi_z, c, out=dst)
+    return zs
 
 
 def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
@@ -110,7 +163,8 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
 
     Returns (x at the end of the period, xhat at the end of the period,
     dense records (t, x, xhat, u) at substep resolution).  ``xhat`` must
-    already be reset for the interval.
+    already be reset for the interval.  ``zoh_cache`` maps (stage, substep
+    width) to the ZOH pair and may be shared across calls.
     """
     n = m.n_x
     z = np.concatenate([as_vector(x, "x"), as_vector(xhat, "xhat")])
@@ -131,33 +185,29 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
         return w
 
     cache = zoh_cache if zoh_cache is not None else {}
-    rec_t, rec_z = [], []
-    for i in range(edges.size - 1):
-        a, b = edges[i], edges[i + 1]
-        rec_t.append(a)
-        rec_z.append(z)
-        h = b - a
-        if sig.piecewise_constant:
-            key = (stage, h)
-            pair = cache.get(key)
-            if pair is None:
-                pair = _zoh_pair(M, h)
-                cache[key] = pair
-            Phi, Psi = pair
-            z = Phi @ z + Psi @ w_of(0.5 * (a + b))
-        else:
-            z = _rk4_step(M, w_of, a, h, z)
-    rec_t.append(edges[-1])
-    rec_z.append(z)
+    if sig.piecewise_constant:
+        zs = _zoh_steps(M, stage, edges, z, cache, w_of, constant_input=not bps)
+    else:
+        zs = np.empty((edges.size, z.size))
+        zs[0] = z
+        t_end, w_end = None, None
+        points = edges.tolist()
+        for i, (a, b) in enumerate(zip(points, points[1:])):
+            h = b - a
+            # The input at the end of a step is the next step's start input
+            # whenever a + h lands exactly on the next edge.
+            w_a = w_end if a == t_end else w_of(a)
+            t_end = a + h
+            w_end = w_of(t_end)
+            z = _rk4_step(M, w_a, w_of(a + 0.5 * h), w_end, h, z)
+            zs[i + 1] = z
 
-    ts = np.asarray(rec_t)
-    zs = np.asarray(rec_z)
     xs, xhats = zs[:, :n], zs[:, n:]
     if stage is Stage.STABILIZING:
         us = xhats @ m.K.T
     else:
-        us = np.zeros((ts.size, m.n_u))
-    return zs[-1, :n].copy(), zs[-1, n:].copy(), (ts, xs, xhats, us)
+        us = np.zeros((edges.size, m.n_u))
+    return zs[-1, :n].copy(), zs[-1, n:].copy(), (edges, xs, xhats, us)
 
 
 def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,

@@ -2,7 +2,8 @@
 
 Every signal knows its own discontinuities, so the integrator can split
 substeps at them, and computes sup norms in closed form rather than from
-sampled maxima.
+sampled maxima.  ``sup_prefix(a, ts)`` evaluates the sup norm from one
+start over many ends at once; entry i is bitwise ``sup_norm(a, ts[i])``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,27 @@ class Disturbance:
         """Exact sup of the max-abs entry over [a, b]."""
         raise NotImplementedError
 
+    def sup_prefix(self, a: float, ts) -> np.ndarray:
+        """``[sup_norm(a, t) for t in ts]`` as an array, bit for bit."""
+        return np.array([self.sup_norm(a, t) for t in np.asarray(ts, dtype=float)],
+                        dtype=float)
+
     def breakpoints(self, a: float, b: float) -> list[float]:
-        """Discontinuity instants strictly inside (a, b)."""
+        """Discontinuity instants strictly inside (a, b).
+
+        A piecewise-constant signal is constant between its breakpoints.
+        """
         return []
 
     def _check_interval(self, a: float, b: float) -> None:
         if b < a:
             raise ValueError("reversed interval")
+
+    def _check_prefix(self, a: float, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        if np.any(ts < a):
+            raise ValueError("reversed interval")
+        return ts
 
 
 @dataclass(frozen=True)
@@ -50,6 +65,9 @@ class Zero(Disturbance):
     def sup_norm(self, a: float, b: float) -> float:
         self._check_interval(a, b)
         return 0.0
+
+    def sup_prefix(self, a: float, ts) -> np.ndarray:
+        return np.zeros(self._check_prefix(a, ts).shape)
 
 
 class Constant(Disturbance):
@@ -65,6 +83,9 @@ class Constant(Disturbance):
     def sup_norm(self, a: float, b: float) -> float:
         self._check_interval(a, b)
         return float(np.max(np.abs(self.level)))
+
+    def sup_prefix(self, a: float, ts) -> np.ndarray:
+        return np.full(self._check_prefix(a, ts).shape, float(np.max(np.abs(self.level))))
 
 
 class PulseTrain(Disturbance):
@@ -108,6 +129,20 @@ class PulseTrain(Disturbance):
                 best = max(best, float(np.max(np.abs(level))))
         return best
 
+    def sup_prefix(self, a: float, ts) -> np.ndarray:
+        ts = self._check_prefix(a, ts)
+        # Pulses ending after a, in start order: the sup up to t is the
+        # running max over those that start before t.
+        live = [(start, float(np.max(np.abs(level)))) for start, end, level in self.pulses
+                if end > a]
+        starts = np.array([s for s, _ in live], dtype=float)
+        running = np.maximum.accumulate(np.array([0.0] + [lv for _, lv in live]))
+        out = running[np.searchsorted(starts, ts, side="left")]
+        at_a = ts == a
+        if np.any(at_a):
+            out[at_a] = float(np.max(np.abs(self.value(a)))) if self.dim else 0.0
+        return out
+
     def breakpoints(self, a: float, b: float) -> list[float]:
         pts = []
         for start, end, _ in self.pulses:
@@ -143,6 +178,21 @@ class Sinusoid(Disturbance):
         if math.pi / 2.0 + k * math.pi <= th_b:
             return amp
         return amp * max(abs(math.sin(th_a)), abs(math.sin(th_b)))
+
+    def sup_prefix(self, a: float, ts) -> np.ndarray:
+        ts = self._check_prefix(a, ts)
+        # The same arithmetic as sup_norm, elementwise; math.sin rather
+        # than np.sin keeps every entry bitwise equal to sup_norm.
+        amp = float(np.max(np.abs(self.amplitude)))
+        w = 2.0 * math.pi * self.freq_hz
+        th_a = w * a + self.phase
+        th_b = w * ts + self.phase
+        lo, hi = np.minimum(th_a, th_b), np.maximum(th_a, th_b)
+        k = np.ceil((lo - math.pi / 2.0) / math.pi)
+        peak = math.pi / 2.0 + k * math.pi <= hi
+        sin_lo = np.abs(np.fromiter(map(math.sin, lo.tolist()), float, lo.size))
+        sin_hi = np.abs(np.fromiter(map(math.sin, hi.tolist()), float, hi.size))
+        return np.where(peak, amp, amp * np.maximum(sin_lo, sin_hi))
 
 
 class SeededUniform(Disturbance):
@@ -187,6 +237,22 @@ class SeededUniform(Disturbance):
         for i in range(lo, max(hi, lo) + 1):
             best = max(best, float(np.max(np.abs(self._draw(i)))))
         return best
+
+    def sup_prefix(self, a: float, ts) -> np.ndarray:
+        ts = self._check_prefix(a, ts)
+        # The same index arithmetic as sup_norm, elementwise, then a
+        # running max over the draws from the start's hold interval.
+        lo = self._index(a)
+        hi = np.maximum(np.floor(ts / self.hold + 1e-9), 0.0).astype(np.int64)
+        hi -= hi * self.hold >= ts - 1e-9 * self.hold
+        top = np.maximum(hi, lo)
+        last = int(top.max()) if top.size else lo
+        norms = [float(np.max(np.abs(self._draw(i)))) for i in range(lo, last + 1)]
+        out = np.maximum.accumulate(norms)[top - lo]
+        at_a = ts == a
+        if np.any(at_a):
+            out[at_a] = float(np.max(np.abs(self.value(a))))
+        return out
 
     def breakpoints(self, a: float, b: float) -> list[float]:
         pts = []

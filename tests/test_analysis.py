@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import check_oracle
 from gain_oracle import constants_from, oracle_values
-from qrate import (PulseTrain, Zero, check_trajectory, derive_constants,
-                   eta_functions, gain_constants, iss_gains, run_closed_loop)
+from qrate import (PulseTrain, SeededUniform, Sinusoid, Zero, check_trajectory,
+                   derive_constants, eta_functions, gain_constants, iss_gains,
+                   run_closed_loop)
+from qrate.analysis import _exp_decay_envelope
 from qrate.codec import quad_value
 
 
@@ -182,3 +187,77 @@ def test_check_trajectory_dimension_guard(ref_plant, cert_params, cert_derived,
     g = gain_constants(toy_derived, toy_params)
     with pytest.raises(ValueError):
         check_trajectory(log, toy_derived, toy_params, g, sig)
+
+
+def _row(r):
+    return (r.name, r.n_checked, r.status, r.worst_margin)
+
+
+@pytest.mark.parametrize("sig", [
+    PulseTrain([(10.5, 10.7, [1.5]), (22.5, 22.7, [1.5])], dim=1),
+    Sinusoid([0.05], freq_hz=0.5, phase=0.3),
+    SeededUniform(bound=0.05, seed=3, hold=0.37),
+], ids=["pulses", "sinusoid", "uniform"])
+def test_dense_checks_match_quadratic_oracle(ref_plant, cert_params, cert_derived, sig):
+    log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array([1.0, 1.0]),
+                          30.0, substeps=100)
+    g = gain_constants(cert_derived, cert_params)
+    rows = [_row(r) for r in check_trajectory(log, cert_derived, cert_params, g, sig).rows]
+    assert len(rows) == 17 and all(r[2] == "pass" for r in rows)
+    x_norm = np.max(np.abs(log.x), axis=1)
+    expected = {
+        "intersample_envelope": check_oracle.intersample_envelope(
+            log, cert_derived.intersample_gain, cert_derived.dist_gain, sig),
+        "exp_decay_envelope": check_oracle.exp_decay_envelope(
+            log.stage == 1, x_norm, log.radius, log.d_sup_prev, g.c_exp, cert_derived.nu,
+            cert_derived.dist_gain),
+    }
+    # the other 15 rows share their code with the oracle-free checker
+    assert [expected.get(r[0], r) for r in rows] == rows
+
+
+_pos = st.floats(0.0, 10.0)
+
+
+@pytest.mark.parametrize("inject", [False, True])
+@given(st.lists(st.tuples(st.booleans(), _pos, _pos, st.floats(0.0, 1.0)), min_size=2,
+                max_size=60),
+       st.floats(0.05, 0.95), st.floats(0.1, 10.0), st.floats(0.0, 5.0), st.data())
+def test_exp_decay_envelope_matches_pair_grid(inject, samples, nu, c_exp, dist_gain, data):
+    stab, x_norm, E, dsup = (np.array(col) for col in zip(*samples))
+    if inject:
+        # |x(t_k)| far above every bound from the previous sample of its run
+        k = data.draw(st.integers(1, stab.size - 1))
+        stab[k - 1] = stab[k] = True
+        x_norm[k] = 2.0 * (c_exp * (x_norm.max() + E.max()) + dist_gain * dsup.max()) + 1.0
+    args = (stab, x_norm, E, dsup, c_exp, nu, dist_gain)
+    got = _row(_exp_decay_envelope(*args))
+    want = check_oracle.exp_decay_envelope(*args)
+    assert got[:3] == want[:3]
+    if inject:
+        assert got[2] == "fail"
+    # The tightest l is found by a recurrence, then its bound is evaluated
+    # exactly as the grid does; only a near tie between two l (a few ulps)
+    # could pick a neighbour with a marginally different rounding.
+    assert abs(got[3] - want[3]) <= 1e-12 * max(1.0, abs(want[3])) or got[3] == want[3]
+
+
+def test_check_trajectory_sup_norm_calls_scale_with_samples(monkeypatch, ref_plant,
+                                                            cert_params, cert_derived):
+    sig, log = _reference_log(ref_plant, cert_params, cert_derived, substeps=50)
+    calls = {"sup_norm": 0, "sup_prefix": 0}
+    for name in calls:
+        orig = getattr(PulseTrain, name)
+
+        def counted(self, *args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(PulseTrain, name, counted)
+    g = gain_constants(cert_derived, cert_params)
+    rep = check_trajectory(log, cert_derived, cert_params, g, sig)
+    assert rep.all_pass
+    # one prefix sweep per sampling interval, a few interval sups per event
+    assert log.dense_t.size > 50 * (log.n_samples - 1)
+    assert calls["sup_prefix"] == log.n_samples - 1
+    assert calls["sup_norm"] <= len(log.events) + 5

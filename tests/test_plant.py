@@ -1,11 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import make_random_plant
-from qrate import (Constant, DesignParams, PlantModel, PulseTrain, Sinusoid, Zero,
-                   derive_constants, run_closed_loop, step_interval, synthesize_design)
+from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform, Sinusoid,
+                   Zero, bundled_scenario, derive_constants, run_closed_loop, step_interval,
+                   synthesize_design)
 from qrate.codec import Stage
 from qrate.matnum import expm
+from qrate.plant import _augmented, _zoh_pair
+
+# sha256 of run_closed_loop(...).x.tobytes() on the bundled certified
+# scenario, as integrated one substep at a time with a fresh input each.
+BUNDLED_X_SHA256 = "4bba4912f9043d7db9343e07558b3ba340870ddfd244f26ce21286fb21d0ed52"
 
 
 def _reference_pulses():
@@ -169,3 +177,108 @@ def test_run_rejects_bad_inputs(ref_plant, cert_params, cert_derived):
     with pytest.raises(ValueError):
         run_closed_loop(ref_plant, cert_params, cert_derived, Zero(dim=1),
                         np.zeros(2), 0.05)
+
+
+def _step_interval_per_segment(m, x, xhat, stage, sig, t_k, substeps, cache):
+    """Reference stepper, one segment at a time: ZOH with the input at each
+    segment's midpoint, or RK4 with a fresh input at every stage."""
+    n = m.n_x
+
+    def w_of(t):
+        w = np.zeros(2 * n)
+        w[:n] = m.D @ sig.value(t)
+        return w
+
+    z = np.concatenate([x, xhat])
+    M = _augmented(m, stage)
+    edges = t_k + (m.dt / substeps) * np.arange(substeps + 1)
+    bps = sig.breakpoints(t_k, t_k + m.dt)
+    if bps:
+        merged = np.concatenate([edges, np.asarray(bps, dtype=float)])
+        merged.sort()
+        keep = np.concatenate([[True], np.diff(merged) > 1e-12 * m.dt])
+        edges = merged[keep]
+        edges[-1] = t_k + m.dt
+    rec_t, rec_z = [], []
+    for i in range(edges.size - 1):
+        a, b = edges[i], edges[i + 1]
+        rec_t.append(a)
+        rec_z.append(z)
+        h = b - a
+        if not sig.piecewise_constant:
+            k1 = M @ z + w_of(a)
+            k2 = M @ (z + 0.5 * h * k1) + w_of(a + 0.5 * h)
+            k3 = M @ (z + 0.5 * h * k2) + w_of(a + 0.5 * h)
+            k4 = M @ (z + h * k3) + w_of(a + h)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            continue
+        if (stage, h) not in cache:
+            cache[(stage, h)] = _zoh_pair(M, h)
+        Phi, Psi = cache[(stage, h)]
+        z = Phi @ z + Psi @ w_of(0.5 * (a + b))
+    rec_t.append(edges[-1])
+    rec_z.append(z)
+    ts, zs = np.asarray(rec_t), np.asarray(rec_z)
+    xs, xhats = zs[:, :n], zs[:, n:]
+    us = xhats @ m.K.T if stage is Stage.STABILIZING else np.zeros((ts.size, m.n_u))
+    return zs[-1, :n].copy(), zs[-1, n:].copy(), (ts, xs, xhats, us)
+
+
+@pytest.mark.parametrize("sig", [
+    _reference_pulses(),
+    SeededUniform(bound=0.05, seed=3, hold=0.37),
+    SeededUniform(bound=0.08, seed=5, hold=0.1),
+    Sinusoid([0.05], freq_hz=0.5, phase=0.3),
+], ids=["pulses", "uniform", "uniform_hold_dt", "sinusoid_rk4"])
+def test_step_interval_matches_per_segment_loop_bitwise(ref_plant, cert_params, cert_derived,
+                                                        sig):
+    # Every interval of a logged run, restarted from its logged state:
+    # breakpoint-free intervals of a piecewise-constant signal take the
+    # constant-input fast path, the others the segment loop.
+    log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array([1.0, 1.0]),
+                          30.0, substeps=50)
+    fast_cache, ref_cache = {}, {}
+    for k in range(log.n_samples - 1):
+        stage = Stage.STABILIZING if log.stage[k] else Stage.SEARCHING
+        args = (ref_plant, log.x[k], log.xhat[k], stage, sig, log.t[k], 50)
+        x_end, xhat_end, dense = step_interval(*args, fast_cache)
+        ref_x, ref_xhat, ref_dense = _step_interval_per_segment(*args, ref_cache)
+        assert np.array_equal(x_end, ref_x) and np.array_equal(xhat_end, ref_xhat), k
+        for got, want in zip(dense, ref_dense):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
+    assert list(fast_cache) == list(ref_cache)
+
+
+def test_bundled_run_matches_pinned_bits():
+    cfg = bundled_scenario(certified=True)
+    d = derive_constants(cfg.plant, cfg.design)
+    log = run_closed_loop(cfg.plant, cfg.design, d, cfg.disturbance, cfg.x0, cfg.horizon,
+                          cfg.substeps)
+    assert hashlib.sha256(log.x.tobytes()).hexdigest() == BUNDLED_X_SHA256
+
+
+def _count_value_calls(monkeypatch, cls):
+    calls = []
+    orig = cls.value
+
+    def counted(self, t):
+        calls.append(t)
+        return orig(self, t)
+
+    monkeypatch.setattr(cls, "value", counted)
+    return calls
+
+
+def test_step_interval_evaluates_constant_input_once(monkeypatch, ref_plant):
+    sig = PulseTrain([(0.0333, 0.1, [2.0])], dim=1)
+    calls = _count_value_calls(monkeypatch, PulseTrain)
+    x = np.array([0.5, -0.2])
+    # breakpoint-free interval: one evaluation for all 100 substeps
+    _, _, (ts, _, _, _) = step_interval(ref_plant, x, x.copy(), Stage.SEARCHING, sig, 0.1,
+                                        substeps=100)
+    assert ts.size == 101 and len(calls) == 1
+    # an interval split at a pulse edge keeps one evaluation per segment
+    calls.clear()
+    _, _, (ts, _, _, _) = step_interval(ref_plant, x, x.copy(), Stage.SEARCHING, sig, 0.0,
+                                        substeps=100)
+    assert len(calls) == ts.size - 1 == 101
