@@ -358,8 +358,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
-        # missing file or infeasible scenario (e.g. unstable closed loop)
+    except (FileNotFoundError, ValueError, ArithmeticError) as exc:
+        # missing file, infeasible scenario (e.g. unstable closed loop) or a
+        # design quantity the numerics cannot resolve (quadrature, dlyap)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -210,6 +210,36 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
     return zs[-1, :n].copy(), zs[-1, n:].copy(), (edges, xs, xhats, us)
 
 
+class _DenseLog:
+    """Dense records written interval by interval into preallocated arrays,
+    so the run never holds a second copy of its log.
+
+    ``capacity`` should bound the record count; if it does not, an array
+    grows by half.  ``arrays`` returns the used prefix of each.
+    """
+
+    def __init__(self, capacity: int, n_x: int, n_u: int):
+        self.size = 0
+        self.cols = {"dense_t": np.empty(capacity), "dense_k": np.empty(capacity, dtype=int),
+                     "dense_x": np.empty((capacity, n_x)),
+                     "dense_xhat": np.empty((capacity, n_x)),
+                     "dense_u": np.empty((capacity, n_u))}
+
+    def append(self, k: int, ts, xs, xhats, us) -> None:
+        lo, hi = self.size, self.size + ts.size
+        for name, rec in zip(self.cols, (ts, k, xs, xhats, us)):
+            col = self.cols[name]
+            if hi > col.shape[0]:
+                grown = np.empty((max(hi, col.shape[0] * 3 // 2),) + col.shape[1:], col.dtype)
+                grown[:lo] = col[:lo]
+                self.cols[name] = col = grown
+            col[lo:hi] = rec
+        self.size = hi
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {name: col[:self.size] for name, col in self.cols.items()}
+
+
 def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
                     sig: Disturbance, x0, horizon: float,
                     substeps: int = DEFAULT_SUBSTEPS) -> TrajectoryLog:
@@ -233,7 +263,9 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
 
     samp_t, samp_x, samp_xhat = [], [], []
     samp_sym, samp_stage, samp_E, samp_center, samp_V, samp_dsup = [], [], [], [], [], []
-    dense_t, dense_k, dense_x, dense_xhat, dense_u = [], [], [], [], []
+    # Each interval has substeps + 1 edges and at most one more per breakpoint.
+    dense = _DenseLog(n_steps * (substeps + 1) + len(sig.breakpoints(0.0, n_steps * m.dt)),
+                      m.n_x, m.n_u)
     events: list[TrajectoryEvent] = []
     enc_states: list[CodecState] = []
     dec_states: list[CodecState] = []
@@ -270,13 +302,8 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         if k == n_steps:
             break
 
-        x, _, (ts, xs, xhats, us) = step_interval(
-            m, x, xhat, stage, sig, t_k, substeps, cache)
-        dense_t.append(ts)
-        dense_k.append(np.full(ts.size, k, dtype=int))
-        dense_x.append(xs)
-        dense_xhat.append(xhats)
-        dense_u.append(us)
+        x, _, records = step_interval(m, x, xhat, stage, sig, t_k, substeps, cache)
+        dense.append(k, *records)
 
         enc = codec.advance(enc, sym, d, p)
         dec = codec.advance(dec, sym, d, p)
@@ -293,11 +320,7 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         center=np.asarray(samp_center),
         value=np.asarray(samp_V),
         d_sup_prev=np.asarray(samp_dsup),
-        dense_t=np.concatenate(dense_t) if dense_t else np.empty(0),
-        dense_k=np.concatenate(dense_k) if dense_k else np.empty(0, dtype=int),
-        dense_x=np.concatenate(dense_x) if dense_x else np.empty((0, m.n_x)),
-        dense_xhat=np.concatenate(dense_xhat) if dense_xhat else np.empty((0, m.n_x)),
-        dense_u=np.concatenate(dense_u) if dense_u else np.empty((0, m.n_u)),
+        **dense.arrays(),
         events=events,
         enc_states=enc_states,
         dec_states=dec_states,

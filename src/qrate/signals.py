@@ -212,10 +212,13 @@ class SeededUniform(Disturbance):
         self.dim = int(dim)
         self._rng = np.random.Generator(np.random.Philox(key=self.seed))
         self._draws: list[np.ndarray] = []
+        self._norms: list[float] = []  # max |entry| of each draw
 
     def _draw(self, i: int) -> np.ndarray:
         while len(self._draws) <= i:
-            self._draws.append(self._rng.uniform(-self.bound, self.bound, self.dim))
+            w = self._rng.uniform(-self.bound, self.bound, self.dim)
+            self._draws.append(w)
+            self._norms.append(float(np.max(np.abs(w))))
         return self._draws[i]
 
     def _index(self, t: float) -> int:
@@ -233,10 +236,9 @@ class SeededUniform(Disturbance):
         hi = self._index(b)
         if hi * self.hold >= b - 1e-9 * self.hold:
             hi -= 1  # the interval opening at b has zero overlap
-        best = 0.0
-        for i in range(lo, max(hi, lo) + 1):
-            best = max(best, float(np.max(np.abs(self._draw(i)))))
-        return best
+        top = max(hi, lo)
+        self._draw(top)
+        return max(self._norms[lo:top + 1])
 
     def sup_prefix(self, a: float, ts) -> np.ndarray:
         ts = self._check_prefix(a, ts)
@@ -247,8 +249,8 @@ class SeededUniform(Disturbance):
         hi -= hi * self.hold >= ts - 1e-9 * self.hold
         top = np.maximum(hi, lo)
         last = int(top.max()) if top.size else lo
-        norms = [float(np.max(np.abs(self._draw(i)))) for i in range(lo, last + 1)]
-        out = np.maximum.accumulate(norms)[top - lo]
+        self._draw(last)
+        out = np.maximum.accumulate(self._norms[lo:last + 1])[top - lo]
         at_a = ts == a
         if np.any(at_a):
             out[at_a] = float(np.max(np.abs(self.value(a))))

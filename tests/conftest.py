@@ -61,14 +61,16 @@ def toy_derived(toy_plant, toy_params):
     return derive_constants(toy_plant, toy_params)
 
 
-def make_random_plant(rng: np.random.Generator) -> PlantModel:
-    """Random 2- or 3-state plant guaranteed to pass both assumptions.
+def make_random_plant(rng: np.random.Generator, n: int | None = None) -> PlantModel:
+    """Random plant guaranteed to pass both assumptions, with ``n`` states
+    (2 or 3, drawn from ``rng``, when ``n`` is None).
 
     The closed loop is pinned to a diagonally dominant stable target via
     K = B^{-1} (target - A); the open-loop growth over 0.1 s stays far
     below a 5-level grid.
     """
-    n = int(rng.integers(2, 4))
+    if n is None:
+        n = int(rng.integers(2, 4))
     diag = -rng.uniform(1.0, 2.0, n)
     off = rng.uniform(-0.3, 0.3, (n, n)) / max(n - 1, 1)
     target = np.diag(diag) + off * (1.0 - np.eye(n))

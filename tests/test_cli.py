@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -274,3 +275,22 @@ def test_substeps_flag_rejects_non_positive_integers(command, value, cert_cfg_pa
     assert errors == [f"qrate {command}: error: argument --substeps: "
                       f"expected a positive integer, got '{value}'"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "gains", "check"])
+@pytest.mark.parametrize("line, bad", [
+    ("plant.A = 1 0 ; 0 -1.5", "plant.A = 1 300 ; -300 -1.5"),
+    ("plant.D = 1 ; 0", "plant.D = 1e308 ; 0"),
+], ids=["fast_rotation", "huge_D"])
+def test_unresolvable_design_numerics_exit_2_with_one_line(command, line, bad, tmp_path,
+                                                            capsys):
+    text = serialize_config(bundled_scenario(certified=True))
+    assert line in text
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(line, bad), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: phi_integral quadrature did not converge"]

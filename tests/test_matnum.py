@@ -1,9 +1,22 @@
+import hashlib
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_random_plant
+from grid_oracle import grid_norms as oracle_grid_norms
+from qrate import bundled_params, bundled_plant, derive_constants
 from qrate import matnum as mn
+
+# sha256 of the little-endian float64 bits of (dist_gain, peak_closed,
+# peak_open) for the bundled plant and make_random_plant(default_rng(40 + n), n)
+# at n = 2..6, taken from the point-by-point _grid_norms.
+DESIGN_PEAKS_SHA256 = "4a86ef671b7b7ee0a5ad0ff36ccdf605cbd7e94939a8ba3b65132981fc44c508"
 
 
 def test_inf_norm_vec_examples():
@@ -163,3 +176,42 @@ def test_linear_algebra_facts():
         plo, phi = mn.sym_eig_extremes(P)
         pquad = v @ P @ v
         assert plo * vnorm**2 - tol <= pquad <= n * phi * vnorm**2 + tol
+
+
+_B = mn._GRID_BLOCK
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(1, 6), n_cols=st.integers(0, 3),
+       tau=st.floats(0.01, 2.0, exclude_min=True, exclude_max=True),
+       n=st.sampled_from([4, 16, 255, 256, 257, _B - 1, _B, _B + 1, 2 * _B + 1, 2049]))
+def test_grid_norms_match_point_by_point_oracle(seed, n_x, n_cols, tau, n):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-3.0, 3.0, (n_x, n_x))
+    D = rng.uniform(-2.0, 2.0, (n_x, n_cols)) if n_cols else None
+    got = mn._grid_norms(A, D, tau, n)
+    assert got.tobytes() == oracle_grid_norms(A, D, tau, n).tobytes()
+
+
+def test_design_peaks_match_pinned_bits():
+    plants = [bundled_plant()] + [make_random_plant(np.random.default_rng(40 + n), n)
+                                  for n in range(2, 7)]
+    h = hashlib.sha256()
+    for m in plants:
+        d = derive_constants(m, bundled_params())
+        h.update(struct.pack("<3d", d.dist_gain, d.peak_closed, d.peak_open))
+    assert h.hexdigest() == DESIGN_PEAKS_SHA256
+
+
+def test_grid_norms_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(2)
+    A = rng.uniform(-1.0, 1.0, (6, 6))
+    D = rng.uniform(-1.0, 1.0, (6, 1))
+    tracemalloc.start()
+    try:
+        mn._grid_norms(A, D, 0.1, 1 << 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result alone is 1 MB; an unblocked stack of 6x6 matrices is 37 MB
+    assert peak < 4 * 2**20

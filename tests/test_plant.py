@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,19 @@ from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform
                    synthesize_design)
 from qrate.codec import Stage
 from qrate.matnum import expm
-from qrate.plant import _augmented, _zoh_pair
+from qrate.plant import _augmented, _DenseLog, _zoh_pair
 
 # sha256 of run_closed_loop(...).x.tobytes() on the bundled certified
 # scenario, as integrated one substep at a time with a fresh input each.
 BUNDLED_X_SHA256 = "4bba4912f9043d7db9343e07558b3ba340870ddfd244f26ce21286fb21d0ed52"
+# the same for the dense records, as concatenated from per-interval arrays
+BUNDLED_DENSE_SHA256 = {
+    "dense_t": "9efce64b3b370f9d8ae916733be60627fde7a4b32812fe75715d7b1f569b40a2",
+    "dense_k": "c325cc15f04c046ff8cb3511283567e62cc7dec70a1ae09346f165e96b96cfda",
+    "dense_x": "4cbcef559632c79be354ac433270c27fbeb00d46813dd86a7066d9568790941c",
+    "dense_xhat": "2e6c5aaf8880ed72b4b2066045cd2d721e5a706a1ca63ad045df4a82b26c3e52",
+    "dense_u": "27567fbcf70ab3d0a7ce3c3d700b6d2464965233d6b3e635f65c4e9a35814e6d",
+}
 
 
 def _reference_pulses():
@@ -255,6 +264,46 @@ def test_bundled_run_matches_pinned_bits():
     log = run_closed_loop(cfg.plant, cfg.design, d, cfg.disturbance, cfg.x0, cfg.horizon,
                           cfg.substeps)
     assert hashlib.sha256(log.x.tobytes()).hexdigest() == BUNDLED_X_SHA256
+    for name, digest in BUNDLED_DENSE_SHA256.items():
+        a = getattr(log, name)
+        assert a.dtype == (np.int64 if name == "dense_k" else np.float64)
+        assert hashlib.sha256(a.tobytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("pulses, n_dense", [
+    (None, 300 * 101),
+    # pulse edges between substep edges add one record to four intervals
+    ([(10.5005, 10.7005, [1.5]), (22.5005, 22.7005, [1.5])], 300 * 101 + 4),
+], ids=["bundled", "off_grid_pulses"])
+def test_run_peak_memory_stays_near_the_log(pulses, n_dense):
+    cfg = bundled_scenario(certified=True)
+    sig = cfg.disturbance if pulses is None else PulseTrain(pulses, dim=1)
+    d = derive_constants(cfg.plant, cfg.design)
+    tracemalloc.start()
+    try:
+        log = run_closed_loop(cfg.plant, cfg.design, d, sig, cfg.x0, cfg.horizon,
+                              cfg.substeps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log.dense_t.size == n_dense
+    log_bytes = sum(v.nbytes for v in vars(log).values() if isinstance(v, np.ndarray))
+    # collecting per-interval arrays and concatenating them peaks near 2x
+    assert peak < 1.3 * log_bytes
+
+
+def test_dense_log_grows_past_its_capacity():
+    rng = np.random.default_rng(4)
+    chunks = [(k, rng.standard_normal(s), rng.standard_normal((s, 2)),
+               rng.standard_normal((s, 2)), rng.standard_normal((s, 1)))
+              for k, s in enumerate([3, 5, 1, 7, 2])]
+    dense = _DenseLog(4, 2, 1)
+    for chunk in chunks:
+        dense.append(*chunk)
+    got = dense.arrays()
+    assert np.array_equal(got["dense_k"], np.repeat(np.arange(5), [3, 5, 1, 7, 2]))
+    for i, name in enumerate(("dense_t", "dense_x", "dense_xhat", "dense_u"), start=1):
+        assert np.array_equal(got[name], np.concatenate([c[i] for c in chunks]))
 
 
 def _count_value_calls(monkeypatch, cls):
