@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 SLACK = 1e-9
-_BLOCK_RUNS = 64  # sampling intervals per intersample_envelope block
+_DENSE_BLOCK = 8192  # dense records per intersample_envelope block
 
 Map1 = Callable[[float], float]
 Map2 = Callable[[float, float], float]
@@ -366,18 +366,12 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
 
     acc = _Acc("intersample_envelope")
     dense_norm = np.max(np.abs(log.dense_x), axis=1) if log.dense_x.size else np.empty(0)
-    if dense_norm.size:
-        # Each run of equal dense_k shares one start time, so one sup_prefix
-        # call covers it; blocks of whole runs keep the temporaries small.
-        dk = log.dense_k
-        cuts = [0] + (np.flatnonzero(np.diff(dk)) + 1).tolist() + [dk.size]
-        for j in range(0, len(cuts) - 1, _BLOCK_RUNS):
-            block = cuts[j:j + _BLOCK_RUNS + 1]
-            lo, hi = block[0], block[-1]
-            sups = np.concatenate([sig.sup_prefix(t[dk[a]], log.dense_t[a:b])
-                                   for a, b in zip(block, block[1:])])
-            acc.add(dense_norm[lo:hi],
-                    d.intersample_gain * x_norm[dk[lo:hi]] + d.dist_gain * sups)
+    # Blocks of records keep the temporaries small whatever the horizon.
+    for lo in range(0, dense_norm.size, _DENSE_BLOCK):
+        dk = log.dense_k[lo:lo + _DENSE_BLOCK]
+        sups = sig.sup_norm(t[dk], log.dense_t[lo:lo + _DENSE_BLOCK])
+        acc.add(dense_norm[lo:lo + dk.size],
+                d.intersample_gain * x_norm[dk] + d.dist_gain * sups)
     rows.append(acc.row())
 
     escapes = [ev for ev in log.events if ev.kind == "escaped"]

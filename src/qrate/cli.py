@@ -358,10 +358,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, ArithmeticError) as exc:
-        # missing file, infeasible scenario (e.g. unstable closed loop) or a
-        # design quantity the numerics cannot resolve (quadrature, dlyap)
-        print(f"error: {exc}", file=sys.stderr)
+    except (FileNotFoundError, ValueError, ArithmeticError, MemoryError) as exc:
+        # missing file, infeasible scenario (e.g. unstable closed loop), a
+        # design quantity the numerics cannot resolve (quadrature, dlyap) or
+        # a run too long to allocate (a MemoryError may carry no message)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

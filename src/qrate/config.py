@@ -55,10 +55,7 @@ def _parse_row(text: str, where: str) -> list[float]:
     parts = text.replace(",", " ").split()
     if not parts:
         raise ConfigError(f"{where}: empty numeric value")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return [_parse_number(p, where) for p in parts]
 
 
 def _parse_number(text: str, where: str, integer: bool = False):
@@ -134,14 +131,19 @@ def parse_config(text: str) -> ScenarioConfig:
     def where(key: str) -> str:
         return f"line {lines.get(key, '?')}, {key}"
 
+    def number(key: str, default: str | None = None, integer: bool = False):
+        """The key's value (or ``default`` when absent) as a finite number."""
+        text = need(key) if default is None else entries.get(key, default)
+        return _parse_number(text, where(key), integer)
+
     try:
         plant = PlantModel(
             A=_parse_matrix(need("plant.A"), where("plant.A")),
             B=_parse_matrix(need("plant.B"), where("plant.B")),
             D=_parse_matrix(need("plant.D"), where("plant.D")),
             K=_parse_matrix(need("plant.K"), where("plant.K")),
-            dt=float(need("plant.dt")),
-            n_levels=_parse_number(need("plant.n_levels"), where("plant.n_levels"), integer=True),
+            dt=number("plant.dt"),
+            n_levels=number("plant.n_levels", integer=True),
         )
     except ConfigError:
         raise
@@ -150,15 +152,15 @@ def parse_config(text: str) -> ScenarioConfig:
 
     try:
         design = DesignParams(
-            radius0=float(need("design.radius0")),
-            search_margin=float(need("design.search_margin")),
-            dist_level=float(need("design.dist_level")),
-            psi=float(need("design.psi")),
-            rho=float(need("design.rho")),
-            phi=float(need("design.phi")),
+            radius0=number("design.radius0"),
+            search_margin=number("design.search_margin"),
+            dist_level=number("design.dist_level"),
+            psi=number("design.psi"),
+            rho=number("design.rho"),
+            phi=number("design.phi"),
             Q=(_parse_matrix(entries["design.Q"], where("design.Q"))
                if "design.Q" in entries else None),
-            floor_margin=float(entries.get("design.floor_margin", 0.01)),
+            floor_margin=number("design.floor_margin", "0.01"),
         )
     except ConfigError:
         raise
@@ -168,16 +170,20 @@ def parse_config(text: str) -> ScenarioConfig:
     x0 = _parse_vector(need("sim.x0"), where("sim.x0"))
     if x0.size != plant.n_x:
         raise ConfigError(f"{where('sim.x0')}: dimension {x0.size} != n_x {plant.n_x}")
-    horizon = _parse_number(need("sim.horizon"), where("sim.horizon"))
+    horizon = number("sim.horizon")
     if horizon < plant.dt:
         raise ConfigError("sim.horizon must cover at least one sampling period")
 
-    substeps = _parse_number(entries.get("sim.substeps", "100"), where("sim.substeps"),
-                             integer=True)
+    substeps = number("sim.substeps", "100", integer=True)
     if substeps < 1:
         raise ConfigError(f"{where('sim.substeps')}: must be a positive integer")
 
-    disturbance = _parse_disturbance(entries, plant.n_d, where)
+    try:
+        disturbance = _parse_disturbance(entries, plant.n_d, where, number)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"disturbance: {exc}") from None
     return ScenarioConfig(
         plant=plant,
         design=design,
@@ -191,7 +197,7 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def _parse_disturbance(entries: dict[str, str], n_d: int, where) -> Disturbance:
+def _parse_disturbance(entries: dict[str, str], n_d: int, where, number) -> Disturbance:
     kind = entries.get("disturbance.kind", "zero").strip().lower()
 
     def need(key: str) -> str:
@@ -219,14 +225,13 @@ def _parse_disturbance(entries: dict[str, str], n_d: int, where) -> Disturbance:
         amp = _parse_vector(need("disturbance.amplitude"), where("disturbance.amplitude"))
         if amp.size != n_d:
             raise ConfigError("disturbance.amplitude dimension mismatch")
-        return Sinusoid(amp, float(entries.get("disturbance.freq_hz", "1")),
-                        float(entries.get("disturbance.phase", "0")))
+        return Sinusoid(amp, number("disturbance.freq_hz", "1"),
+                        number("disturbance.phase", "0"))
     if kind == "uniform":
         return SeededUniform(
-            bound=float(need("disturbance.bound")),
-            seed=_parse_number(entries.get("disturbance.seed", "0"), where("disturbance.seed"),
-                               integer=True),
-            hold=float(entries.get("disturbance.hold", "0.1")),
+            bound=_parse_number(need("disturbance.bound"), where("disturbance.bound")),
+            seed=number("disturbance.seed", "0", integer=True),
+            hold=number("disturbance.hold", "0.1"),
             dim=n_d,
         )
     raise ConfigError(f"unknown disturbance.kind '{kind}'")

@@ -126,7 +126,8 @@ def phi_integral(A, D, tau_s: float) -> float:
     """Integral of ||e^{As} D|| over [0, tau_s].
 
     Composite Simpson with doubling refinement, stopping when two
-    successive refinements agree to 1e-10 relative.
+    successive refinements agree to 1e-10 relative; a level whose sum is
+    not finite ends the refinement with the ArithmeticError at once.
     """
     A = _square(A, "A")
     Dm = as_matrix(D, "D")
@@ -136,13 +137,15 @@ def phi_integral(A, D, tau_s: float) -> float:
         raise ValueError("tau_s must be positive")
     prev = None
     n = 4
-    # An overflowing sum shows in the result or ends in the ArithmeticError
-    # below; numpy's float warnings would only repeat it on stderr.
+    # An overflowing sum ends in the ArithmeticError below; numpy's float
+    # warnings would only repeat it on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= 1 << 17:
             f = _grid_norms(A, Dm, tau_s, n)
             h = tau_s / n
             val = h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+            if not np.isfinite(val):
+                break
             if prev is not None and abs(val - prev) <= 1e-10 * max(abs(val), 1e-30):
                 return float(val)
             prev = val

@@ -76,7 +76,8 @@ class TrajectoryLog:
 
 
 def sup_norm_on(sig: Disturbance, a: float, b: float) -> float:
-    """Exact sup norm of the signal over [a, b]."""
+    """Exact sup norm of the signal over [a, b] (``sig.sup_norm``; kept as a
+    public name for ``perfbench/layertrace.py``, which wraps it)."""
     return sig.sup_norm(a, b)
 
 
@@ -215,7 +216,9 @@ class _DenseLog:
     so the run never holds a second copy of its log.
 
     ``capacity`` should bound the record count; if it does not, an array
-    grows by half.  ``arrays`` returns the used prefix of each.
+    grows by half.  ``arrays`` trims each buffer to its records in place
+    and returns them, so no unused rows stay allocated; call it once, after
+    the last ``append``.
     """
 
     def __init__(self, capacity: int, n_x: int, n_u: int):
@@ -237,7 +240,10 @@ class _DenseLog:
         self.size = hi
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {name: col[:self.size] for name, col in self.cols.items()}
+        for col in self.cols.values():
+            # the buffers are owned and no view of them is alive
+            col.resize((self.size,) + col.shape[1:], refcheck=False)
+        return dict(self.cols)
 
 
 def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
@@ -262,7 +268,7 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
     dec = codec.initial_state(p.radius0, m.n_x)
 
     samp_t, samp_x, samp_xhat = [], [], []
-    samp_sym, samp_stage, samp_E, samp_center, samp_V, samp_dsup = [], [], [], [], [], []
+    samp_sym, samp_stage, samp_E, samp_center, samp_V = [], [], [], [], []
     # Each interval has substeps + 1 edges and at most one more per breakpoint.
     dense = _DenseLog(n_steps * (substeps + 1) + len(sig.breakpoints(0.0, n_steps * m.dt)),
                       m.n_x, m.n_u)
@@ -295,7 +301,6 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         samp_E.append(dec.radius)
         samp_center.append(dec.center.copy())
         samp_V.append(codec.quad_value(dec.center, dec.radius, d.P, p.rho))
-        samp_dsup.append(sup_norm_on(sig, (k - 1) * m.dt, t_k) if k else 0.0)
         enc_states.append(enc)
         dec_states.append(dec)
 
@@ -310,8 +315,9 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         if enc != dec:
             raise RuntimeError("encoder and decoder states diverged")
 
+    t = np.asarray(samp_t)
     return TrajectoryLog(
-        t=np.asarray(samp_t),
+        t=t,
         x=np.asarray(samp_x),
         xhat=np.asarray(samp_xhat),
         symbol=np.asarray(samp_sym, dtype=int),
@@ -319,7 +325,7 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         radius=np.asarray(samp_E),
         center=np.asarray(samp_center),
         value=np.asarray(samp_V),
-        d_sup_prev=np.asarray(samp_dsup),
+        d_sup_prev=np.concatenate([[0.0], sig.sup_norm(t[:-1], t[1:])]),
         **dense.arrays(),
         events=events,
         enc_states=enc_states,

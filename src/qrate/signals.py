@@ -2,8 +2,9 @@
 
 Every signal knows its own discontinuities, so the integrator can split
 substeps at them, and computes sup norms in closed form rather than from
-sampled maxima.  ``sup_prefix(a, ts)`` evaluates the sup norm from one
-start over many ends at once; entry i is bitwise ``sup_norm(a, ts[i])``.
+sampled maxima.  ``sup_norm(a, b)`` is the one sup-norm method: ``a`` and
+``b`` broadcast, so one call covers any number of intervals, and each
+entry is the same arithmetic as a call on that interval alone.
 """
 
 from __future__ import annotations
@@ -27,14 +28,21 @@ class Disturbance:
     def value(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def sup_norm(self, a: float, b: float) -> float:
-        """Exact sup of the max-abs entry over [a, b]."""
-        raise NotImplementedError
+    def sup_norm(self, a, b) -> float | np.ndarray:
+        """Exact essential sup of the max-abs entry over [a, b].
 
-    def sup_prefix(self, a: float, ts) -> np.ndarray:
-        """``[sup_norm(a, t) for t in ts]`` as an array, bit for bit."""
-        return np.array([self.sup_norm(a, t) for t in np.asarray(ts, dtype=float)],
-                        dtype=float)
+        ``a`` and ``b`` broadcast against each other; two scalars give a
+        float, anything else an array of the broadcast shape.
+        """
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        if np.any(b < a):
+            raise ValueError("reversed interval")
+        out = self._sup(a.ravel(), b.ravel()) if a.size else np.zeros(0)
+        return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+
+    def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``sup_norm`` on non-empty 1-D arrays of equal size with a <= b."""
+        raise NotImplementedError
 
     def breakpoints(self, a: float, b: float) -> list[float]:
         """Discontinuity instants strictly inside (a, b).
@@ -43,15 +51,21 @@ class Disturbance:
         """
         return []
 
-    def _check_interval(self, a: float, b: float) -> None:
-        if b < a:
-            raise ValueError("reversed interval")
 
-    def _check_prefix(self, a: float, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts < a):
-            raise ValueError("reversed interval")
-        return ts
+def _range_max(norms: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(norms[lo[i]:hi[i]]) for each i, 0.0 where the range is empty.
+
+    One ``reduceat`` over the interleaved bounds; the segments between a
+    range's end and the next range's start are reduced too and dropped,
+    and they stay short when the ranges move forward in time.
+    """
+    out = np.zeros(lo.shape)
+    some = lo < hi
+    bounds = np.stack([lo[some], hi[some]], axis=1).ravel()
+    if bounds.size:
+        # reduceat wants every index below the length; hi may equal it
+        out[some] = np.maximum.reduceat(np.append(norms, 0.0), bounds)[::2]
+    return out
 
 
 @dataclass(frozen=True)
@@ -62,12 +76,8 @@ class Zero(Disturbance):
     def value(self, t: float) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def sup_norm(self, a: float, b: float) -> float:
-        self._check_interval(a, b)
-        return 0.0
-
-    def sup_prefix(self, a: float, ts) -> np.ndarray:
-        return np.zeros(self._check_prefix(a, ts).shape)
+    def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.zeros(a.size)
 
 
 class Constant(Disturbance):
@@ -80,12 +90,8 @@ class Constant(Disturbance):
     def value(self, t: float) -> np.ndarray:
         return self.level
 
-    def sup_norm(self, a: float, b: float) -> float:
-        self._check_interval(a, b)
-        return float(np.max(np.abs(self.level)))
-
-    def sup_prefix(self, a: float, ts) -> np.ndarray:
-        return np.full(self._check_prefix(a, ts).shape, float(np.max(np.abs(self.level))))
+    def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.full(a.size, float(np.max(np.abs(self.level))))
 
 
 class PulseTrain(Disturbance):
@@ -111,6 +117,9 @@ class PulseTrain(Disturbance):
         self.dim = dim if dim is not None else (dims.pop() if dims else 1)
         if parsed and parsed[0][2].size != self.dim:
             raise ValueError("pulse level dimension mismatch")
+        self._starts = np.array([p[0] for p in parsed])
+        self._ends = np.array([p[1] for p in parsed])
+        self._norms = np.array([float(np.max(np.abs(p[2]))) for p in parsed])
 
     def value(self, t: float) -> np.ndarray:
         for start, end, level in self.pulses:
@@ -118,30 +127,14 @@ class PulseTrain(Disturbance):
                 return level
         return np.zeros(self.dim)
 
-    def sup_norm(self, a: float, b: float) -> float:
-        self._check_interval(a, b)
-        if a == b:
-            return float(np.max(np.abs(self.value(a)))) if self.dim else 0.0
-        # Only overlaps of positive measure count toward the essential sup.
-        best = 0.0
-        for start, end, level in self.pulses:
-            if start < b and end > a:
-                best = max(best, float(np.max(np.abs(level))))
-        return best
-
-    def sup_prefix(self, a: float, ts) -> np.ndarray:
-        ts = self._check_prefix(a, ts)
-        # Pulses ending after a, in start order: the sup up to t is the
-        # running max over those that start before t.
-        live = [(start, float(np.max(np.abs(level)))) for start, end, level in self.pulses
-                if end > a]
-        starts = np.array([s for s, _ in live], dtype=float)
-        running = np.maximum.accumulate(np.array([0.0] + [lv for _, lv in live]))
-        out = running[np.searchsorted(starts, ts, side="left")]
-        at_a = ts == a
-        if np.any(at_a):
-            out[at_a] = float(np.max(np.abs(self.value(a)))) if self.dim else 0.0
-        return out
+    def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # Sorted, disjoint pulses meeting [a, b] form one index range: those
+        # ending after a and starting before b, since only overlaps of
+        # positive measure count; at a == b, the pulse holding a.
+        lo = np.searchsorted(self._ends, a, side="right")
+        hi = np.where(a == b, np.searchsorted(self._starts, b, side="right"),
+                      np.searchsorted(self._starts, b, side="left"))
+        return _range_max(self._norms, lo, hi)
 
     def breakpoints(self, a: float, b: float) -> list[float]:
         pts = []
@@ -166,28 +159,14 @@ class Sinusoid(Disturbance):
     def value(self, t: float) -> np.ndarray:
         return self.amplitude * math.sin(2.0 * math.pi * self.freq_hz * t + self.phase)
 
-    def sup_norm(self, a: float, b: float) -> float:
-        self._check_interval(a, b)
-        amp = float(np.max(np.abs(self.amplitude)))
-        th_a = 2.0 * math.pi * self.freq_hz * a + self.phase
-        th_b = 2.0 * math.pi * self.freq_hz * b + self.phase
-        th_a, th_b = min(th_a, th_b), max(th_a, th_b)
-        # |sin| peaks at pi/2 + k*pi; without a peak inside, the max sits at
-        # an endpoint.
-        k = math.ceil((th_a - math.pi / 2.0) / math.pi)
-        if math.pi / 2.0 + k * math.pi <= th_b:
-            return amp
-        return amp * max(abs(math.sin(th_a)), abs(math.sin(th_b)))
-
-    def sup_prefix(self, a: float, ts) -> np.ndarray:
-        ts = self._check_prefix(a, ts)
-        # The same arithmetic as sup_norm, elementwise; math.sin rather
-        # than np.sin keeps every entry bitwise equal to sup_norm.
+    def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         amp = float(np.max(np.abs(self.amplitude)))
         w = 2.0 * math.pi * self.freq_hz
-        th_a = w * a + self.phase
-        th_b = w * ts + self.phase
+        th_a, th_b = w * a + self.phase, w * b + self.phase
         lo, hi = np.minimum(th_a, th_b), np.maximum(th_a, th_b)
+        # |sin| peaks at pi/2 + k*pi; without a peak inside, the max sits at
+        # an endpoint.  math.sin rather than np.sin keeps each entry the bits
+        # of the scalar formula.
         k = np.ceil((lo - math.pi / 2.0) / math.pi)
         peak = math.pi / 2.0 + k * math.pi <= hi
         sin_lo = np.abs(np.fromiter(map(math.sin, lo.tolist()), float, lo.size))
@@ -202,10 +181,10 @@ class SeededUniform(Disturbance):
     piecewise_constant = True
 
     def __init__(self, bound: float, seed: int, hold: float, dim: int = 1):
-        if not hold > 0:
-            raise ValueError("hold interval must be positive")
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
+        if not (math.isfinite(hold) and hold > 0):
+            raise ValueError("hold interval must be positive and finite")
+        if not (math.isfinite(bound) and bound >= 0):
+            raise ValueError("bound must be nonnegative and finite")
         self.bound = float(bound)
         self.seed = int(seed)
         self.hold = float(hold)
@@ -213,6 +192,7 @@ class SeededUniform(Disturbance):
         self._rng = np.random.Generator(np.random.Philox(key=self.seed))
         self._draws: list[np.ndarray] = []
         self._norms: list[float] = []  # max |entry| of each draw
+        self._norm_array = np.empty(0)  # _norms as an array, rebuilt after new draws
 
     def _draw(self, i: int) -> np.ndarray:
         while len(self._draws) <= i:
@@ -228,33 +208,16 @@ class SeededUniform(Disturbance):
     def value(self, t: float) -> np.ndarray:
         return self._draw(self._index(t))
 
-    def sup_norm(self, a: float, b: float) -> float:
-        self._check_interval(a, b)
-        if a == b:
-            return float(np.max(np.abs(self.value(a))))
-        lo = self._index(a)
-        hi = self._index(b)
-        if hi * self.hold >= b - 1e-9 * self.hold:
-            hi -= 1  # the interval opening at b has zero overlap
-        top = max(hi, lo)
-        self._draw(top)
-        return max(self._norms[lo:top + 1])
-
-    def sup_prefix(self, a: float, ts) -> np.ndarray:
-        ts = self._check_prefix(a, ts)
-        # The same index arithmetic as sup_norm, elementwise, then a
-        # running max over the draws from the start's hold interval.
-        lo = self._index(a)
-        hi = np.maximum(np.floor(ts / self.hold + 1e-9), 0.0).astype(np.int64)
-        hi -= hi * self.hold >= ts - 1e-9 * self.hold
+    def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # _index elementwise; at a == b the range is a's own draw.
+        lo, hi = (np.maximum(np.floor(t / self.hold + 1e-9), 0.0).astype(np.int64)
+                  for t in (a, b))
+        hi -= hi * self.hold >= b - 1e-9 * self.hold  # the interval opening at b has zero overlap
         top = np.maximum(hi, lo)
-        last = int(top.max()) if top.size else lo
-        self._draw(last)
-        out = np.maximum.accumulate(self._norms[lo:last + 1])[top - lo]
-        at_a = ts == a
-        if np.any(at_a):
-            out[at_a] = float(np.max(np.abs(self.value(a))))
-        return out
+        self._draw(int(top.max()))
+        if self._norm_array.size != len(self._norms):
+            self._norm_array = np.array(self._norms)
+        return _range_max(self._norm_array, lo, top + 1)
 
     def breakpoints(self, a: float, b: float) -> list[float]:
         pts = []

@@ -10,7 +10,7 @@ from gain_oracle import constants_from, oracle_values
 from qrate import (PulseTrain, SeededUniform, Sinusoid, Zero, check_trajectory,
                    derive_constants, eta_functions, gain_constants, iss_gains,
                    run_closed_loop)
-from qrate.analysis import _exp_decay_envelope
+from qrate.analysis import _DENSE_BLOCK, _exp_decay_envelope
 from qrate.codec import quad_value
 
 
@@ -244,20 +244,23 @@ def test_exp_decay_envelope_matches_pair_grid(inject, samples, nu, c_exp, dist_g
 
 def test_check_trajectory_sup_norm_calls_scale_with_samples(monkeypatch, ref_plant,
                                                             cert_params, cert_derived):
-    sig, log = _reference_log(ref_plant, cert_params, cert_derived, substeps=50)
-    calls = {"sup_norm": 0, "sup_prefix": 0}
-    for name in calls:
-        orig = getattr(PulseTrain, name)
+    calls = []
+    orig = PulseTrain.sup_norm
 
-        def counted(self, *args, _orig=orig, _name=name):
-            calls[_name] += 1
-            return _orig(self, *args)
+    def counted(self, a, b):
+        calls.append(np.size(b))
+        return orig(self, a, b)
 
-        monkeypatch.setattr(PulseTrain, name, counted)
     g = gain_constants(cert_derived, cert_params)
-    rep = check_trajectory(log, cert_derived, cert_params, g, sig)
-    assert rep.all_pass
-    # one prefix sweep per sampling interval, a few interval sups per event
-    assert log.dense_t.size > 50 * (log.n_samples - 1)
-    assert calls["sup_prefix"] == log.n_samples - 1
-    assert calls["sup_norm"] <= len(log.events) + 5
+    for substeps in (10, 50):
+        sig, log = _reference_log(ref_plant, cert_params, cert_derived, substeps=substeps)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(PulseTrain, "sup_norm", counted)
+            rep = check_trajectory(log, cert_derived, cert_params, g, sig)
+        assert rep.all_pass
+        # one call per block of dense records, a few interval sups per event
+        assert log.dense_t.size > substeps * (log.n_samples - 1)
+        assert sum(calls) >= log.dense_t.size
+        blocks = -(-log.dense_t.size // _DENSE_BLOCK)
+        assert len(calls) <= blocks + len(log.events) + 5

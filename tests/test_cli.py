@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qrate import ConfigError, SeededUniform, parse_config, serialize_config
+from qrate import (Constant, ConfigError, SeededUniform, Sinusoid, parse_config,
+                   serialize_config)
 from qrate.config import fmt_num
 from qrate.cli import main
 from qrate.scenarios import bundled_scenario
@@ -86,19 +87,75 @@ def test_config_rejects_bad_dimension():
         parse_config(text)
 
 
+def _scenario_with(key: str):
+    """The bundled scenario, with a disturbance kind that writes ``key``."""
+    cfg = bundled_scenario()
+    field = key.partition("disturbance.")[2]
+    if field == "level":
+        cfg.disturbance = Constant([0.02])
+    elif field in ("amplitude", "freq_hz", "phase"):
+        cfg.disturbance = Sinusoid([0.05], 0.5)
+    elif field in ("bound", "seed", "hold"):
+        cfg.disturbance = SeededUniform(0.05, 0, 0.1)
+    return cfg
+
+
 @pytest.mark.parametrize("key, bad", [
     ("plant.n_levels", "5.7"),
     ("sim.substeps", "2.9"),
     ("sim.substeps", "0"),
     ("sim.horizon", "inf"),
     ("sim.horizon", "nan"),
+    ("plant.dt", "abc"),
+    ("plant.A", "1 0 ; 0 inf"),
+    ("design.rho", "nan"),
+    ("design.floor_margin", "x"),
+    ("sim.x0", "nan 1"),
+    ("disturbance.pulses", "10.5 10.7 inf"),
+    ("disturbance.level", "-inf"),
+    ("disturbance.amplitude", "nan"),
+    ("disturbance.freq_hz", "inf"),
+    ("disturbance.phase", "nan"),
+    ("disturbance.bound", "nan"),
+    ("disturbance.hold", "inf"),
 ])
 def test_config_rejects_truncated_or_non_finite_numbers(key, bad):
-    lines = serialize_config(bundled_scenario()).splitlines()
+    lines = serialize_config(_scenario_with(key)).splitlines()
     lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(key + " "))
     lines[lineno - 1] = f"{key} = {bad}"
     with pytest.raises(ConfigError, match=f"line {lineno}, {key}"):
         parse_config("\n".join(lines) + "\n")
+
+
+_CONFIG_TEXTS = [serialize_config(cfg) for cfg in (
+    bundled_scenario(), _scenario_with("disturbance.amplitude"),
+    _scenario_with("disturbance.bound"), _scenario_with("disturbance.level"))]
+
+
+_numbers = st.floats().map(fmt_num)
+
+
+@given(st.sampled_from(_CONFIG_TEXTS), st.data(),
+       st.one_of(st.text(), _numbers, st.integers().map(str),
+                 st.lists(_numbers, min_size=1, max_size=4).map(" ".join)))
+def test_parse_config_with_one_arbitrary_value_raises_only_config_error(text, data, value):
+    lines = text.splitlines()
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if " = " in line]))
+    lines[i] = lines[i].partition(" = ")[0] + " = " + value
+    try:
+        parse_config("\n".join(lines) + "\n")
+    except ConfigError:
+        pass
+
+
+def test_unallocatable_horizon_exits_2_with_one_line(tmp_path, capsys):
+    # 1e13 sampling periods: the dense log cannot be allocated at all
+    text = serialize_config(bundled_scenario(certified=True))
+    path = tmp_path / "long.cfg"
+    path.write_text(text.replace("sim.horizon = 30", "sim.horizon = 1e12"), encoding="utf-8")
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

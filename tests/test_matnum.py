@@ -77,6 +77,27 @@ def test_phi_integral_diagonal_closed_forms():
     assert abs(v - exact) / exact < 1e-9
 
 
+def test_phi_integral_stops_at_the_first_non_finite_level(monkeypatch):
+    calls = []
+    orig = mn._grid_norms
+
+    def counted(A, D, tau, n):
+        calls.append(n)
+        return orig(A, D, tau, n)
+
+    monkeypatch.setattr(mn, "_grid_norms", counted)
+    # every level overflows: one grid walk, not all 16 levels
+    with pytest.raises(ArithmeticError):
+        mn.phi_integral(bundled_plant().A, np.array([[1e308], [0.0]]), 0.1)
+    assert calls == [4]
+    # a finite level followed by an overflowing one must not pass
+    # inf <= 1e-10 * inf and return inf
+    levels = iter([np.ones(5), np.full(9, np.inf)])
+    monkeypatch.setattr(mn, "_grid_norms", lambda A, D, tau, n: next(levels))
+    with pytest.raises(ArithmeticError):
+        mn.phi_integral(np.zeros((1, 1)), np.ones((1, 1)), 1.0)
+
+
 def test_phi_integral_rejects_mismatch():
     with pytest.raises(ValueError):
         mn.phi_integral(np.eye(2), np.eye(3), 0.1)

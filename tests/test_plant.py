@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import signal_oracle
 from conftest import make_random_plant
 from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform, Sinusoid,
                    Zero, bundled_scenario, derive_constants, run_closed_loop, step_interval,
@@ -290,6 +291,34 @@ def test_run_peak_memory_stays_near_the_log(pulses, n_dense):
     log_bytes = sum(v.nbytes for v in vars(log).values() if isinstance(v, np.ndarray))
     # collecting per-interval arrays and concatenating them peaks near 2x
     assert peak < 1.3 * log_bytes
+
+
+@pytest.mark.parametrize("sig", [
+    # pulses starting just after a sample instant and ending exactly on one
+    PulseTrain([(50 * 0.1 + 5e-10, 60 * 0.1, [1.5]), (120 * 0.1, 121 * 0.1 + 1e-12, [-0.7])]),
+    SeededUniform(0.05, 3, hold=0.37),
+    Sinusoid([0.05], 0.5, 0.3),
+], ids=["pulses", "uniform", "sinusoid"])
+def test_d_sup_prev_is_the_scalar_sup_of_each_interval(sig):
+    cfg = bundled_scenario(certified=True)
+    d = derive_constants(cfg.plant, cfg.design)
+    log = run_closed_loop(cfg.plant, cfg.design, d, sig, cfg.x0, 15.0, 10)
+    want = [0.0] + [signal_oracle.sup_norm(sig, a, b) for a, b in zip(log.t[:-1], log.t[1:])]
+    assert log.d_sup_prev.tobytes() == np.array(want).tobytes()
+
+
+def test_dense_arrays_own_only_their_records():
+    # Breakpoints on substep edges are dropped, so the buffers sized with
+    # every breakpoint (60,300 rows) hold 30,300 records at the end.
+    cfg = bundled_scenario(certified=True)
+    sig = SeededUniform(0.05, 3, hold=0.001)
+    d = derive_constants(cfg.plant, cfg.design)
+    log = run_closed_loop(cfg.plant, cfg.design, d, sig, cfg.x0, 30.0, 100)
+    assert log.dense_t.size == 300 * 101
+    for name in ("dense_t", "dense_k", "dense_x", "dense_xhat", "dense_u"):
+        a = getattr(log, name)
+        assert a.base is None and a.flags.owndata, name
+        assert a.shape[0] == log.dense_t.size, name
 
 
 def test_dense_log_grows_past_its_capacity():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import signal_oracle
 from qrate.signals import Constant, PulseTrain, SeededUniform, Sinusoid, Zero
 
 
@@ -115,27 +116,49 @@ def _signal_and_edges(draw):
     return sig, [i * sig.hold for i in range(200)]
 
 
-@given(_signal_and_edges(), st.floats(0.0, 20.0),
-       st.lists(st.floats(0.0, 25.0), max_size=30), st.data())
-def test_sup_prefix_equals_sup_norm_bitwise(sig_edges, a, offsets, data):
+_ends = st.floats(0.0, 25.0)
+
+
+@given(_signal_and_edges(), st.data())
+def test_sup_norm_arrays_match_scalar_oracle_bitwise(sig_edges, data):
     sig, edges = sig_edges
-    # ends anywhere after a, exactly at a, and exactly on the signal's edges
-    on_edges = [e for e in edges if e >= a]
-    ts = ([a] + [a + o for o in offsets]
-          + data.draw(st.lists(st.sampled_from(on_edges), max_size=10) if on_edges
-                      else st.just([])))
-    got = sig.sup_prefix(a, ts)
-    want = np.array([sig.sup_norm(a, t) for t in ts], dtype=float)
+    # each end anywhere, or exactly on one of the signal's edges
+    end = st.one_of(_ends, st.sampled_from(edges)) if edges else _ends
+    pairs = data.draw(st.lists(st.tuples(end, end, st.booleans()), max_size=30))
+    a = np.array([min(p, q) for p, q, _ in pairs])
+    b = np.array([a_i if same else max(p, q) for a_i, (p, q, same) in zip(a, pairs)])
+    got = sig.sup_norm(a, b)
+    want = np.array([signal_oracle.sup_norm(sig, a_i, b_i) for a_i, b_i in zip(a, b)])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for a_i, b_i, w in zip(a.tolist(), b.tolist(), want.tolist()):
+        one = sig.sup_norm(a_i, b_i)
+        assert type(one) is float and one == w and math.copysign(1, one) == math.copysign(1, w)
 
 
-def test_sup_prefix_edge_cases():
+def test_sup_norm_array_edge_cases():
     sig = PulseTrain([(1.0, 2.0, [2.0]), (3.0, 4.0, [-1.0])], dim=1)
-    assert sig.sup_prefix(1.0, np.empty(0)).shape == (0,)
-    assert sig.sup_prefix(2.0, [2.0, 3.0, 3.5]).tolist() == [0.0, 0.0, 1.0]
+    assert sig.sup_norm(1.0, np.empty(0)).shape == (0,)
+    assert sig.sup_norm(2.0, [2.0, 3.0, 3.5]).tolist() == [0.0, 0.0, 1.0]
+    # a == b reads the value there: a pulse holds its start, not its end
+    assert sig.sup_norm([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]).tolist() == [2.0, 0.0, 1.0, 0.0]
+    assert sig.sup_norm([0.5, 1.0, 2.5], 4.0).tolist() == [2.0, 2.0, 1.0]
+    assert sig.sup_norm(np.zeros((2, 1)), np.array([[0.5, 1.5, 3.5]])).shape == (2, 3)
+    assert PulseTrain([], dim=1).sup_norm([0.0, 1.0], 2.0).tolist() == [0.0, 0.0]
     hold = SeededUniform(bound=1.0, seed=7, hold=0.25, dim=1)
-    assert hold.sup_prefix(0.25, [0.25, 0.5]).tolist() == [hold.sup_norm(0.25, 0.25),
-                                                           hold.sup_norm(0.25, 0.5)]
+    assert hold.sup_norm(0.25, [0.25, 0.5]).tolist() == [
+        signal_oracle.sup_norm(hold, 0.25, 0.25), signal_oracle.sup_norm(hold, 0.25, 0.5)]
+    # a later call that needs more draws than the earlier ones sees them all
+    assert hold.sup_norm([0.0, 2.0], [5.0, 9.0]).tolist() == [
+        signal_oracle.sup_norm(hold, 0.0, 5.0), signal_oracle.sup_norm(hold, 2.0, 9.0)]
     for s in (Zero(), Constant([1.0]), sig, hold, Sinusoid([1.0], 1.0)):
         with pytest.raises(ValueError):
-            s.sup_prefix(1.0, [1.5, 0.5])
+            s.sup_norm(1.0, [1.5, 0.5])
+        with pytest.raises(ValueError):
+            s.sup_norm([0.0, 2.0], 1.0)
+
+
+@pytest.mark.parametrize("bound, hold", [(1.0, math.inf), (1.0, math.nan), (1.0, 0.0),
+                                         (math.nan, 0.1), (math.inf, 0.1), (-1.0, 0.1)])
+def test_seeded_uniform_rejects_non_finite_or_non_positive_parameters(bound, hold):
+    with pytest.raises(ValueError):
+        SeededUniform(bound=bound, seed=0, hold=hold)
