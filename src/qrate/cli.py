@@ -29,11 +29,38 @@ __all__ = ["main"]
 ENV_OUT = "QRATE_OUT"
 
 
+# rows of dense.csv formatted per block, so a block's columns are the only
+# Python objects alive at once
+_DENSE_BLOCK = 4096
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+
+
+def _dense_row_template(n_floats: int) -> str:
+    """One dense.csv row: the interval index, then the float columns.
+
+    ``%d`` is ``str(int(k))`` and ``%.17g`` is ``fmt_num``, so a row
+    reads as if each field went through them.
+    """
+    return "%d" + ",%.17g" * n_floats + "\n"
+
+
+def _write_dense_csv(path: Path, header: list[str], log) -> None:
+    columns = (log.dense_t[:, None], log.dense_x, log.dense_xhat, log.dense_u)
+    row = _dense_row_template(sum(c.shape[1] for c in columns))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, log.dense_t.size, _DENSE_BLOCK):
+            s = slice(lo, lo + _DENSE_BLOCK)
+            fields = [log.dense_k[s].tolist()]
+            for c in columns:
+                fields += c[s].T.tolist()
+            fh.write("".join([row % r for r in zip(*fields)]))
 
 
 def _out_dir(args, cfg: ScenarioConfig | None) -> Path:
@@ -181,13 +208,7 @@ def _write_outputs(out: Path, cfg: ScenarioConfig, report, d, log) -> None:
                        fmt_num(log.radius[k]), fmt_num(log.value[k]), fmt_num(log.d_sup_prev[k])])
     _write_csv(out / "samples.csv", header, rows)
 
-    header = states + [f"u_{i+1}" for i in range(m.n_u)]
-    rows = ([str(int(log.dense_k[i])), fmt_num(log.dense_t[i])]
-            + [fmt_num(v) for v in log.dense_x[i]]
-            + [fmt_num(v) for v in log.dense_xhat[i]]
-            + [fmt_num(v) for v in log.dense_u[i]]
-            for i in range(log.dense_t.size))
-    _write_csv(out / "dense.csv", header, rows)
+    _write_dense_csv(out / "dense.csv", states + [f"u_{i+1}" for i in range(m.n_u)], log)
 
     _write_csv(out / "events.csv", ["kind", "k", "t"],
                ([ev.kind, str(ev.k), fmt_num(ev.t)] for ev in log.events))

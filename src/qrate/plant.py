@@ -211,6 +211,16 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
     return zs[-1, :n].copy(), zs[-1, n:].copy(), (edges, xs, xhats, us)
 
 
+def _off_grid_count(t: np.ndarray, dt: float, substeps: int) -> int:
+    """How many of the breakpoints ``t`` ``step_interval`` keeps as extra
+    edges: those farther than 1e-12 * dt from the nearest substep edge of
+    their sampling period, the edge computed as ``step_interval`` does."""
+    h = dt / substeps
+    t_k = np.floor(t / dt) * dt
+    edge = t_k + h * np.rint((t - t_k) / h)
+    return int(np.count_nonzero(np.abs(t - edge) > 1e-12 * dt))
+
+
 class _DenseLog:
     """Dense records written interval by interval into preallocated arrays,
     so the run never holds a second copy of its log.
@@ -269,9 +279,9 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
 
     samp_t, samp_x, samp_xhat = [], [], []
     samp_sym, samp_stage, samp_E, samp_center, samp_V = [], [], [], [], []
-    # Each interval has substeps + 1 edges and at most one more per breakpoint.
-    dense = _DenseLog(n_steps * (substeps + 1) + len(sig.breakpoints(0.0, n_steps * m.dt)),
-                      m.n_x, m.n_u)
+    # Each interval has substeps + 1 edges and one more per breakpoint off them.
+    n_off = _off_grid_count(np.array(sig.breakpoints(0.0, n_steps * m.dt)), m.dt, substeps)
+    dense = _DenseLog(n_steps * (substeps + 1) + n_off, m.n_x, m.n_u)
     events: list[TrajectoryEvent] = []
     enc_states: list[CodecState] = []
     dec_states: list[CodecState] = []

@@ -52,9 +52,11 @@ class Disturbance:
         return []
 
 
-def _range_max(norms: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """max(norms[lo[i]:hi[i]]) for each i, 0.0 where the range is empty.
+def _range_max(padded: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(padded[lo[i]:hi[i]]) for each i, 0.0 where the range is empty.
 
+    ``padded`` holds the norms and then one unused entry: ``reduceat``
+    wants every index below the length, and hi may equal the norm count.
     One ``reduceat`` over the interleaved bounds; the segments between a
     range's end and the next range's start are reduced too and dropped,
     and they stay short when the ranges move forward in time.
@@ -63,8 +65,7 @@ def _range_max(norms: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     some = lo < hi
     bounds = np.stack([lo[some], hi[some]], axis=1).ravel()
     if bounds.size:
-        # reduceat wants every index below the length; hi may equal it
-        out[some] = np.maximum.reduceat(np.append(norms, 0.0), bounds)[::2]
+        out[some] = np.maximum.reduceat(padded, bounds)[::2]
     return out
 
 
@@ -119,7 +120,7 @@ class PulseTrain(Disturbance):
             raise ValueError("pulse level dimension mismatch")
         self._starts = np.array([p[0] for p in parsed])
         self._ends = np.array([p[1] for p in parsed])
-        self._norms = np.array([float(np.max(np.abs(p[2]))) for p in parsed])
+        self._norms = np.array([float(np.max(np.abs(p[2]))) for p in parsed] + [0.0])  # padded
 
     def value(self, t: float) -> np.ndarray:
         for start, end, level in self.pulses:
@@ -192,7 +193,7 @@ class SeededUniform(Disturbance):
         self._rng = np.random.Generator(np.random.Philox(key=self.seed))
         self._draws: list[np.ndarray] = []
         self._norms: list[float] = []  # max |entry| of each draw
-        self._norm_array = np.empty(0)  # _norms as an array, rebuilt after new draws
+        self._norm_array = np.zeros(1)  # _norms padded, rebuilt after new draws
 
     def _draw(self, i: int) -> np.ndarray:
         while len(self._draws) <= i:
@@ -215,16 +216,16 @@ class SeededUniform(Disturbance):
         hi -= hi * self.hold >= b - 1e-9 * self.hold  # the interval opening at b has zero overlap
         top = np.maximum(hi, lo)
         self._draw(int(top.max()))
-        if self._norm_array.size != len(self._norms):
-            self._norm_array = np.array(self._norms)
+        if self._norm_array.size != len(self._norms) + 1:
+            self._norm_array = np.append(self._norms, 0.0)
         return _range_max(self._norm_array, lo, top + 1)
 
     def breakpoints(self, a: float, b: float) -> list[float]:
-        pts = []
-        i = self._index(a) + 1
-        while i * self.hold < b:
-            t = i * self.hold
-            if a < t:
-                pts.append(t)
-            i += 1
-        return pts
+        # The hold edges i * hold past a's interval and before b.  While
+        # b / hold < 2**52, the edge at ceil(b / hold) + 1 is at or past b
+        # however the products round, so every edge before b has an index
+        # up to ceil(b / hold): the range is known before anything is
+        # built, and a range too large to build raises at once.
+        i0 = self._index(a) + 1
+        edges = np.arange(i0, max(math.ceil(b / self.hold) + 1, i0)) * self.hold
+        return edges[(a < edges) & (edges < b)].tolist()

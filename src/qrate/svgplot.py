@@ -27,6 +27,18 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
+# one polyline point, each coordinate as _fmt writes it
+_POINT = "%.6g,%.6g"
+_POINT_BLOCK = 4096  # points formatted per block, so one block's floats are alive at once
+
+
+def _points(xp: np.ndarray, yp: np.ndarray) -> str:
+    """The ``points`` attribute of a polyline through (xp[i], yp[i])."""
+    return " ".join([" ".join([_POINT % p for p in zip(xp[i:i + _POINT_BLOCK].tolist(),
+                                                      yp[i:i + _POINT_BLOCK].tolist())])
+                     for i in range(0, xp.size, _POINT_BLOCK)])
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         return [lo]
@@ -117,10 +129,8 @@ def render_svg(path, series: list[Series], title: str = "", xlabel: str = "",
             sx = np.repeat(xs, 2)[1:]
             sy = np.repeat(ys, 2)[:-1]
             xs, ys = sx, sy
-        pts = " ".join(f"{_fmt(float(a))},{_fmt(float(b))}"
-                       for a, b in zip(px(xs), py(ys)))
         parts.append(f'<polyline fill="none" stroke="{s.color}" '
-                     f'stroke-width="1.2" points="{pts}"/>')
+                     f'stroke-width="1.2" points="{_points(px(xs), py(ys))}"/>')
 
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                  f'fill="none" stroke="black"/>')

@@ -74,3 +74,16 @@ _BY_CLASS = {Zero: zero_sup, Constant: constant_sup, PulseTrain: pulse_train_sup
 
 def sup_norm(sig, a: float, b: float) -> float:
     return _BY_CLASS[type(sig)](sig, a, b)
+
+
+def seeded_uniform_breakpoints(sig, a, b):
+    """``SeededUniform.breakpoints`` as it stood before it counted the hold
+    edges arithmetically: one edge at a time."""
+    pts = []
+    i = sig._index(a) + 1
+    while i * sig.hold < b:
+        t = i * sig.hold
+        if a < t:
+            pts.append(t)
+        i += 1
+    return pts

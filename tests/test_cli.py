@@ -1,17 +1,25 @@
 import dataclasses
+import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import qrate
 from qrate import (Constant, ConfigError, SeededUniform, Sinusoid, parse_config,
                    serialize_config)
+from qrate import svgplot
 from qrate.config import fmt_num
-from qrate.cli import main
+from qrate.cli import _dense_row_template, main
 from qrate.scenarios import bundled_scenario
 
 
@@ -158,9 +166,56 @@ def test_unallocatable_horizon_exits_2_with_one_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+_CAPPED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from qrate.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("hold, code, n_err", [(0.37, 0, 0), (1e-300, 2, 1)])
+def test_tiny_hold_exits_2_at_once_under_a_memory_cap(hold, code, n_err, tmp_path):
+    # hold 1e-300 means 3e301 hold edges over the horizon.  Only ever run it
+    # under the 1 GiB address-space cap: building the edges one by one
+    # would take all the memory there is.  Hold 0.37 shows the cap alone
+    # lets a run through.
+    cfg = bundled_scenario(certified=True)
+    cfg.disturbance = SeededUniform(0.05, 3, hold=hold)
+    cfg.horizon = 1.0
+    path = tmp_path / "uniform.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(qrate.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, "check", "--config", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.monotonic() - start < 5.0
+    assert proc.returncode == code, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == n_err and all(line.startswith("error: ") for line in err)
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_fmt_num_round_trips_every_finite_float(x):
     assert struct.pack("<d", float(fmt_num(x))) == struct.pack("<d", x)
+
+
+@given(st.floats(), st.floats(), st.integers(-2**63, 2**63 - 1))
+@example(-0.0, math.nan, 2**63 - 1)
+@example(math.inf, -math.inf, -2**63)
+@example(5e-324, -2.2250738585072009e-308, 0)
+@example(sys.float_info.max, -sys.float_info.max, -1)
+def test_row_templates_agree_with_the_number_formatters(x, y, k):
+    for v in (x, y):
+        assert "%.17g" % v == fmt_num(v)
+        assert "%.6g" % v == svgplot._fmt(v)
+    # dense_k as the writer reads it: an int64 entry through tolist()
+    k = np.array([k], dtype=np.int64)
+    assert "%d" % k.tolist()[0] == str(int(k[0]))
+    row = _dense_row_template(2) % (k.tolist()[0], x, y)
+    assert row == ",".join([str(int(k[0])), fmt_num(x), fmt_num(y)]) + "\n"
+    assert svgplot._POINT % (x, y) == f"{svgplot._fmt(x)},{svgplot._fmt(y)}"
 
 
 def test_fmt_num_non_finite():
@@ -212,8 +267,9 @@ def test_simulate_outputs_and_determinism(cert_cfg_path, tmp_path):
                       "err_E.svg", "x1_aux.svg"):
             assert (out / fname).exists(), fname
         outs.append(out)
-    for fname in ("samples.csv", "dense.csv", "events.csv", "err_E.svg"):
-        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+    for fname in ("samples.csv", "dense.csv", "events.csv", "report.txt",
+                  "err_E.svg", "x1_aux.svg"):
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
 def test_simulate_events_csv(cert_cfg_path, tmp_path):
@@ -291,6 +347,59 @@ def test_reproduce_paper(tmp_path):
     for label in ("raw", "certified"):
         assert (out / label / "checks.csv").exists()
         assert (out / label / f"paper_sec7_{label}.cfg").exists()
+
+
+# sha256 of every file reproduce-paper writes, as formatted one number at a
+# time with fmt_num and svgplot._fmt
+REPRODUCE_SHA256 = {
+    (): {
+        "certified/checks.csv": "5977a2212f3a1060b11c8fa4961db63e5103c40d10ee87f7c90188f6ede8b62b",
+        "certified/dense.csv": "b5c74c7ba97949cc4fc7c01d7399a08b0fb133111dc567b3c576139117a1b25b",
+        "certified/err_E.svg": "f244fd1b04b32879ef06080dc9d670a467245810a86b56658e4157004664a0f9",
+        "certified/events.csv": "eab9b10d9f734c008b887ab55bd5da732a9b7ec636e348d01a12543e45aaa087",
+        "certified/paper_sec7_certified.cfg":
+            "388ff4b83b854d463d129c02fe8fc3d1ccc6c951904c6e4db45f5df61c2b7604",
+        "certified/report.txt": "03c7a4308fbb7080dac1b6d6a7669111426e8fff9e0310718fad9180e8e1ce51",
+        "certified/samples.csv": "c4457f0e224e9a1b6443c131bdfd4e5a061d8e494be34dbcd3bf9c381a25bbdb",
+        "certified/x1_aux.svg": "bacf3680cb3d0f320994379301917513cfbee9b56b56cdb80cbfd2e54b6d950e",
+        "raw/checks.csv": "b89004749fa634a3ea1d02b4fa5aeb85b2d2cd3dc230e10e91ff051f844bad61",
+        "raw/dense.csv": "4ecba703e6a83d1edfac7ccbc939d276eb5192b32c2947750fc3708e8dd1987b",
+        "raw/err_E.svg": "1a8fd7d1ccffe6cde699bbc08b2853ec4256a970d4f94b7da795e203f65efd8f",
+        "raw/events.csv": "eab9b10d9f734c008b887ab55bd5da732a9b7ec636e348d01a12543e45aaa087",
+        "raw/paper_sec7_raw.cfg": "b00c97f3631eeb9512a7e8bb0ec544af034d022e5c61b3e6cbef06ac1ee6fb36",
+        "raw/report.txt": "7ed9c991469c803b251a5dbd9cefc1638071aa49790894ec4ebc25ee30daebeb",
+        "raw/samples.csv": "2cda966347f39abcb5794922ea113521a0f79bd7c95b263db7005f9fa453c596",
+        "raw/x1_aux.svg": "0dce5c858bdc3a0d5d12838ccbae4f9590f0fe846cd3543d96809e2bb5663a93",
+    },
+    ("--substeps", "10"): {
+        "certified/checks.csv": "07b90938268fd993b47862e5d46a5aebe7c800caeb0b84f14b11bbaf222b76d7",
+        "certified/dense.csv": "479da17779c25446064a2e41eff984e9547a032c949ab13196d2ee5a9d9be22e",
+        "certified/err_E.svg": "fbebf3ee60a9e8974942c090e8e957303a70ba40dfcaca1e539f27c1c5d291df",
+        "certified/events.csv": "eab9b10d9f734c008b887ab55bd5da732a9b7ec636e348d01a12543e45aaa087",
+        "certified/paper_sec7_certified.cfg":
+            "8da13cb06abfd812f1ee00d6678e8a56ef5630018008a6c1667b40eb8d9e2c1e",
+        "certified/report.txt": "03c7a4308fbb7080dac1b6d6a7669111426e8fff9e0310718fad9180e8e1ce51",
+        "certified/samples.csv": "25e28b6b2cce6d5c1093beb11f612036501d1a11e4ca22e1f06271a4057e4f69",
+        "certified/x1_aux.svg": "4d80987660ba82bc03ad73a50654b207955154308eced5dbabfc6a9c96fd2240",
+        "raw/checks.csv": "b6a7061a72a720fb33940dc48b5a00ef91d61680f586675d085577414935bad7",
+        "raw/dense.csv": "e3f3939589fe2d059a2b4c746fdcd82e541a8d4dd0c3803b13e59c8599d4e035",
+        "raw/err_E.svg": "72f551429d0c29235c3f5c92aff3834ff05c29769dad16a0620f64bc843857d5",
+        "raw/events.csv": "eab9b10d9f734c008b887ab55bd5da732a9b7ec636e348d01a12543e45aaa087",
+        "raw/paper_sec7_raw.cfg": "400f32ba951485647a7c5fbe225b58862d634a062bbf445e364a28b44f3ff243",
+        "raw/report.txt": "7ed9c991469c803b251a5dbd9cefc1638071aa49790894ec4ebc25ee30daebeb",
+        "raw/samples.csv": "00edfc9d1061e2c4a4651015234b0841927fecfd86b82fcaa7d58aad5c0e2881",
+        "raw/x1_aux.svg": "46215f187d7bb50042689f5cfd46531fde3c0066b27b7d599d28f4d1d6b925c0",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(REPRODUCE_SHA256), ids=["default", "substeps_10"])
+def test_reproduce_paper_files_match_pinned_bytes(flags, tmp_path):
+    out = tmp_path / "repro"
+    assert main(["reproduce-paper", "--out", str(out), *flags]) == 0
+    got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.rglob("*") if p.is_file()}
+    assert got == REPRODUCE_SHA256[flags]
 
 
 def test_seed_override_changes_uniform_disturbance(tmp_path):

@@ -11,7 +11,7 @@ from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform
                    synthesize_design)
 from qrate.codec import Stage
 from qrate.matnum import expm
-from qrate.plant import _augmented, _DenseLog, _zoh_pair
+from qrate.plant import _augmented, _DenseLog, _off_grid_count, _zoh_pair
 
 # sha256 of run_closed_loop(...).x.tobytes() on the bundled certified
 # scenario, as integrated one substep at a time with a fresh input each.
@@ -271,14 +271,17 @@ def test_bundled_run_matches_pinned_bits():
         assert hashlib.sha256(a.tobytes()).hexdigest() == digest, name
 
 
-@pytest.mark.parametrize("pulses, n_dense", [
+@pytest.mark.parametrize("sig, n_dense", [
     (None, 300 * 101),
     # pulse edges between substep edges add one record to four intervals
-    ([(10.5005, 10.7005, [1.5]), (22.5005, 22.7005, [1.5])], 300 * 101 + 4),
-], ids=["bundled", "off_grid_pulses"])
-def test_run_peak_memory_stays_near_the_log(pulses, n_dense):
+    (PulseTrain([(10.5005, 10.7005, [1.5]), (22.5005, 22.7005, [1.5])], dim=1), 300 * 101 + 4),
+    # 30,000 hold edges, every one on a substep edge
+    (SeededUniform(0.05, 3, hold=0.001), 300 * 101),
+], ids=["bundled", "off_grid_pulses", "uniform_on_grid"])
+def test_run_peak_memory_stays_near_the_log(sig, n_dense):
     cfg = bundled_scenario(certified=True)
-    sig = cfg.disturbance if pulses is None else PulseTrain(pulses, dim=1)
+    sig = cfg.disturbance if sig is None else sig
+    sig.sup_norm(0.0, cfg.horizon)  # draw all noise first: it is not the log's
     d = derive_constants(cfg.plant, cfg.design)
     tracemalloc.start()
     try:
@@ -307,9 +310,28 @@ def test_d_sup_prev_is_the_scalar_sup_of_each_interval(sig):
     assert log.d_sup_prev.tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("sig", [
+    SeededUniform(0.05, 3, hold=0.001),
+    SeededUniform(0.05, 3, hold=0.0123),
+    # one pulse edge within 1e-12 * dt of a substep edge, one just past it
+    PulseTrain([(5 + 5e-14, 6.0, [1.5]), (12.0, 12.1 + 2e-13, [-0.7])], dim=1),
+], ids=["uniform_on_grid", "uniform_off_grid", "pulses_near_edges"])
+@pytest.mark.parametrize("substeps", [7, 10])
+def test_off_grid_count_is_the_edges_step_interval_adds(sig, substeps):
+    m = bundled_scenario().plant
+    n_steps = 150
+    added = 0
+    for k in range(n_steps):
+        x = np.zeros(m.n_x)
+        edges = step_interval(m, x, x, Stage.SEARCHING, sig, k * m.dt, substeps)[2][0]
+        added += edges.size - (substeps + 1)
+    bps = np.array(sig.breakpoints(0.0, n_steps * m.dt))
+    assert _off_grid_count(bps, m.dt, substeps) == added
+
+
 def test_dense_arrays_own_only_their_records():
-    # Breakpoints on substep edges are dropped, so the buffers sized with
-    # every breakpoint (60,300 rows) hold 30,300 records at the end.
+    # All 30,000 breakpoints fall on substep edges and are dropped: the
+    # buffers hold 30,300 records and nothing past them.
     cfg = bundled_scenario(certified=True)
     sig = SeededUniform(0.05, 3, hold=0.001)
     d = derive_constants(cfg.plant, cfg.design)

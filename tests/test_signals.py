@@ -86,6 +86,50 @@ def test_seeded_uniform_breakpoints():
     assert sig.breakpoints(0.25, 0.5) == []
 
 
+_HOLD_EDGE_CASES = [
+    (0.25, 0.0, 1.0), (0.25, 0.25, 0.5), (0.25, 0.5, 0.5), (0.25, 0.6, 0.4),
+    (0.25, -1.0, 0.6), (0.25, 0.25 - 1e-12, 0.75 + 1e-12), (0.25, 0.25 + 1e-12, 0.75 - 1e-12),
+    (0.37, 0.0, 30.0), (0.1, 0.0, 30.0), (0.001, 0.0, 30.0), (0.001, 10.0, 10.1),
+    (0.37, 1e6, 1e6 + 5.0), (1e-3, 1e9, 1e9 + 0.01), (0.1, 2.9999999999999996, 3.1000000000000001),
+    (1e-300, 0.0, 1e-298), (1e-300, 5e-299, 5e-299 + 1e-300),
+    # the edge past a's interval, by index, rounds to a itself
+    (0.001, 273856360.108, 273856360.2),
+]
+
+
+@pytest.mark.parametrize("hold, a, b", _HOLD_EDGE_CASES)
+def test_seeded_uniform_breakpoints_match_edge_loop(hold, a, b):
+    sig = SeededUniform(bound=1.0, seed=7, hold=hold)
+    got = sig.breakpoints(a, b)
+    want = signal_oracle.seeded_uniform_breakpoints(sig, a, b)
+    assert all(type(t) is float for t in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("hold", [0.37, 0.1, 0.001, 0.03])
+def test_seeded_uniform_breakpoints_match_edge_loop_on_every_sampling_interval(hold):
+    # the intervals step_interval asks about in a 30 s run at dt = 0.1
+    sig = SeededUniform(bound=1.0, seed=7, hold=hold)
+    for k in range(300):
+        a = k * 0.1
+        want = signal_oracle.seeded_uniform_breakpoints(sig, a, a + 0.1)
+        assert np.array(sig.breakpoints(a, a + 0.1)).tobytes() == np.array(want).tobytes(), k
+
+
+@given(st.floats(1e-3, 10.0), st.floats(-5.0, 100.0), st.floats(0.0, 30.0),
+       st.integers(-3, 3))
+def test_seeded_uniform_breakpoints_match_edge_loop_anywhere(hold, a, width, on_edge):
+    # on_edge != 0 moves a to the nearest hold edge, nudged by that many ulps
+    if on_edge:
+        a = float(np.round(a / hold) * hold)
+        for _ in range(abs(on_edge)):
+            a = math.nextafter(a, math.copysign(math.inf, on_edge))
+    sig = SeededUniform(bound=1.0, seed=0, hold=hold)
+    for b in (a + width, a):
+        want = signal_oracle.seeded_uniform_breakpoints(sig, a, b)
+        assert np.array(sig.breakpoints(a, b)).tobytes() == np.array(want).tobytes()
+
+
 _levels = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=3)
 
 
