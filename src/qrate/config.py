@@ -67,7 +67,9 @@ def _parse_number(text: str, where: str, integer: bool = False):
     if not math.isfinite(v) or (integer and v != int(v)):
         kind = "an integer" if integer else "a finite number"
         raise ConfigError(f"{where}: expected {kind}, got '{text}'")
-    return int(v) if integer else v
+    if not integer:
+        return v
+    return int(text) if text.strip().isdecimal() else int(v)  # exact past 2**53
 
 
 def _parse_matrix(text: str, where: str) -> np.ndarray:
@@ -213,7 +215,8 @@ def _parse_disturbance(entries: dict[str, str], n_d: int, where, number) -> Dist
             raise ConfigError("disturbance.level dimension mismatch")
         return Constant(level)
     if kind == "pulses":
-        M = _parse_matrix(need("disturbance.pulses"), where("disturbance.pulses"))
+        text = need("disturbance.pulses")  # empty: a train with no pulses
+        M = _parse_matrix(text, where("disturbance.pulses")) if text else np.zeros((0, 2 + n_d))
         if M.shape[1] != 2 + n_d:
             raise ConfigError("disturbance.pulses rows must be: start end level_1..level_nd")
         pulses = [(row[0], row[1], row[2:]) for row in M]
@@ -287,7 +290,10 @@ def serialize_config(cfg: ScenarioConfig) -> str:
         raise ConfigError(f"cannot serialize disturbance {type(sig).__name__}")
 
     if cfg.out_dir is not None:
-        out.append(f"outputs.dir = {cfg.out_dir}")
+        line = f"outputs.dir = {cfg.out_dir}"
+        if cfg.out_dir != cfg.out_dir.strip() or line.splitlines() != [line]:
+            raise ConfigError(f"outputs.dir {cfg.out_dir!r} must be one line, not padded")
+        out.append(line)
     return "\n".join(out) + "\n"
 
 

@@ -226,6 +226,10 @@ class SeededUniform(Disturbance):
         # however the products round, so every edge before b has an index
         # up to ceil(b / hold): the range is known before anything is
         # built, and a range too large to build raises at once.
-        i0 = self._index(a) + 1
-        edges = np.arange(i0, max(math.ceil(b / self.hold) + 1, i0)) * self.hold
+        try:
+            i0 = self._index(a) + 1
+            edges = np.arange(i0, max(math.ceil(b / self.hold) + 1, i0)) * self.hold
+        except (ValueError, MemoryError, OverflowError):
+            raise ValueError(f"hold interval {self.hold!r} s gives {(b - a) / self.hold:.3g} "
+                             f"hold edges in ({a!r}, {b!r}), too many to build") from None
         return edges[(a < edges) & (edges < b)].tolist()

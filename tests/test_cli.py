@@ -15,11 +15,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qrate
-from qrate import (Constant, ConfigError, SeededUniform, Sinusoid, parse_config,
+from qrate import (Constant, ConfigError, DesignParams, PlantModel, PulseTrain,
+                   ScenarioConfig, SeededUniform, Sinusoid, Zero, parse_config,
                    serialize_config)
 from qrate import svgplot
 from qrate.config import fmt_num
-from qrate.cli import _dense_row_template, main
+from qrate.cli import _write_table, main
 from qrate.scenarios import bundled_scenario
 
 
@@ -74,6 +75,76 @@ def test_config_round_trip_all_signal_kinds(tmp_path):
         cfg.disturbance = sig
         text = serialize_config(cfg)
         assert serialize_config(parse_config(text)) == text
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _scenarios(draw):
+    """Any scenario the classes accept: every disturbance kind, Q or none,
+    integers past 2**53, and any outputs.dir text."""
+    n_x, n_u, n_d = (draw(st.integers(1, 3)) for _ in range(3))
+    vector = lambda n: np.array(draw(st.lists(_finite, min_size=n, max_size=n)))
+    matrix = lambda r, c: vector(r * c).reshape(r, c)
+    plant = PlantModel(A=matrix(n_x, n_x), B=matrix(n_x, n_u), D=matrix(n_x, n_d),
+                       K=matrix(n_u, n_x), dt=draw(_positive),
+                       n_levels=draw(st.integers(2, 2**64)))
+    # a diagonal Q conditioned well enough for the positive-definite check
+    Q = draw(st.none() | st.lists(st.floats(1e-3, 1e3), min_size=n_x, max_size=n_x).map(np.diag))
+    params = DesignParams(*(draw(_positive) for _ in range(6)), Q=Q,
+                          floor_margin=draw(_positive))
+    kind = draw(st.sampled_from(["zero", "constant", "pulses", "sinusoid", "uniform"]))
+    if kind == "zero":
+        sig = Zero(dim=n_d)
+    elif kind == "constant":
+        sig = Constant(vector(n_d))
+    elif kind == "pulses":
+        edges = sorted(draw(st.lists(_finite, max_size=6, unique=True)))
+        sig = PulseTrain([(s, e, vector(n_d)) for s, e in zip(edges[::2], edges[1::2])],
+                         dim=n_d)
+    elif kind == "sinusoid":
+        sig = Sinusoid(vector(n_d), draw(_finite), draw(_finite))
+    else:
+        sig = SeededUniform(draw(st.floats(min_value=0.0, allow_infinity=False)),
+                            draw(st.integers(0, 2**128 - 1)), draw(_positive), dim=n_d)
+    return ScenarioConfig(plant, params, vector(n_x),
+                          draw(st.floats(min_value=plant.dt, allow_infinity=False)), sig,
+                          substeps=draw(st.integers(1, 2**64)),
+                          synthesize_if_invalid=draw(st.booleans()),
+                          out_dir=draw(st.none() | st.text()))
+
+
+@given(_scenarios())
+def test_serialized_config_reads_back_to_the_same_text(cfg):
+    try:
+        text = serialize_config(cfg)
+    except ConfigError:
+        # only an outputs.dir that one config line cannot carry is refused
+        assert cfg.out_dir is not None
+        serialize_config(dataclasses.replace(cfg, out_dir=None))
+        return
+    parsed = parse_config(text)
+    assert serialize_config(parsed) == text
+    assert parsed.out_dir == cfg.out_dir
+
+
+@pytest.mark.parametrize("out_dir", [" x", "x ", "a\nb", "a\rb", "a\u2028b"])
+def test_serialize_refuses_an_out_dir_one_line_cannot_carry(out_dir):
+    cfg = dataclasses.replace(bundled_scenario(), out_dir=out_dir)
+    with pytest.raises(ConfigError, match="outputs.dir"):
+        serialize_config(cfg)
+
+
+def test_config_round_trip_keeps_large_integers_and_empty_pulse_trains():
+    cfg = dataclasses.replace(bundled_scenario(), substeps=2**60 + 1, out_dir="a b")
+    cfg.disturbance = SeededUniform(0.1, 2**53 + 1, 0.1)
+    parsed = parse_config(serialize_config(cfg))
+    assert (parsed.disturbance.seed, parsed.substeps, parsed.out_dir) == (2**53 + 1,
+                                                                          2**60 + 1, "a b")
+    cfg.disturbance = PulseTrain([], dim=1)
+    assert parse_config(serialize_config(cfg)).disturbance.pulses == []
 
 
 def test_config_rejects_small_grid(tmp_path):
@@ -196,6 +267,23 @@ def test_tiny_hold_exits_2_at_once_under_a_memory_cap(hold, code, n_err, tmp_pat
     assert len(err) == n_err and all(line.startswith("error: ") for line in err)
 
 
+def test_tiny_hold_error_names_the_hold_and_the_edge_count(tmp_path):
+    # the same 1 GiB cap as above: never build hold edges one by one uncapped
+    cfg = bundled_scenario(certified=True)
+    cfg.disturbance = SeededUniform(0.05, 3, hold=1e-300)
+    cfg.horizon = 1.0
+    path = tmp_path / "uniform.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(qrate.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, "check", "--config", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: hold interval 1e-300 s gives 1e+300 hold edges in (0.0, 1.0), too many to build"]
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_fmt_num_round_trips_every_finite_float(x):
     assert struct.pack("<d", float(fmt_num(x))) == struct.pack("<d", x)
@@ -206,15 +294,18 @@ def test_fmt_num_round_trips_every_finite_float(x):
 @example(math.inf, -math.inf, -2**63)
 @example(5e-324, -2.2250738585072009e-308, 0)
 @example(sys.float_info.max, -sys.float_info.max, -1)
-def test_row_templates_agree_with_the_number_formatters(x, y, k):
+def test_row_templates_agree_with_the_number_formatters(tmp_path_factory, x, y, k):
     for v in (x, y):
         assert "%.17g" % v == fmt_num(v)
         assert "%.6g" % v == svgplot._fmt(v)
     # dense_k as the writer reads it: an int64 entry through tolist()
     k = np.array([k], dtype=np.int64)
     assert "%d" % k.tolist()[0] == str(int(k[0]))
-    row = _dense_row_template(2) % (k.tolist()[0], x, y)
-    assert row == ",".join([str(int(k[0])), fmt_num(x), fmt_num(y)]) + "\n"
+    # an int64 column, a 2-D float column and a text column
+    path = tmp_path_factory.getbasetemp() / "row.csv"
+    _write_table(path, ["k", "x", "y", "name"], [k, np.array([[x, y]]), ["searching"]])
+    row = path.read_text(encoding="utf-8").splitlines()[1]
+    assert row == ",".join([str(int(k[0])), fmt_num(x), fmt_num(y), "searching"])
     assert svgplot._POINT % (x, y) == f"{svgplot._fmt(x)},{svgplot._fmt(y)}"
 
 
@@ -402,6 +493,33 @@ def test_reproduce_paper_files_match_pinned_bytes(flags, tmp_path):
     assert got == REPRODUCE_SHA256[flags]
 
 
+# exit code and sha256 of every file validate and gains write for the
+# bundled scenario, as formatted one field at a time with fmt_num
+COMMAND_SHA256 = {
+    ("validate", "raw", ()): (1, {
+        "certificate.csv": "6706b6c0c01fc13bf42aee87c8be4afd51637ad0db38d3eeefdee95c251ba09b",
+        "validate.txt": "f8b9694b5de9b4fa0a4bc3d96ac57af6cba30dea1ceb0ac791ad40e2471b99e0"}),
+    ("validate", "certified", ()): (0, {
+        "certificate.csv": "02305e1785db948dcbd1f771317f1150b723426d21e07d7d11f4d8fe42ed0087",
+        "validate.txt": "419137e19949136f46993c3f743ad36dfef703de11cc6466733351e5df196d2a"}),
+    ("gains", "certified", ()): (0, {
+        "gains.csv": "29e1c437365bf5255f39d628d10a4e051665bad1b1a9a6ccd271334487f97525"}),
+    ("gains", "certified", ("--s-grid", "0,0.5,1,2")): (0, {
+        "gains.csv": "bd879c7faf02aed067192928862e6e2057d3480d5a0f5ae01359f1f9ccb76592"}),
+}
+
+
+@pytest.mark.parametrize("command, label, flags", list(COMMAND_SHA256),
+                         ids=["validate_raw", "validate_certified", "gains", "gains_s_grid"])
+def test_validate_and_gains_files_match_pinned_bytes(command, label, flags, raw_cfg_path,
+                                                     cert_cfg_path, tmp_path):
+    path = cert_cfg_path if label == "certified" else raw_cfg_path
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out), *flags])
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert (code, got) == COMMAND_SHA256[command, label, flags]
+
+
 def test_seed_override_changes_uniform_disturbance(tmp_path):
     cfg = bundled_scenario(certified=True)
     cfg.disturbance = SeededUniform(0.8, seed=1, hold=0.2, dim=1)
@@ -441,6 +559,27 @@ def test_substeps_flag_rejects_non_positive_integers(command, value, cert_cfg_pa
     assert errors == [f"qrate {command}: error: argument --substeps: "
                       f"expected a positive integer, got '{value}'"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0,nan", "0,inf", "0,x", "0,,1", "-1", "0,1e400"])
+def test_s_grid_flag_rejects_non_finite_negative_or_missing_values(value, cert_cfg_path,
+                                                                    tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["gains", "--config", str(cert_cfg_path), "--out", str(out), "--s-grid", value])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["qrate gains: error: argument --s-grid: expected comma-separated "
+                      f"finite non-negative numbers, got '{value}'"]
+    assert not out.exists()
+
+
+def test_empty_s_grid_selects_the_default_grid(cert_cfg_path, tmp_path):
+    for name, flags in (("empty", ["--s-grid", ""]), ("default", [])):
+        assert main(["gains", "--config", str(cert_cfg_path), "--out", str(tmp_path / name),
+                     *flags]) == 0
+    assert ((tmp_path / "empty" / "gains.csv").read_bytes()
+            == (tmp_path / "default" / "gains.csv").read_bytes())
 
 
 @pytest.mark.parametrize("command", ["validate", "gains", "check"])
