@@ -48,9 +48,8 @@ class CodecState:
     """Shared quantizer bookkeeping at one sample index.
 
     ``stage`` is the stage decided at the most recently processed sample
-    (None before the first symbol); ``prev_stage`` is the one before that.
-    ``radius_prev`` keeps the previous radius because the escape-adjusted
-    update needs it.
+    (None before the first symbol).  ``radius_prev`` keeps the previous
+    radius because the escape-adjusted update needs it.
     """
 
     k: int
@@ -58,7 +57,6 @@ class CodecState:
     radius: float
     radius_prev: float | None = None
     stage: Stage | None = None
-    prev_stage: Stage | None = None
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -75,8 +73,7 @@ class CodecState:
                      or (self.radius_prev is not None and other.radius_prev is not None
                          and np.float64(self.radius_prev).tobytes()
                          == np.float64(other.radius_prev).tobytes()))
-                and self.stage == other.stage
-                and self.prev_stage == other.prev_stage)
+                and self.stage == other.stage)
 
 
 def symbol_count(n_levels: int, n_x: int) -> int:
@@ -162,7 +159,7 @@ def advance(state: CodecState, symbol: int, d: DerivedConstants,
         radius = d.search_growth * E + d.dist_gain * p.dist_level
         stage = Stage.SEARCHING
     return CodecState(k=state.k + 1, center=center, radius=float(radius),
-                      radius_prev=E, stage=stage, prev_stage=state.stage)
+                      radius_prev=E, stage=stage)
 
 
 def controller_input(stage: Stage, K: np.ndarray, xhat: np.ndarray) -> np.ndarray:

@@ -2,19 +2,27 @@
 
 The format is deliberately plain: one ``section.key = value`` per line,
 ``#`` starts a comment line, matrices write rows separated by ``;`` with
-whitespace-separated entries.  Parsing and serialization round-trip every
-field; numbers are written with 17 significant digits so a serialized
-scenario reproduces bit-identical runs.
+whitespace-separated entries.  One ordered key table per section (``plant``,
+``design``, ``sim``, ``outputs`` and each disturbance kind) gives every
+key's attribute, value kind and default; parsing, serialization and the set
+of known keys all come from these tables.  A bad value is a
+:class:`ConfigError` naming its line and key, and so is a ``disturbance.*``
+key that the selected kind does not read.  Numbers are written with 17
+significant digits, so a serialized scenario reads back to the same text and
+reproduces bit-identical runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .design import DesignParams, PlantModel
+from .plant import DEFAULT_SUBSTEPS
 from .signals import Constant, Disturbance, PulseTrain, SeededUniform, Sinusoid, Zero
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config",
@@ -32,7 +40,7 @@ class ScenarioConfig:
     x0: np.ndarray
     horizon: float
     disturbance: Disturbance
-    substeps: int = 100
+    substeps: int = DEFAULT_SUBSTEPS
     synthesize_if_invalid: bool = False
     out_dir: str | None = None
 
@@ -51,6 +59,13 @@ def _fmt_matrix(M: np.ndarray) -> str:
     return " ; ".join(_fmt_row(r) for r in np.atleast_2d(M))
 
 
+def _fmt_pulses(pulses) -> str:
+    return " ; ".join(f"{fmt_num(s)} {fmt_num(e)} {_fmt_row(lv)}" for s, e, lv in pulses)
+
+
+# Readers take (text, where, plant): ``where`` starts every diagnostic and
+# ``plant`` (None while the plant section itself is read) gives dimensions.
+
 def _parse_row(text: str, where: str) -> list[float]:
     parts = text.replace(",", " ").split()
     if not parts:
@@ -58,7 +73,7 @@ def _parse_row(text: str, where: str) -> list[float]:
     return [_parse_number(p, where) for p in parts]
 
 
-def _parse_number(text: str, where: str, integer: bool = False):
+def _parse_number(text: str, where: str, plant=None, integer: bool = False):
     """A finite float, or with ``integer`` an int written without a fraction."""
     try:
         v = float(text)
@@ -72,20 +87,34 @@ def _parse_number(text: str, where: str, integer: bool = False):
     return int(text) if text.strip().isdecimal() else int(v)  # exact past 2**53
 
 
-def _parse_matrix(text: str, where: str) -> np.ndarray:
+def _parse_matrix(text: str, where: str, plant=None) -> np.ndarray:
     rows = [_parse_row(r, where) for r in text.split(";")]
     if len({len(r) for r in rows}) != 1:
         raise ConfigError(f"{where}: ragged matrix rows")
     return np.array(rows)
 
 
-def _parse_vector(text: str, where: str) -> np.ndarray:
-    if ";" in text:
-        raise ConfigError(f"{where}: expected a vector, got matrix rows")
-    return np.array(_parse_row(text, where))
+def _vector(size: str):
+    """Reader of a vector with ``plant.<size>`` entries."""
+    def parse(text: str, where: str, plant: PlantModel) -> np.ndarray:
+        if ";" in text:
+            raise ConfigError(f"{where}: expected a vector, got matrix rows")
+        v = np.array(_parse_row(text, where))
+        if v.size != getattr(plant, size):
+            raise ConfigError(f"{where}: dimension {v.size} != {size} {getattr(plant, size)}")
+        return v
+    return parse
 
 
-def _parse_bool(text: str, where: str) -> bool:
+def _parse_pulses(text: str, where: str, plant: PlantModel) -> list:
+    width = 2 + plant.n_d
+    M = _parse_matrix(text, where) if text else np.zeros((0, width))  # empty: no pulses
+    if M.shape[1] != width:
+        raise ConfigError(f"{where}: rows must be: start end level_1..level_nd")
+    return [(row[0], row[1], row[2:]) for row in M]
+
+
+def _parse_bool(text: str, where: str, plant=None) -> bool:
     v = text.strip().lower()
     if v in ("true", "yes", "1"):
         return True
@@ -94,16 +123,57 @@ def _parse_bool(text: str, where: str) -> bool:
     raise ConfigError(f"{where}: expected true/false")
 
 
-_KNOWN_KEYS = {
-    "plant.A", "plant.B", "plant.D", "plant.K", "plant.dt", "plant.n_levels",
-    "design.radius0", "design.search_margin", "design.dist_level",
-    "design.psi", "design.rho", "design.phi", "design.Q", "design.floor_margin",
-    "sim.x0", "sim.horizon", "sim.substeps", "sim.synthesize_if_invalid",
-    "disturbance.kind", "disturbance.level", "disturbance.pulses",
-    "disturbance.amplitude", "disturbance.freq_hz", "disturbance.phase",
-    "disturbance.bound", "disturbance.seed", "disturbance.hold",
-    "outputs.dir",
+@dataclass(frozen=True)
+class _Kind:
+    """A value kind: its reader (text, where, plant) -> value and its writer."""
+
+    read: Callable
+    write: Callable[[object], str]
+
+
+_NUMBER = _Kind(_parse_number, fmt_num)
+_INTEGER = _Kind(partial(_parse_number, integer=True), str)  # str(int): exact past 2**53
+_MATRIX = _Kind(_parse_matrix, _fmt_matrix)
+_STATE_VECTOR = _Kind(_vector("n_x"), _fmt_row)
+_DIST_VECTOR = _Kind(_vector("n_d"), _fmt_row)
+_PULSES = _Kind(_parse_pulses, _fmt_pulses)
+_BOOL = _Kind(_parse_bool, lambda v: "true" if v else "false")
+_TEXT = _Kind(lambda text, where, plant: text, str)
+
+_REQUIRED = object()  # the default of a key the file must give
+
+
+def _section(prefix: str, **keys) -> dict:
+    """``name=kind`` (required) or ``name=(kind, default)`` entries, in file
+    order, as ``{"prefix.name": (attribute, kind, default)}``."""
+    table = {}
+    for name, spec in keys.items():
+        kind, default = (spec, _REQUIRED) if isinstance(spec, _Kind) else spec
+        table[f"{prefix}.{name}"] = (name, kind, default)
+    return table
+
+
+# A default of None is also never written: design.Q, outputs.dir.
+_PLANT = _section("plant", A=_MATRIX, B=_MATRIX, D=_MATRIX, K=_MATRIX, dt=_NUMBER,
+                  n_levels=_INTEGER)
+_DESIGN = _section("design", radius0=_NUMBER, search_margin=_NUMBER, dist_level=_NUMBER,
+                   psi=_NUMBER, rho=_NUMBER, phi=_NUMBER, Q=(_MATRIX, None),
+                   floor_margin=(_NUMBER, 0.01))
+_SIM = _section("sim", x0=_STATE_VECTOR, horizon=_NUMBER,
+                substeps=(_INTEGER, DEFAULT_SUBSTEPS), synthesize_if_invalid=(_BOOL, False))
+_OUTPUTS = {"outputs.dir": ("out_dir", _TEXT, None)}
+# disturbance.kind -> (class, whether it takes dim=n_d, keys)
+_DISTURBANCES = {
+    "zero": (Zero, True, {}),
+    "constant": (Constant, False, _section("disturbance", level=_DIST_VECTOR)),
+    "pulses": (PulseTrain, True, _section("disturbance", pulses=_PULSES)),
+    "sinusoid": (Sinusoid, False, _section("disturbance", amplitude=_DIST_VECTOR,
+                                          freq_hz=(_NUMBER, 1.0), phase=(_NUMBER, 0.0))),
+    "uniform": (SeededUniform, True, _section("disturbance", bound=_NUMBER,
+                                              seed=(_INTEGER, 0), hold=(_NUMBER, 0.1))),
 }
+_KNOWN_KEYS = {"disturbance.kind"}.union(
+    _PLANT, _DESIGN, _SIM, _OUTPUTS, *(keys for _, _, keys in _DISTURBANCES.values()))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -125,175 +195,73 @@ def parse_config(text: str) -> ScenarioConfig:
         entries[key] = value
         lines[key] = lineno
 
-    def need(key: str) -> str:
-        if key not in entries:
-            raise ConfigError(f"missing required key '{key}'")
-        return entries[key]
-
     def where(key: str) -> str:
         return f"line {lines.get(key, '?')}, {key}"
 
-    def number(key: str, default: str | None = None, integer: bool = False):
-        """The key's value (or ``default`` when absent) as a finite number."""
-        text = need(key) if default is None else entries.get(key, default)
-        return _parse_number(text, where(key), integer)
+    def read(table: dict, plant: PlantModel | None = None) -> dict:
+        """Each table key's value, read from the file or else its default."""
+        values = {}
+        for key, (attr, kind, default) in table.items():
+            if key in entries:
+                values[attr] = kind.read(entries[key], where(key), plant)
+            elif default is _REQUIRED:
+                raise ConfigError(f"missing required key '{key}'")
+            else:
+                values[attr] = default
+        return values
 
-    try:
-        plant = PlantModel(
-            A=_parse_matrix(need("plant.A"), where("plant.A")),
-            B=_parse_matrix(need("plant.B"), where("plant.B")),
-            D=_parse_matrix(need("plant.D"), where("plant.D")),
-            K=_parse_matrix(need("plant.K"), where("plant.K")),
-            dt=number("plant.dt"),
-            n_levels=number("plant.n_levels", integer=True),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"plant: {exc}") from None
+    def build(section: str, cls, values: dict):
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
 
-    try:
-        design = DesignParams(
-            radius0=number("design.radius0"),
-            search_margin=number("design.search_margin"),
-            dist_level=number("design.dist_level"),
-            psi=number("design.psi"),
-            rho=number("design.rho"),
-            phi=number("design.phi"),
-            Q=(_parse_matrix(entries["design.Q"], where("design.Q"))
-               if "design.Q" in entries else None),
-            floor_margin=number("design.floor_margin", "0.01"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"design: {exc}") from None
-
-    x0 = _parse_vector(need("sim.x0"), where("sim.x0"))
-    if x0.size != plant.n_x:
-        raise ConfigError(f"{where('sim.x0')}: dimension {x0.size} != n_x {plant.n_x}")
-    horizon = number("sim.horizon")
-    if horizon < plant.dt:
-        raise ConfigError("sim.horizon must cover at least one sampling period")
-
-    substeps = number("sim.substeps", "100", integer=True)
-    if substeps < 1:
+    plant = build("plant", PlantModel, read(_PLANT))
+    design = build("design", DesignParams, read(_DESIGN))
+    sim = read(_SIM, plant)
+    if sim["horizon"] < plant.dt:
+        raise ConfigError(f"{where('sim.horizon')}: must cover at least one sampling period")
+    if sim["substeps"] < 1:
         raise ConfigError(f"{where('sim.substeps')}: must be a positive integer")
 
-    try:
-        disturbance = _parse_disturbance(entries, plant.n_d, where, number)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"disturbance: {exc}") from None
-    return ScenarioConfig(
-        plant=plant,
-        design=design,
-        x0=x0,
-        horizon=horizon,
-        disturbance=disturbance,
-        substeps=substeps,
-        synthesize_if_invalid=_parse_bool(entries.get("sim.synthesize_if_invalid", "false"),
-                                          "sim.synthesize_if_invalid"),
-        out_dir=entries.get("outputs.dir"),
-    )
-
-
-def _parse_disturbance(entries: dict[str, str], n_d: int, where, number) -> Disturbance:
-    kind = entries.get("disturbance.kind", "zero").strip().lower()
-
-    def need(key: str) -> str:
-        if key not in entries:
-            raise ConfigError(f"disturbance.kind = {kind} requires '{key}'")
-        return entries[key]
-
-    if kind == "zero":
-        return Zero(dim=n_d)
-    if kind == "constant":
-        level = _parse_vector(need("disturbance.level"), where("disturbance.level"))
-        if level.size != n_d:
-            raise ConfigError("disturbance.level dimension mismatch")
-        return Constant(level)
-    if kind == "pulses":
-        text = need("disturbance.pulses")  # empty: a train with no pulses
-        M = _parse_matrix(text, where("disturbance.pulses")) if text else np.zeros((0, 2 + n_d))
-        if M.shape[1] != 2 + n_d:
-            raise ConfigError("disturbance.pulses rows must be: start end level_1..level_nd")
-        pulses = [(row[0], row[1], row[2:]) for row in M]
-        try:
-            return PulseTrain(pulses, dim=n_d)
-        except ValueError as exc:
-            raise ConfigError(f"disturbance.pulses: {exc}") from None
-    if kind == "sinusoid":
-        amp = _parse_vector(need("disturbance.amplitude"), where("disturbance.amplitude"))
-        if amp.size != n_d:
-            raise ConfigError("disturbance.amplitude dimension mismatch")
-        return Sinusoid(amp, number("disturbance.freq_hz", "1"),
-                        number("disturbance.phase", "0"))
-    if kind == "uniform":
-        return SeededUniform(
-            bound=_parse_number(need("disturbance.bound"), where("disturbance.bound")),
-            seed=number("disturbance.seed", "0", integer=True),
-            hold=number("disturbance.hold", "0.1"),
-            dim=n_d,
-        )
-    raise ConfigError(f"unknown disturbance.kind '{kind}'")
+    kind = entries.get("disturbance.kind", "zero").lower()
+    if kind not in _DISTURBANCES:
+        raise ConfigError(f"{where('disturbance.kind')}: unknown disturbance kind '{kind}'")
+    cls, takes_dim, keys = _DISTURBANCES[kind]
+    for key in entries:
+        if key.startswith("disturbance.") and key != "disturbance.kind" and key not in keys:
+            raise ConfigError(f"{where(key)}: not read by disturbance.kind = {kind}")
+    values = read(keys, plant)
+    if takes_dim:
+        values["dim"] = plant.n_d
+    disturbance = build("disturbance", cls, values)
+    return ScenarioConfig(plant, design, disturbance=disturbance, **sim, **read(_OUTPUTS))
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
-    m, p = cfg.plant, cfg.design
-    out = [
-        "# qrate scenario",
-        f"plant.A = {_fmt_matrix(m.A)}",
-        f"plant.B = {_fmt_matrix(m.B)}",
-        f"plant.D = {_fmt_matrix(m.D)}",
-        f"plant.K = {_fmt_matrix(m.K)}",
-        f"plant.dt = {fmt_num(m.dt)}",
-        f"plant.n_levels = {m.n_levels}",
-        f"design.radius0 = {fmt_num(p.radius0)}",
-        f"design.search_margin = {fmt_num(p.search_margin)}",
-        f"design.dist_level = {fmt_num(p.dist_level)}",
-        f"design.psi = {fmt_num(p.psi)}",
-        f"design.rho = {fmt_num(p.rho)}",
-        f"design.phi = {fmt_num(p.phi)}",
-    ]
-    if p.Q is not None:
-        out.append(f"design.Q = {_fmt_matrix(p.Q)}")
-    out.append(f"design.floor_margin = {fmt_num(p.floor_margin)}")
-    out.append(f"sim.x0 = {_fmt_row(cfg.x0)}")
-    out.append(f"sim.horizon = {fmt_num(cfg.horizon)}")
-    out.append(f"sim.substeps = {cfg.substeps}")
-    out.append(f"sim.synthesize_if_invalid = {'true' if cfg.synthesize_if_invalid else 'false'}")
-
     sig = cfg.disturbance
-    if isinstance(sig, Zero):
-        out.append("disturbance.kind = zero")
-    elif isinstance(sig, Constant):
-        out.append("disturbance.kind = constant")
-        out.append(f"disturbance.level = {_fmt_row(sig.level)}")
-    elif isinstance(sig, PulseTrain):
-        out.append("disturbance.kind = pulses")
-        rows = " ; ".join(f"{fmt_num(s)} {fmt_num(e)} {_fmt_row(lv)}"
-                          for s, e, lv in sig.pulses)
-        out.append(f"disturbance.pulses = {rows}")
-    elif isinstance(sig, Sinusoid):
-        out.append("disturbance.kind = sinusoid")
-        out.append(f"disturbance.amplitude = {_fmt_row(sig.amplitude)}")
-        out.append(f"disturbance.freq_hz = {fmt_num(sig.freq_hz)}")
-        out.append(f"disturbance.phase = {fmt_num(sig.phase)}")
-    elif isinstance(sig, SeededUniform):
-        out.append("disturbance.kind = uniform")
-        out.append(f"disturbance.bound = {fmt_num(sig.bound)}")
-        out.append(f"disturbance.seed = {sig.seed}")
-        out.append(f"disturbance.hold = {fmt_num(sig.hold)}")
-    else:
+    kind = next((k for k, (cls, _, _) in _DISTURBANCES.items() if isinstance(sig, cls)), None)
+    if kind is None:
         raise ConfigError(f"cannot serialize disturbance {type(sig).__name__}")
+    out = ["# qrate scenario"]
 
-    if cfg.out_dir is not None:
-        line = f"outputs.dir = {cfg.out_dir}"
-        if cfg.out_dir != cfg.out_dir.strip() or line.splitlines() != [line]:
-            raise ConfigError(f"outputs.dir {cfg.out_dir!r} must be one line, not padded")
-        out.append(line)
+    def write(obj, table: dict) -> None:
+        for key, (attr, value_kind, _) in table.items():
+            value = getattr(obj, attr)
+            if value is None:
+                continue
+            text = value_kind.write(value)
+            line = f"{key} = {text}"
+            if text != text.strip() or line.splitlines() != [line]:  # would not read back
+                raise ConfigError(f"{key} {value!r} must be one line, not padded")
+            out.append(line)
+
+    write(cfg.plant, _PLANT)
+    write(cfg.design, _DESIGN)
+    write(cfg, _SIM)
+    out.append(f"disturbance.kind = {kind}")
+    write(sig, _DISTURBANCES[kind][2])
+    write(cfg, _OUTPUTS)
     return "\n".join(out) + "\n"
 
 

@@ -125,9 +125,13 @@ class DesignParams:
             Q = matnum.as_matrix(self.Q, "Q")
             if Q.shape[0] != Q.shape[1]:
                 raise ValueError("Q must be square")
-            if np.max(np.abs(Q - Q.T)) > 1e-10:
+            with np.errstate(over="ignore"):  # reported below, naming Q
+                asym, sym = np.max(np.abs(Q - Q.T)), (Q + Q.T) / 2
+            if asym > 1e-10:
                 raise ValueError("Q must be symmetric")
-            if np.linalg.eigvalsh((Q + Q.T) / 2)[0] <= 0:
+            if not np.all(np.isfinite(sym)):
+                raise ValueError("Q is too large: (Q + Q^T)/2 overflows")
+            if np.linalg.eigvalsh(sym)[0] <= 0:
                 raise ValueError("Q must be positive definite")
             object.__setattr__(self, "Q", Q)
 

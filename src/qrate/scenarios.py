@@ -57,6 +57,4 @@ def bundled_scenario(certified: bool = False) -> ScenarioConfig:
         x0=np.array([1.0, 1.0]),
         horizon=30.0,
         disturbance=disturbance,
-        substeps=100,
-        synthesize_if_invalid=False,
     )

@@ -197,6 +197,12 @@ def _scenario_with(key: str):
     ("disturbance.phase", "nan"),
     ("disturbance.bound", "nan"),
     ("disturbance.hold", "inf"),
+    ("sim.synthesize_if_invalid", "maybe"),
+    ("disturbance.kind", "triangle"),
+    ("sim.horizon", "0.05"),
+    ("disturbance.level", "0.02 0.02"),
+    ("disturbance.amplitude", "0.05 0.05"),
+    ("disturbance.pulses", "10.5 10.7 1.5 1.5"),
 ])
 def test_config_rejects_truncated_or_non_finite_numbers(key, bad):
     lines = serialize_config(_scenario_with(key)).splitlines()
@@ -204,6 +210,45 @@ def test_config_rejects_truncated_or_non_finite_numbers(key, bad):
     lines[lineno - 1] = f"{key} = {bad}"
     with pytest.raises(ConfigError, match=f"line {lineno}, {key}"):
         parse_config("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("sig, stray", [
+    (Zero(dim=1), "disturbance.pulses = 10.5 10.7 1.5"),
+    (Constant([0.02]), "disturbance.amplitude = 0.05"),
+    (PulseTrain([(10.5, 10.7, [1.5])], dim=1), "disturbance.level = 0.02"),
+    (Sinusoid([0.05], 0.5), "disturbance.seed = 3"),
+    (SeededUniform(0.05, 0, 0.1), "disturbance.freq_hz = 2"),
+], ids=["zero", "constant", "pulses", "sinusoid", "uniform"])
+def test_config_rejects_a_key_the_disturbance_kind_does_not_read(sig, stray):
+    cfg = bundled_scenario()
+    cfg.disturbance = sig
+    lines = serialize_config(cfg).splitlines() + [stray]
+    key = stray.partition(" = ")[0]
+    with pytest.raises(ConfigError, match=f"line {len(lines)}, {key}"):
+        parse_config("\n".join(lines) + "\n")
+
+
+_HUGE_Q = "design.Q = 1e308 0 ; 0 1"
+
+
+@pytest.mark.parametrize("q_line", [_HUGE_Q, "design.Q = 1 1e308 ; -1e308 1"])
+def test_config_rejects_a_q_whose_symmetric_part_overflows(q_line):
+    text = serialize_config(bundled_scenario(certified=True)) + q_line + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="design: Q "):
+            parse_config(text)
+
+
+def test_validate_rejects_a_q_whose_symmetric_part_overflows(cert_cfg_path, capsys):
+    with cert_cfg_path.open("a", encoding="utf-8") as fh:
+        fh.write(_HUGE_Q + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--config", str(cert_cfg_path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: design: Q is too large: (Q + Q^T)/2 overflows"]
 
 
 _CONFIG_TEXTS = [serialize_config(cfg) for cfg in (

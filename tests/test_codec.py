@@ -87,7 +87,7 @@ def test_advance_searching_growth():
     d = _Consts(growth_eff=lam, dist_gain=lam - 1.0, search_margin=0.2, n_levels=5)
     p = _Params(rho=1.0, phi=0.01, search_margin=0.2, dist_level=0.1)
     st = CodecState(k=3, center=np.array([0.0]), radius=0.5,
-                    radius_prev=0.4, stage=Stage.SEARCHING, prev_stage=Stage.SEARCHING)
+                    radius_prev=0.4, stage=Stage.SEARCHING)
     nxt = codec.advance(st, 0, d, p)
     expected = 1.2 * lam * 0.5 + (lam - 1.0) * 0.1
     assert abs(nxt.radius - expected) < 1e-12
@@ -100,7 +100,7 @@ def test_advance_escape_reseeds_radius():
     d = _Consts(growth_eff=lam, dist_gain=lam - 1.0, search_margin=0.2, n_levels=5)
     p = _Params(rho=1.0, phi=0.01, search_margin=0.2, dist_level=0.1)
     st = CodecState(k=5, center=np.array([0.0]), radius=0.05,
-                    radius_prev=0.2, stage=Stage.STABILIZING, prev_stage=Stage.STABILIZING)
+                    radius_prev=0.2, stage=Stage.STABILIZING)
     nxt = codec.advance(st, 0, d, p)
     seed = lam / 5.0 * 0.2 + (lam - 1.0) * 0.1
     expected = 1.2 * lam * seed + (lam - 1.0) * 0.1
@@ -113,7 +113,7 @@ def test_advance_stabilizing_contraction():
     d = _Consts(growth_eff=lam, dist_gain=lam - 1.0, search_margin=0.2, n_levels=5)
     p = _Params(rho=1.0, phi=0.01, search_margin=0.2, dist_level=0.1)
     st = CodecState(k=2, center=np.array([0.0]), radius=0.5,
-                    radius_prev=0.6, stage=Stage.STABILIZING, prev_stage=Stage.SEARCHING)
+                    radius_prev=0.6, stage=Stage.STABILIZING)
     nxt = codec.advance(st, 1, d, p)  # near-origin symbol: cell center 0
     expected = lam / 5.0 * 0.5 + math.sqrt(0.01 * (0.0 + 1.0 * 0.25))
     assert abs(nxt.radius - expected) < 1e-12
@@ -130,7 +130,7 @@ def test_advance_initial_sample_cannot_escape():
     assert abs(nxt.radius - (1.2 * lam * 0.5 + (lam - 1.0) * 0.1)) < 1e-12
     # a hand-built inconsistent state must be rejected
     bad = CodecState(k=1, center=np.zeros(1), radius=0.5,
-                     radius_prev=None, stage=Stage.STABILIZING, prev_stage=None)
+                     radius_prev=None, stage=Stage.STABILIZING)
     with pytest.raises(RuntimeError):
         codec.advance(bad, 0, d, p)
 
