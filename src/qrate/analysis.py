@@ -1,7 +1,9 @@
-"""Certificate constants, explicit gain-function constructions, and the
-trajectory checker that verifies every provable inequality on a logged run.
+"""Certificate constants, the gain functions, and the trajectory checker
+that verifies every provable inequality on a logged run.
 
-The gain functions are straight compositions of closed-form pieces; the
+Each gain map is one method of :class:`GainFunctions`, a straight
+composition of closed-form pieces over scalars bound once per design; the
+search-stage maps, which need no certificate, sit in its base class.  The
 checker never clamps a margin, it reports the worst one found together
 with a pass/fail verdict at 1e-9 slack.  Checks that rest on the
 contraction certificate are reported as "not_certified" instead of being
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,11 +36,6 @@ __all__ = [
 SLACK = 1e-9
 _DENSE_BLOCK = 8192  # dense records per intersample_envelope block
 
-Map1 = Callable[[float], float]
-Map2 = Callable[[float, float], float]
-Map3 = Callable[[float, float, float], float]
-
-
 @dataclass(frozen=True)
 class GainConstants:
     """Scalar constants behind the stage-wise state bounds.
@@ -58,35 +54,6 @@ class GainConstants:
     escape_gain: float  # state and radius bound at escape times
     nu: float
     valid: bool
-
-
-@dataclass(frozen=True)
-class GainFunctions:
-    """Evaluable gain maps, composed exactly as the certificate stacks them.
-
-    All single-argument members vanish at zero and are nondecreasing; the
-    ISS gains gamma1/gamma2/gamma3 bound the state for all time from the
-    initial condition and the disturbance sup norm.
-    """
-
-    eta_state: Map1            # capture-step count from an initial-state ratio
-    eta_dist: Map1             # capture-step count from a disturbance ratio
-    eta_smooth: Map1           # continuous majorant of both step counts
-    initial_search_bound: Map2     # state bound during the initial search
-    initial_capture_radius: Map3   # radius bound at the first capture
-    recapture_bound: Map2          # state bound between escape and recapture
-    recapture_radius: Map2         # radius bound at recapture
-    capture0_gain: Map1            # initial_search_bound on the diagonal
-    capture_gain: Map1             # recapture_bound on the diagonal
-    stab_state_gain: Map2          # stabilizing-stage bound from the entry state
-    stab_dist_gain: Map2           # stabilizing-stage bound from the disturbance
-    first_stage_bound: Map3        # first stabilizing stage, full arguments
-    first_stage_gain: Map2         # first_stage_bound on the diagonal
-    post_escape_gain: Map1         # searching stages after an escape
-    post_recapture_gain: Map1      # stabilizing stages after a recapture
-    gamma1: Map1
-    gamma2: Map1
-    gamma3: Map1
 
 
 def gain_constants(d: DerivedConstants, p: DesignParams) -> GainConstants:
@@ -111,12 +78,10 @@ def gain_constants(d: DerivedConstants, p: DesignParams) -> GainConstants:
     return GainConstants(c1, c2, c3, c_exp, decay, step_gain, kappa, escape, d.nu, valid)
 
 
-def eta_functions(d: DerivedConstants, search_margin: float) -> tuple[Map1, Map1, Map1]:
+def eta_functions(d: DerivedConstants, search_margin: float):
     """Capture-step counters (from state, from disturbance) and their
     continuous majorant."""
-    geff = d.growth_eff
-    hat = (1.0 + search_margin) * geff
-    ratio = (hat - 1.0) / (geff - 1.0)
+    ratio = d.search_ratio
     log_base = math.log(1.0 + search_margin)
 
     def eta_state(s: float) -> float:
@@ -137,124 +102,125 @@ def eta_functions(d: DerivedConstants, search_margin: float) -> tuple[Map1, Map1
     return eta_state, eta_dist, eta_smooth
 
 
-def _search_maps(d: DerivedConstants, p: DesignParams):
-    """Search-stage bound maps; these need no contraction certificate."""
-    eta_state, eta_dist, eta_smooth = eta_functions(d, p.search_margin)
-    lam = d.growth_eff
-    lam_hat = d.search_growth
-    phi_d = d.dist_gain
-    delta = p.dist_level
-    e0 = p.radius0
-    n = d.n_levels
+class _SearchMaps:
+    """Capture-step counters and search-stage bounds; these need no
+    contraction certificate."""
 
-    def initial_search_bound(s: float, r: float) -> float:
-        m = eta_smooth(s / e0) + eta_smooth(r / delta)
-        pw = lam**m
-        return pw * s + (pw - 1.0) / (lam - 1.0) * phi_d * r
+    def __init__(self, d: DerivedConstants, p: DesignParams):
+        self.eta_state, self.eta_dist, self.eta_smooth = eta_functions(d, p.search_margin)
+        self._lam = d.growth_eff
+        self._lam_hat = d.search_growth
+        self._phi_d = d.dist_gain
+        self._delta = p.dist_level
+        self._e0 = p.radius0
+        self._n = d.n_levels
 
-    def initial_capture_radius(e: float, s: float, r: float) -> float:
-        m = eta_smooth(s / e) + eta_smooth(r / delta)
-        pw = lam_hat**m
-        return pw * e + (pw - 1.0) / (lam_hat - 1.0) * phi_d * delta
+    def initial_search_bound(self, s: float, r: float) -> float:
+        """State bound during the initial search."""
+        m = self.eta_smooth(s / self._e0) + self.eta_smooth(r / self._delta)
+        pw = self._lam**m
+        return pw * s + (pw - 1.0) / (self._lam - 1.0) * self._phi_d * r
 
-    def recapture_bound(s: float, r: float) -> float:
-        m = 2.0 * eta_smooth(r / delta) + 1.0
-        pw = lam**m
-        return pw * s + (pw - 1.0) / (lam - 1.0) * phi_d * r
+    def initial_capture_radius(self, e: float, s: float, r: float) -> float:
+        """Radius bound at the first capture."""
+        m = self.eta_smooth(s / e) + self.eta_smooth(r / self._delta)
+        pw = self._lam_hat**m
+        return pw * e + (pw - 1.0) / (self._lam_hat - 1.0) * self._phi_d * self._delta
 
-    def recapture_radius(e: float, s: float) -> float:
-        m = 2.0 * eta_smooth(s / delta) + 1.0
-        pw = lam_hat**m
-        return pw * lam / n * e + (pw - 1.0) / (lam_hat - 1.0) * phi_d * delta
+    def recapture_bound(self, s: float, r: float) -> float:
+        """State bound between an escape and the recapture."""
+        m = 2.0 * self.eta_smooth(r / self._delta) + 1.0
+        pw = self._lam**m
+        return pw * s + (pw - 1.0) / (self._lam - 1.0) * self._phi_d * r
 
-    return (eta_state, eta_dist, eta_smooth, initial_search_bound,
-            initial_capture_radius, recapture_bound, recapture_radius)
+    def recapture_radius(self, e: float, s: float) -> float:
+        """Radius bound at a recapture."""
+        m = 2.0 * self.eta_smooth(s / self._delta) + 1.0
+        pw = self._lam_hat**m
+        return (pw * self._lam / self._n * e
+                + (pw - 1.0) / (self._lam_hat - 1.0) * self._phi_d * self._delta)
+
+
+class GainFunctions(_SearchMaps):
+    """Evaluable gain maps, composed exactly as the certificate stacks them.
+
+    Each map is a method.  All single-argument maps vanish at zero and are
+    nondecreasing; the ISS gains gamma1/gamma2/gamma3 bound the state for
+    all time from the initial condition and the disturbance sup norm.  The
+    stabilizing-stage maps need the decay rate, so construction requires a
+    valid contraction certificate.
+    """
+
+    def __init__(self, d: DerivedConstants, p: DesignParams, g: GainConstants):
+        if not g.valid:
+            raise ValueError("gain functions need a contraction factor below 1")
+        super().__init__(d, p)
+        self._c12 = g.c1 * g.c2
+        self._kappa = g.kappa
+        h = g.step_gain
+        self._h_factor = h / (h - 1.0)
+        self._expo = g.kappa * (math.log(h) / math.log(g.nu)) + 1.0
+        self._gamma_esc = g.escape_gain
+        self._h_tilde = d.intersample_gain
+
+    def stab_state_gain(self, e: float, s: float) -> float:
+        """Stabilizing-stage bound from the entry state."""
+        long_time = self._c12 * s ** (self._kappa / 2.0) * (s + e)
+        short_time = self._h_factor * s**self._expo
+        return max(long_time, short_time)
+
+    def stab_dist_gain(self, e: float, s: float) -> float:
+        """Stabilizing-stage bound from the disturbance."""
+        long_time = self._c12 * s ** (self._kappa / 2.0) * (self._phi_d * s + e)
+        short_time = self._h_factor * self._phi_d * s**self._expo
+        return max(long_time, short_time)
+
+    def capture0_gain(self, s: float) -> float:
+        """initial_search_bound on the diagonal."""
+        return self.initial_search_bound(s, s)
+
+    def capture_gain(self, s: float) -> float:
+        """recapture_bound on the diagonal."""
+        return self.recapture_bound(s, s)
+
+    def first_stage_bound(self, e: float, s: float, r: float) -> float:
+        """First stabilizing stage, full arguments."""
+        e_cap = self.initial_capture_radius(e, s, r)
+        return (self.stab_state_gain(e_cap, self.capture0_gain(s) + self.capture0_gain(r))
+                + self.stab_dist_gain(e_cap, r))
+
+    def first_stage_gain(self, e: float, s: float) -> float:
+        """first_stage_bound on the diagonal."""
+        return self.first_stage_bound(e, s, s)
+
+    def post_escape_gain(self, s: float) -> float:
+        """Searching stages after an escape."""
+        return self.capture_gain(self._gamma_esc * s) + self.capture_gain(s)
+
+    def post_recapture_gain(self, s: float) -> float:
+        """Stabilizing stages after a recapture."""
+        e_cap = self.recapture_radius(self._gamma_esc * s, s)
+        return (self.stab_state_gain(e_cap, self.post_escape_gain(s))
+                + self.stab_dist_gain(e_cap, s))
+
+    def gamma1(self, s: float) -> float:
+        return self._h_tilde * max(self.capture0_gain(s), self.first_stage_gain(self._e0, s))
+
+    def gamma2(self, s: float) -> float:
+        return (self._h_tilde * max(self.capture0_gain(s), self.first_stage_gain(self._e0, s),
+                                    self.post_escape_gain(s), self.post_recapture_gain(s))
+                + self._phi_d * s)
+
+    def gamma3(self, s: float) -> float:
+        return (self._h_tilde * max(self._phi_d * s, self.post_escape_gain(s),
+                                    self.post_recapture_gain(s))
+                + self._phi_d * s)
 
 
 def iss_gains(d: DerivedConstants, p: DesignParams, g: GainConstants) -> GainFunctions:
-    """Compose the full gain-function stack.
-
-    Requires a valid contraction certificate; the stabilizing-stage maps
-    need the decay rate.
-    """
-    if not g.valid:
-        raise ValueError("gain functions need a contraction factor below 1")
-    (eta_state, eta_dist, eta_smooth, initial_search_bound,
-     initial_capture_radius, recapture_bound, recapture_radius) = _search_maps(d, p)
-
-    c12 = g.c1 * g.c2
-    kappa = g.kappa
-    h = g.step_gain
-    h_factor = h / (h - 1.0)
-    expo = kappa * (math.log(h) / math.log(g.nu)) + 1.0
-    phi_d = d.dist_gain
-    e0 = p.radius0
-    gamma_esc = g.escape_gain
-    h_tilde = d.intersample_gain
-
-    def stab_state_gain(e: float, s: float) -> float:
-        long_time = c12 * s ** (kappa / 2.0) * (s + e)
-        short_time = h_factor * s**expo
-        return max(long_time, short_time)
-
-    def stab_dist_gain(e: float, s: float) -> float:
-        long_time = c12 * s ** (kappa / 2.0) * (phi_d * s + e)
-        short_time = h_factor * phi_d * s**expo
-        return max(long_time, short_time)
-
-    def capture0_gain(s: float) -> float:
-        return initial_search_bound(s, s)
-
-    def capture_gain(s: float) -> float:
-        return recapture_bound(s, s)
-
-    def first_stage_bound(e: float, s: float, r: float) -> float:
-        e_cap = initial_capture_radius(e, s, r)
-        return (stab_state_gain(e_cap, capture0_gain(s) + capture0_gain(r))
-                + stab_dist_gain(e_cap, r))
-
-    def first_stage_gain(e: float, s: float) -> float:
-        return first_stage_bound(e, s, s)
-
-    def post_escape_gain(s: float) -> float:
-        return capture_gain(gamma_esc * s) + capture_gain(s)
-
-    def post_recapture_gain(s: float) -> float:
-        e_cap = recapture_radius(gamma_esc * s, s)
-        return stab_state_gain(e_cap, post_escape_gain(s)) + stab_dist_gain(e_cap, s)
-
-    def gamma1(s: float) -> float:
-        return h_tilde * max(capture0_gain(s), first_stage_gain(e0, s))
-
-    def gamma2(s: float) -> float:
-        return (h_tilde * max(capture0_gain(s), first_stage_gain(e0, s),
-                              post_escape_gain(s), post_recapture_gain(s))
-                + phi_d * s)
-
-    def gamma3(s: float) -> float:
-        return (h_tilde * max(phi_d * s, post_escape_gain(s), post_recapture_gain(s))
-                + phi_d * s)
-
-    return GainFunctions(
-        eta_state=eta_state,
-        eta_dist=eta_dist,
-        eta_smooth=eta_smooth,
-        initial_search_bound=initial_search_bound,
-        initial_capture_radius=initial_capture_radius,
-        recapture_bound=recapture_bound,
-        recapture_radius=recapture_radius,
-        capture0_gain=capture0_gain,
-        capture_gain=capture_gain,
-        stab_state_gain=stab_state_gain,
-        stab_dist_gain=stab_dist_gain,
-        first_stage_bound=first_stage_bound,
-        first_stage_gain=first_stage_gain,
-        post_escape_gain=post_escape_gain,
-        post_recapture_gain=post_recapture_gain,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        gamma3=gamma3,
-    )
+    """The full gain-function stack; raises ValueError without a valid
+    contraction certificate."""
+    return GainFunctions(d, p, g)
 
 
 @dataclass
@@ -338,7 +304,7 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
     stab = log.stage == 1
     sym = log.symbol
     dsup = log.d_sup_prev
-    eta_state, eta_dist, _, search_bound0, chi_e0, _, _ = _search_maps(d, p)
+    maps = _SearchMaps(d, p)
 
     rows: list[CheckRow] = []
 
@@ -392,12 +358,12 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
     if lost_at_start:
         x0_ratio = x_norm[0] / p.radius0
         if first_capture is not None:
-            bound = max(eta_state(x0_ratio),
-                        eta_dist(sig.sup_norm(0.0, t[first_capture]) / p.dist_level))
+            bound = max(maps.eta_state(x0_ratio),
+                        maps.eta_dist(sig.sup_norm(0.0, t[first_capture]) / p.dist_level))
             acc.add(float(first_capture), bound)
         else:
-            bound = max(eta_state(x0_ratio),
-                        eta_dist(sig.sup_norm(0.0, t[last]) / p.dist_level))
+            bound = max(maps.eta_state(x0_ratio),
+                        maps.eta_dist(sig.sup_norm(0.0, t[last]) / p.dist_level))
             if last > bound:
                 acc.add(float(last), bound)
     rows.append(acc.row())
@@ -407,10 +373,10 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         nxt = next((c for c in captures if c.k > ev.k), None)
         if nxt is not None:
             s = sig.sup_norm(t[ev.k - 1], t[nxt.k]) / p.dist_level
-            acc.add(float(nxt.k), ev.k + max(eta_dist(s), 1.0))
+            acc.add(float(nxt.k), ev.k + max(maps.eta_dist(s), 1.0))
         else:
             s = sig.sup_norm(t[ev.k - 1], t[last]) / p.dist_level
-            bound = ev.k + max(eta_dist(s), 1.0)
+            bound = ev.k + max(maps.eta_dist(s), 1.0)
             if last > bound:
                 acc.add(float(last), bound)
     rows.append(acc.row())
@@ -419,14 +385,15 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
     if lost_at_start:
         k_end = first_capture if first_capture is not None else last
         r = sig.sup_norm(0.0, t[k_end])
-        bound = search_bound0(x_norm[0], x_norm[0]) + search_bound0(r, r)
+        bound = (maps.initial_search_bound(x_norm[0], x_norm[0])
+                 + maps.initial_search_bound(r, r))
         acc.add(x_norm[: k_end + 1], bound)
     rows.append(acc.row())
 
     acc = _Acc("initial_capture_radius")
     if lost_at_start and first_capture is not None:
         r = sig.sup_norm(0.0, t[first_capture])
-        acc.add(E[first_capture], chi_e0(p.radius0, x_norm[0], r))
+        acc.add(E[first_capture], maps.initial_capture_radius(p.radius0, x_norm[0], r))
     rows.append(acc.row())
 
     if g.valid:

@@ -94,6 +94,21 @@ def _parse_matrix(text: str, where: str, plant=None) -> np.ndarray:
     return np.array(rows)
 
 
+def _state_matrix(text: str, where: str, plant: PlantModel) -> np.ndarray:
+    M = _parse_matrix(text, where)
+    if M.shape != (plant.n_x, plant.n_x):
+        n = plant.n_x
+        raise ConfigError(f"{where}: shape {M.shape[0]}x{M.shape[1]} != n_x x n_x {n}x{n}")
+    return M
+
+
+def _parse_seed(text: str, where: str, plant=None) -> int:
+    try:
+        return SeededUniform.check_seed(_parse_number(text, where, integer=True))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _vector(size: str):
     """Reader of a vector with ``plant.<size>`` entries."""
     def parse(text: str, where: str, plant: PlantModel) -> np.ndarray:
@@ -134,6 +149,8 @@ class _Kind:
 _NUMBER = _Kind(_parse_number, fmt_num)
 _INTEGER = _Kind(partial(_parse_number, integer=True), str)  # str(int): exact past 2**53
 _MATRIX = _Kind(_parse_matrix, _fmt_matrix)
+_STATE_MATRIX = _Kind(_state_matrix, _fmt_matrix)
+_SEED = _Kind(_parse_seed, str)
 _STATE_VECTOR = _Kind(_vector("n_x"), _fmt_row)
 _DIST_VECTOR = _Kind(_vector("n_d"), _fmt_row)
 _PULSES = _Kind(_parse_pulses, _fmt_pulses)
@@ -157,7 +174,7 @@ def _section(prefix: str, **keys) -> dict:
 _PLANT = _section("plant", A=_MATRIX, B=_MATRIX, D=_MATRIX, K=_MATRIX, dt=_NUMBER,
                   n_levels=_INTEGER)
 _DESIGN = _section("design", radius0=_NUMBER, search_margin=_NUMBER, dist_level=_NUMBER,
-                   psi=_NUMBER, rho=_NUMBER, phi=_NUMBER, Q=(_MATRIX, None),
+                   psi=_NUMBER, rho=_NUMBER, phi=_NUMBER, Q=(_STATE_MATRIX, None),
                    floor_margin=(_NUMBER, 0.01))
 _SIM = _section("sim", x0=_STATE_VECTOR, horizon=_NUMBER,
                 substeps=(_INTEGER, DEFAULT_SUBSTEPS), synthesize_if_invalid=(_BOOL, False))
@@ -170,7 +187,7 @@ _DISTURBANCES = {
     "sinusoid": (Sinusoid, False, _section("disturbance", amplitude=_DIST_VECTOR,
                                           freq_hz=(_NUMBER, 1.0), phase=(_NUMBER, 0.0))),
     "uniform": (SeededUniform, True, _section("disturbance", bound=_NUMBER,
-                                              seed=(_INTEGER, 0), hold=(_NUMBER, 0.1))),
+                                              seed=(_SEED, 0), hold=(_NUMBER, 0.1))),
 }
 _KNOWN_KEYS = {"disturbance.kind"}.union(
     _PLANT, _DESIGN, _SIM, _OUTPUTS, *(keys for _, _, keys in _DISTURBANCES.values()))
@@ -217,7 +234,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"{section}: {exc}") from None
 
     plant = build("plant", PlantModel, read(_PLANT))
-    design = build("design", DesignParams, read(_DESIGN))
+    design = build("design", DesignParams, read(_DESIGN, plant))
     sim = read(_SIM, plant)
     if sim["horizon"] < plant.dt:
         raise ConfigError(f"{where('sim.horizon')}: must cover at least one sampling period")

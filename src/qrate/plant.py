@@ -66,9 +66,6 @@ class TrajectoryLog:
     events: list[TrajectoryEvent]
     enc_states: list[CodecState]
     dec_states: list[CodecState]
-    x0: np.ndarray
-    horizon: float
-    substeps: int
 
     @property
     def n_samples(self) -> int:
@@ -340,7 +337,4 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         events=events,
         enc_states=enc_states,
         dec_states=dec_states,
-        x0=as_vector(x0).copy(),
-        horizon=float(horizon),
-        substeps=int(substeps),
     )

@@ -187,13 +187,21 @@ class SeededUniform(Disturbance):
         if not (math.isfinite(bound) and bound >= 0):
             raise ValueError("bound must be nonnegative and finite")
         self.bound = float(bound)
-        self.seed = int(seed)
+        self.seed = self.check_seed(seed)
         self.hold = float(hold)
         self.dim = int(dim)
         self._rng = np.random.Generator(np.random.Philox(key=self.seed))
         self._draws: list[np.ndarray] = []
         self._norms: list[float] = []  # max |entry| of each draw
         self._norm_array = np.zeros(1)  # _norms padded, rebuilt after new draws
+
+    @staticmethod
+    def check_seed(seed) -> int:
+        """``seed`` as an int, which must be a Philox key: 0 <= seed < 2**128."""
+        seed = int(seed)
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+        return seed
 
     def _draw(self, i: int) -> np.ndarray:
         while len(self._draws) <= i:

@@ -1,5 +1,6 @@
 """Straight-line transcription of the gain-function compositions, kept
-independent of the package's closure-based implementation.
+independent of the package's implementation (the methods of
+qrate.analysis.GainFunctions, which call one another).
 
 Each function takes the scalar constants explicitly and spells the whole
 formula chain out inline, so a disagreement with qrate.analysis.iss_gains

@@ -167,7 +167,8 @@ def test_config_rejects_bad_dimension():
 
 
 def _scenario_with(key: str):
-    """The bundled scenario, with a disturbance kind that writes ``key``."""
+    """The bundled scenario, changed (disturbance kind, or a design.Q) so
+    that it writes ``key``."""
     cfg = bundled_scenario()
     field = key.partition("disturbance.")[2]
     if field == "level":
@@ -176,6 +177,8 @@ def _scenario_with(key: str):
         cfg.disturbance = Sinusoid([0.05], 0.5)
     elif field in ("bound", "seed", "hold"):
         cfg.disturbance = SeededUniform(0.05, 0, 0.1)
+    elif key == "design.Q":
+        cfg.design = dataclasses.replace(cfg.design, Q=np.eye(2))
     return cfg
 
 
@@ -203,6 +206,9 @@ def _scenario_with(key: str):
     ("disturbance.level", "0.02 0.02"),
     ("disturbance.amplitude", "0.05 0.05"),
     ("disturbance.pulses", "10.5 10.7 1.5 1.5"),
+    ("design.Q", "1 0 0 ; 0 1 0 ; 0 0 1"),
+    ("disturbance.seed", "-1"),
+    ("disturbance.seed", str(2**128)),
 ])
 def test_config_rejects_truncated_or_non_finite_numbers(key, bad):
     lines = serialize_config(_scenario_with(key)).splitlines()

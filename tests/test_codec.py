@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qrate import codec
 from qrate.codec import CodecState, Stage
@@ -193,6 +195,30 @@ def test_quantization_soundness_random_states():
             ulp = 4.0 * np.finfo(float).eps * (np.max(np.abs(center)) + radius)
             assert np.max(np.abs(x - c)) <= radius / n + ulp
             assert np.max(np.abs(c - center)) <= (n - 1) / n * radius + ulp
+
+
+@given(st.integers(2, 7), st.floats(1e-3, 10.0), st.data())
+def test_quantization_soundness_on_cell_boundaries(n, radius, data):
+    """Every coordinate sits exactly on a cell boundary center - E + j * 2E/n:
+    j = 0 and j = n are the range faces (n hits the last-cell clamp), and
+    with the center at the origin and n odd some boundaries are |x| = E/n."""
+    n_x = data.draw(st.integers(1, 3))
+    coords = st.lists(st.floats(-3.0, 3.0), min_size=n_x, max_size=n_x)
+    center = np.array(data.draw(st.one_of(st.just([0.0] * n_x), coords)))
+    js = np.array(data.draw(st.lists(st.integers(0, n), min_size=n_x, max_size=n_x)))
+    x = center - radius + js * (2.0 * radius / n)
+    state = CodecState(k=0, center=center, radius=radius)
+    sym = codec.encode(state, x, n)
+    ulp = 4.0 * np.finfo(float).eps * (np.max(np.abs(center)) + radius)
+    if sym == 0:
+        assert np.max(np.abs(x - center)) > radius
+        assert js.min() == 0 or js.max() == n  # only a face can round outside
+    elif sym == 1:
+        assert np.max(np.abs(x)) <= radius / n
+    else:
+        c = codec.decode_center(state, sym, n)
+        assert np.max(np.abs(x - c)) <= radius / n + ulp
+        assert np.max(np.abs(c - center)) <= (n - 1) / n * radius + ulp
 
 
 def test_controller_input_stages():

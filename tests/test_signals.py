@@ -72,6 +72,14 @@ def test_seeded_uniform_reproducible():
     assert any(not np.array_equal(a.value(t), c.value(t)) for t in ts)
 
 
+def test_seeded_uniform_seed_is_a_philox_key():
+    for seed in (0, 2**128 - 1):
+        assert abs(SeededUniform(bound=1.0, seed=seed, hold=0.1).value(0.0)[0]) <= 1.0
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\), got"):
+            SeededUniform(bound=1.0, seed=seed, hold=0.1)
+
+
 def test_seeded_uniform_sup_matches_draws():
     sig = SeededUniform(bound=1.0, seed=7, hold=0.25, dim=1)
     # sup over [0, 1) covers exactly draws 0..3
