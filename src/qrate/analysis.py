@@ -3,11 +3,17 @@ that verifies every provable inequality on a logged run.
 
 Each gain map is one method of :class:`GainFunctions`, a straight
 composition of closed-form pieces over scalars bound once per design; the
-search-stage maps, which need no certificate, sit in its base class.  The
+search-stage maps, which need no certificate, sit in its base class.
+
+:data:`CHECKS` names the checker's inequalities in report order: the
+protocol checks, which always run, then the checks that rest on the
+contraction certificate, which are reported as "not_certified" instead of
+being run when the design inequalities do not hold.  Each check is stated
+once, as array operations over the whole log (the dense envelope in blocks
+of records, the decay envelope per stabilizing run); the escape and capture
+checks pair every escape with the event after it, its recapture.  The
 checker never clamps a margin, it reports the worst one found together
-with a pass/fail verdict at 1e-9 slack.  Checks that rest on the
-contraction certificate are reported as "not_certified" instead of being
-run when the design inequalities do not hold.
+with a pass/fail verdict at 1e-9 slack.
 """
 
 from __future__ import annotations
@@ -31,10 +37,26 @@ __all__ = [
     "eta_functions",
     "iss_gains",
     "check_trajectory",
+    "CHECKS",
+    "PROTOCOL_CHECKS",
+    "CERTIFICATE_CHECKS",
 ]
 
 SLACK = 1e-9
 _DENSE_BLOCK = 8192  # dense records per intersample_envelope block
+
+# Every check, in report order.  The certificate checks need a contraction
+# factor below one; without it they are reported as "not_certified".
+PROTOCOL_CHECKS = (
+    "quantization_cell", "quantization_center", "error_recursion_stabilizing",
+    "error_recursion_searching", "intersample_envelope", "escape_state_bound",
+    "escape_radius_bound", "capture_initial_index", "recapture_index",
+    "initial_search_state_bound", "initial_capture_radius")
+CERTIFICATE_CHECKS = (
+    "lyapunov_decay", "value_bound_c1", "state_bound_c2", "next_state_bound_c3",
+    "exp_decay_envelope", "iss_envelope")
+CHECKS = PROTOCOL_CHECKS + CERTIFICATE_CHECKS
+
 
 @dataclass(frozen=True)
 class GainConstants:
@@ -78,11 +100,11 @@ def gain_constants(d: DerivedConstants, p: DesignParams) -> GainConstants:
     return GainConstants(c1, c2, c3, c_exp, decay, step_gain, kappa, escape, d.nu, valid)
 
 
-def eta_functions(d: DerivedConstants, search_margin: float):
+def eta_functions(d: DerivedConstants):
     """Capture-step counters (from state, from disturbance) and their
     continuous majorant."""
     ratio = d.search_ratio
-    log_base = math.log(1.0 + search_margin)
+    log_base = math.log(1.0 + d.search_margin)
 
     def eta_state(s: float) -> float:
         if s <= 1.0:
@@ -107,7 +129,7 @@ class _SearchMaps:
     contraction certificate."""
 
     def __init__(self, d: DerivedConstants, p: DesignParams):
-        self.eta_state, self.eta_dist, self.eta_smooth = eta_functions(d, p.search_margin)
+        self.eta_state, self.eta_dist, self.eta_smooth = eta_functions(d)
         self._lam = d.growth_eff
         self._lam_hat = d.search_growth
         self._phi_d = d.dist_gain
@@ -275,18 +297,15 @@ class _Acc:
         return CheckRow(self.name, self.n, worst, "fail" if self.violations else "pass")
 
 
-def _uncertified(name: str) -> CheckRow:
-    return CheckRow(name, 0, math.nan, "not_certified")
-
-
 def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
                      g: GainConstants, sig: Disturbance) -> CheckReport:
-    """Verify every applicable inequality on a logged run.
+    """Verify every applicable inequality on a logged run, one row per
+    name in :data:`CHECKS`.
 
-    Protocol-level checks always run; decay-dependent checks (value
-    contraction, the in-stage envelopes, and the global ISS envelope) run
-    only when the design certificate holds (``g.valid``); the ISS envelope
-    composes its gain functions from ``g`` with :func:`iss_gains`.
+    The protocol checks always run; the certificate checks run only when
+    the design certificate holds (``g.valid``) and are reported
+    "not_certified" otherwise.  The ISS envelope composes its gain
+    functions from ``g`` with :func:`iss_gains`.
     """
     if log.center.shape[1] != d.P.shape[0]:
         raise ValueError("log and constants disagree on the state dimension")
@@ -295,145 +314,95 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
 
     n = d.n_levels
     last = log.n_samples - 1
-    t = log.t
-    E = log.radius
-    V = log.value
+    t, E, V, sym, dsup = log.t, log.radius, log.value, log.symbol, log.d_sup_prev
     x_norm = np.max(np.abs(log.x), axis=1)
-    xhat_err = np.max(np.abs(log.x - log.xhat), axis=1)
     center_err = np.max(np.abs(log.x - log.center), axis=1)
     stab = log.stage == 1
-    sym = log.symbol
-    dsup = log.d_sup_prev
+    ks_stab = np.flatnonzero(stab[:last])  # visible samples with a successor
+    ks_search = np.flatnonzero(~stab[:last])
     maps = _SearchMaps(d, p)
+    acc = {name: _Acc(name) for name in (CHECKS if g.valid else PROTOCOL_CHECKS)}
 
-    rows: list[CheckRow] = []
+    # A cell symbol bounds the decoded error, the near-origin symbol the state.
+    cells, visible = sym >= 2, sym >= 1
+    xhat_err = np.max(np.abs(log.x - log.xhat), axis=1)
+    acc["quantization_cell"].add(np.where(cells, xhat_err, x_norm)[visible], E[visible] / n)
+    acc["quantization_center"].add(np.max(np.abs(log.xhat - log.center), axis=1)[cells],
+                                   (n - 1) / n * E[cells])
+    acc["error_recursion_stabilizing"].add(
+        center_err[ks_stab + 1], d.growth_eff / n * E[ks_stab] + d.dist_gain * dsup[ks_stab + 1])
+    acc["error_recursion_searching"].add(
+        center_err[ks_search + 1],
+        d.growth_eff * center_err[ks_search] + d.dist_gain * dsup[ks_search + 1])
 
-    acc = _Acc("quantization_cell")
-    cells = sym >= 2
-    acc.add(xhat_err[cells], E[cells] / n)
-    near = sym == 1
-    acc.add(x_norm[near], E[near] / n)
-    rows.append(acc.row())
-
-    acc = _Acc("quantization_center")
-    acc.add(np.max(np.abs(log.xhat - log.center), axis=1)[cells],
-            (n - 1) / n * E[cells])
-    rows.append(acc.row())
-
-    acc = _Acc("error_recursion_stabilizing")
-    ks = np.flatnonzero(stab[:last])
-    acc.add(center_err[ks + 1], d.growth_eff / n * E[ks] + d.dist_gain * dsup[ks + 1])
-    rows.append(acc.row())
-
-    acc = _Acc("error_recursion_searching")
-    ks = np.flatnonzero(~stab[:last])
-    acc.add(center_err[ks + 1], d.growth_eff * center_err[ks] + d.dist_gain * dsup[ks + 1])
-    rows.append(acc.row())
-
-    acc = _Acc("intersample_envelope")
     dense_norm = np.max(np.abs(log.dense_x), axis=1) if log.dense_x.size else np.empty(0)
     # Blocks of records keep the temporaries small whatever the horizon.
     for lo in range(0, dense_norm.size, _DENSE_BLOCK):
         dk = log.dense_k[lo:lo + _DENSE_BLOCK]
         sups = sig.sup_norm(t[dk], log.dense_t[lo:lo + _DENSE_BLOCK])
-        acc.add(dense_norm[lo:lo + dk.size],
-                d.intersample_gain * x_norm[dk] + d.dist_gain * sups)
-    rows.append(acc.row())
+        acc["intersample_envelope"].add(dense_norm[lo:lo + dk.size],
+                                        d.intersample_gain * x_norm[dk] + d.dist_gain * sups)
 
-    escapes = [ev for ev in log.events if ev.kind == "escaped"]
-    captures = [ev for ev in log.events if ev.kind == "captured"]
-
-    acc_state = _Acc("escape_state_bound")
-    acc_radius = _Acc("escape_radius_bound")
-    for ev in escapes:
-        acc_state.add(x_norm[ev.k], g.escape_gain * dsup[ev.k])
-        acc_radius.add(E[ev.k - 1], g.escape_gain * dsup[ev.k])
-    rows.append(acc_state.row())
-    rows.append(acc_radius.row())
-
+    # Visibility toggles, so the events alternate: each one's episode ends
+    # at the next event, or at the last sample while it is still open.
+    ev_k = np.array([ev.k for ev in log.events], dtype=np.int64)
+    ev_end = np.append(ev_k, last)[1:]
     lost_at_start = sym[0] == 0
-    first_capture = captures[0].k if (lost_at_start and captures) else None
+    escapes = slice(int(lost_at_start), None, 2)
+    k_esc, k_rec = ev_k[escapes], ev_end[escapes]
+    recaptured = np.arange(ev_k.size)[escapes] < ev_k.size - 1
 
-    acc = _Acc("capture_initial_index")
+    esc_bound = g.escape_gain * dsup[k_esc]
+    acc["escape_state_bound"].add(x_norm[k_esc], esc_bound)
+    acc["escape_radius_bound"].add(E[k_esc - 1], esc_bound)
+    s = sig.sup_norm(t[k_esc - 1], t[k_rec]) / p.dist_level
+    rec_bound = k_esc + np.array([max(maps.eta_dist(v), 1.0) for v in s.tolist()])
+    # An open search counts only once it has outrun its bound.
+    kept = recaptured | (last > rec_bound)
+    acc["recapture_index"].add(k_rec[kept], rec_bound[kept])
+
     if lost_at_start:
-        x0_ratio = x_norm[0] / p.radius0
-        if first_capture is not None:
-            bound = max(maps.eta_state(x0_ratio),
-                        maps.eta_dist(sig.sup_norm(0.0, t[first_capture]) / p.dist_level))
-            acc.add(float(first_capture), bound)
-        else:
-            bound = max(maps.eta_state(x0_ratio),
-                        maps.eta_dist(sig.sup_norm(0.0, t[last]) / p.dist_level))
-            if last > bound:
-                acc.add(float(last), bound)
-    rows.append(acc.row())
-
-    acc = _Acc("recapture_index")
-    for ev in escapes:
-        nxt = next((c for c in captures if c.k > ev.k), None)
-        if nxt is not None:
-            s = sig.sup_norm(t[ev.k - 1], t[nxt.k]) / p.dist_level
-            acc.add(float(nxt.k), ev.k + max(maps.eta_dist(s), 1.0))
-        else:
-            s = sig.sup_norm(t[ev.k - 1], t[last]) / p.dist_level
-            bound = ev.k + max(maps.eta_dist(s), 1.0)
-            if last > bound:
-                acc.add(float(last), bound)
-    rows.append(acc.row())
-
-    acc = _Acc("initial_search_state_bound")
-    if lost_at_start:
-        k_end = first_capture if first_capture is not None else last
-        r = sig.sup_norm(0.0, t[k_end])
-        bound = (maps.initial_search_bound(x_norm[0], x_norm[0])
-                 + maps.initial_search_bound(r, r))
-        acc.add(x_norm[: k_end + 1], bound)
-    rows.append(acc.row())
-
-    acc = _Acc("initial_capture_radius")
-    if lost_at_start and first_capture is not None:
-        r = sig.sup_norm(0.0, t[first_capture])
-        acc.add(E[first_capture], maps.initial_capture_radius(p.radius0, x_norm[0], r))
-    rows.append(acc.row())
+        captured = ev_k.size > 0
+        k_cap = int(ev_k[0]) if captured else last
+        r = sig.sup_norm(0.0, t[k_cap])
+        bound = max(maps.eta_state(x_norm[0] / p.radius0), maps.eta_dist(r / p.dist_level))
+        if captured or last > bound:
+            acc["capture_initial_index"].add(float(k_cap), bound)
+        acc["initial_search_state_bound"].add(
+            x_norm[: k_cap + 1],
+            maps.initial_search_bound(x_norm[0], x_norm[0]) + maps.initial_search_bound(r, r))
+        if captured:
+            acc["initial_capture_radius"].add(
+                E[k_cap], maps.initial_capture_radius(p.radius0, x_norm[0], r))
 
     if g.valid:
-        acc = _Acc("lyapunov_decay")
-        ks = np.flatnonzero(stab[:last])
-        acc.add(V[ks + 1], d.nu * V[ks])
-        rows.append(acc.row())
+        acc["lyapunov_decay"].add(V[ks_stab + 1], d.nu * V[ks_stab])
+        acc["value_bound_c1"].add(np.sqrt(V[stab]), g.c1 * (x_norm[stab] + E[stab]))
+        acc["state_bound_c2"].add(x_norm[stab], g.c2 * np.sqrt(V[stab]))
+        acc["next_state_bound_c3"].add(
+            x_norm[ks_stab + 1], g.c3 * np.sqrt(V[ks_stab]) + d.dist_gain * dsup[ks_stab + 1])
+        _add_exp_decay(acc["exp_decay_envelope"], stab, x_norm, E, dsup, g.c_exp, d.nu,
+                       d.dist_gain)
+        gains = iss_gains(d, p, g)
+        acc["iss_envelope"].add(
+            dense_norm, gains.gamma1(x_norm[0]) + gains.gamma2(sig.sup_norm(0.0, t[last])))
 
-        acc = _Acc("value_bound_c1")
-        acc.add(np.sqrt(V[stab]), g.c1 * (x_norm[stab] + E[stab]))
-        rows.append(acc.row())
-
-        acc = _Acc("state_bound_c2")
-        acc.add(x_norm[stab], g.c2 * np.sqrt(V[stab]))
-        rows.append(acc.row())
-
-        acc = _Acc("next_state_bound_c3")
-        ks = np.flatnonzero(stab[:last])
-        acc.add(x_norm[ks + 1], g.c3 * np.sqrt(V[ks]) + d.dist_gain * dsup[ks + 1])
-        rows.append(acc.row())
-
-        rows.append(_exp_decay_envelope(stab, x_norm, E, dsup, g.c_exp, d.nu, d.dist_gain))
-
-        acc = _Acc("iss_envelope")
-        if dense_norm.size:
-            gains = iss_gains(d, p, g)
-            bound = gains.gamma1(x_norm[0]) + gains.gamma2(sig.sup_norm(0.0, t[last]))
-            acc.add(dense_norm, np.full(dense_norm.size, bound))
-        rows.append(acc.row())
-    else:
-        rows.extend(_uncertified(name) for name in (
-            "lyapunov_decay", "value_bound_c1", "state_bound_c2",
-            "next_state_bound_c3", "exp_decay_envelope", "iss_envelope"))
-
-    return CheckReport(rows=rows, certified=g.valid)
+    return CheckReport([acc[name].row() if name in acc
+                        else CheckRow(name, 0, math.nan, "not_certified") for name in CHECKS],
+                       certified=g.valid)
 
 
 def _exp_decay_envelope(stab: np.ndarray, x_norm: np.ndarray, E: np.ndarray,
                         dsup: np.ndarray, c_exp: float, nu: float,
                         dist_gain: float) -> CheckRow:
+    """The exp_decay_envelope row on its own."""
+    acc = _Acc("exp_decay_envelope")
+    _add_exp_decay(acc, stab, x_norm, E, dsup, c_exp, nu, dist_gain)
+    return acc.row()
+
+
+def _add_exp_decay(acc: _Acc, stab: np.ndarray, x_norm: np.ndarray, E: np.ndarray,
+                   dsup: np.ndarray, c_exp: float, nu: float, dist_gain: float) -> None:
     """|x(t_k)| <= nu^{(k-l)/2} c_exp (|x(t_l)| + E_l) + dist_gain dsup_k
     for every pair l < k in one stabilizing run.
 
@@ -441,9 +410,9 @@ def _exp_decay_envelope(stab: np.ndarray, x_norm: np.ndarray, E: np.ndarray,
     envelope iff it does at the l minimizing that term; only that pair is
     evaluated for each k, while ``n_checked`` counts all m(m-1)/2 pairs.
     """
-    acc = _Acc("exp_decay_envelope")
     sqrt_nu = math.sqrt(nu)
-    for run in _stabilizing_runs(stab):
+    idx = np.flatnonzero(stab)
+    for run in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1):
         m = run.size
         if m < 2:
             continue
@@ -451,7 +420,6 @@ def _exp_decay_envelope(stab: np.ndarray, x_norm: np.ndarray, E: np.ndarray,
         ls = _tightest_earlier(base, sqrt_nu)
         rhs = sqrt_nu ** (np.arange(1, m) - ls) * base[ls] + dist_gain * dsup[run[1:]]
         acc.add(x_norm[run[1:]], rhs, n_checked=m * (m - 1) // 2)
-    return acc.row()
 
 
 def _tightest_earlier(base: np.ndarray, q: float) -> np.ndarray:
@@ -469,17 +437,3 @@ def _tightest_earlier(base: np.ndarray, q: float) -> np.ndarray:
         ls[k] = arg
         r *= q
     return ls
-
-
-def _stabilizing_runs(stab: np.ndarray) -> list[np.ndarray]:
-    """Maximal runs of consecutive visible samples, as index arrays."""
-    runs = []
-    idx = np.flatnonzero(stab)
-    if idx.size == 0:
-        return runs
-    splits = np.flatnonzero(np.diff(idx) > 1)
-    start = 0
-    for s in list(splits) + [idx.size - 1]:
-        runs.append(idx[start:s + 1])
-        start = s + 1
-    return runs

@@ -155,6 +155,7 @@ class DerivedConstants:
     S_open: np.ndarray        # one-period open-loop transition e^{A dt}
     growth: float             # ||S_open||, per-period open-loop growth
     growth_eff: float         # max(growth, 1 + floor_margin)
+    search_margin: float      # p.search_margin; log(1 + it) is the eta counters' base
     search_growth: float      # (1 + search_margin) * growth_eff
     search_ratio: float       # (search_growth - 1) / (growth_eff - 1)
     dist_gain: float          # integral of ||e^{As} D|| over one period
@@ -252,6 +253,7 @@ def derive_constants(m: PlantModel, p: DesignParams) -> DerivedConstants:
         S_open=c.S_open,
         growth=c.growth,
         growth_eff=c.growth_eff,
+        search_margin=p.search_margin,
         search_growth=sg,
         search_ratio=(sg - 1.0) / (c.growth_eff - 1.0),
         dist_gain=matnum.phi_integral(m.A, m.D, m.dt),

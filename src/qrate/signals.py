@@ -10,6 +10,7 @@ entry is the same arithmetic as a call on that interval alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,11 +198,12 @@ class SeededUniform(Disturbance):
 
     @staticmethod
     def check_seed(seed) -> int:
-        """``seed`` as an int, which must be a Philox key: 0 <= seed < 2**128."""
-        seed = int(seed)
-        if not 0 <= seed < 2**128:
-            raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-        return seed
+        """``seed`` as an int, which must be a Philox key: an integer with
+        0 <= seed < 2**128.  An integral float stands for its value."""
+        if not ((isinstance(seed, numbers.Integral) or float(seed).is_integer())
+                and 0 <= seed < 2**128):
+            raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
+        return int(seed)
 
     def _draw(self, i: int) -> np.ndarray:
         while len(self._draws) <= i:

@@ -1,10 +1,13 @@
-"""Quadratic-time transcription of the two dense trajectory checks, kept
-independent of the package's linear-time implementation.
+"""Quadratic-time transcription of the two dense trajectory checks and a
+per-event transcription of the six escape and capture checks, kept
+independent of the package's vectorized implementation.
 
 ``intersample_envelope`` masks the dense records of each sampling interval
 and calls ``sup_norm`` once per dense point; ``exp_decay_envelope`` expands
-every pair l < k of each stabilizing run.  Both return the row tuple
-``(name, n_checked, status, worst_margin)`` that ``qrate.CheckRow`` carries.
+every pair l < k of each stabilizing run; ``episode_rows`` walks the events
+one at a time and looks each escape's recapture up among all captures.
+Each returns the row tuple ``(name, n_checked, status, worst_margin)`` that
+``qrate.CheckRow`` carries.
 """
 
 import math
@@ -67,3 +70,59 @@ def exp_decay_envelope(stab, x_norm, E, dsup, c_exp, nu, dist_gain):
             rhs = sqrt_nu ** np.maximum(gap, 0) * base[None, :] + extra[ks_rel, None]
             tally.add(np.broadcast_to(lhs_all[ks_rel][:, None], rhs.shape)[valid], rhs[valid])
     return tally.row()
+
+
+def episode_rows(log, maps, escape_gain, radius0, dist_level, sig):
+    """The six escape and capture rows by name; ``maps`` supplies the
+    capture-step counters and search-stage bounds of the design."""
+    t, E, dsup, last = log.t, log.radius, log.d_sup_prev, log.n_samples - 1
+    x_norm = np.max(np.abs(log.x), axis=1)
+    escapes = [ev for ev in log.events if ev.kind == "escaped"]
+    captures = [ev for ev in log.events if ev.kind == "captured"]
+    tallies = {name: _Tally(name) for name in (
+        "escape_state_bound", "escape_radius_bound", "capture_initial_index",
+        "recapture_index", "initial_search_state_bound", "initial_capture_radius")}
+
+    for ev in escapes:
+        tallies["escape_state_bound"].add(x_norm[ev.k], escape_gain * dsup[ev.k])
+        tallies["escape_radius_bound"].add(E[ev.k - 1], escape_gain * dsup[ev.k])
+
+    lost_at_start = log.symbol[0] == 0
+    first_capture = captures[0].k if (lost_at_start and captures) else None
+
+    if lost_at_start:
+        x0_ratio = x_norm[0] / radius0
+        if first_capture is not None:
+            bound = max(maps.eta_state(x0_ratio),
+                        maps.eta_dist(sig.sup_norm(0.0, t[first_capture]) / dist_level))
+            tallies["capture_initial_index"].add(float(first_capture), bound)
+        else:
+            bound = max(maps.eta_state(x0_ratio),
+                        maps.eta_dist(sig.sup_norm(0.0, t[last]) / dist_level))
+            if last > bound:
+                tallies["capture_initial_index"].add(float(last), bound)
+
+    for ev in escapes:
+        nxt = next((c for c in captures if c.k > ev.k), None)
+        if nxt is not None:
+            s = sig.sup_norm(t[ev.k - 1], t[nxt.k]) / dist_level
+            tallies["recapture_index"].add(float(nxt.k), ev.k + max(maps.eta_dist(s), 1.0))
+        else:
+            s = sig.sup_norm(t[ev.k - 1], t[last]) / dist_level
+            bound = ev.k + max(maps.eta_dist(s), 1.0)
+            if last > bound:
+                tallies["recapture_index"].add(float(last), bound)
+
+    if lost_at_start:
+        k_end = first_capture if first_capture is not None else last
+        r = sig.sup_norm(0.0, t[k_end])
+        bound = (maps.initial_search_bound(x_norm[0], x_norm[0])
+                 + maps.initial_search_bound(r, r))
+        tallies["initial_search_state_bound"].add(x_norm[: k_end + 1], bound)
+
+    if lost_at_start and first_capture is not None:
+        r = sig.sup_norm(0.0, t[first_capture])
+        tallies["initial_capture_radius"].add(
+            E[first_capture], maps.initial_capture_radius(radius0, x_norm[0], r))
+
+    return {name: tally.row() for name, tally in tallies.items()}

@@ -136,7 +136,7 @@ def test_criterion_4_reference_scenario_events(ref_plant, cert_params, cert_deri
     assert captures and captures[0].k <= math.ceil(math.log(2.0) / math.log(1.2))
     assert len(escapes) == 2
 
-    eta_x, eta_d, _ = eta_functions(cert_derived, cert_params.search_margin)
+    eta_x, eta_d, _ = eta_functions(cert_derived)
     for onset, esc in zip((10.5, 22.5), escapes):
         # the escape is the first visibility failure after the pulse onset
         assert esc.t > onset

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from gain_oracle import constants_from, oracle_values
 from qrate import (PulseTrain, SeededUniform, Sinusoid, Zero, check_trajectory,
                    derive_constants, eta_functions, gain_constants, iss_gains,
                    run_closed_loop)
-from qrate.analysis import _DENSE_BLOCK, _exp_decay_envelope
+from qrate.analysis import (CERTIFICATE_CHECKS, CHECKS, _DENSE_BLOCK, _SearchMaps,
+                            _exp_decay_envelope)
 from qrate.codec import quad_value
 
 
@@ -46,7 +49,7 @@ def test_gain_constants_invalid_nu(ref_plant, raw_params):
 
 
 def test_eta_counts(cert_derived, cert_params):
-    eta_x, eta_d, eta_hat = eta_functions(cert_derived, cert_params.search_margin)
+    eta_x, eta_d, eta_hat = eta_functions(cert_derived)
     assert eta_x(2.0) == math.ceil(math.log(2.0) / math.log(1.2)) == 4
     assert eta_x(0.5) == 0.0
     assert eta_x(1.0) == 0.0
@@ -57,7 +60,7 @@ def test_eta_counts(cert_derived, cert_params):
 
 
 def test_eta_smooth_dominates(cert_derived, cert_params):
-    eta_x, eta_d, eta_hat = eta_functions(cert_derived, cert_params.search_margin)
+    eta_x, eta_d, eta_hat = eta_functions(cert_derived)
     for s in np.logspace(-3, 6, 200):
         assert eta_hat(s) >= max(eta_x(s), eta_d(s)) - 1e-12
     # nondecreasing on the sampled grid
@@ -181,6 +184,13 @@ def test_check_trajectory_uncertified_design(ref_plant, raw_params):
             assert r.status == "pass", r.name
 
 
+def test_readme_lists_every_check_in_report_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Checks\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^- `(\w+)`", section, re.M) == list(CHECKS)
+    assert re.findall(r"^- `(\w+)` \(certificate\)", section, re.M) == list(CERTIFICATE_CHECKS)
+
+
 def test_check_trajectory_dimension_guard(ref_plant, cert_params, cert_derived,
                                           toy_derived, toy_params):
     sig, log = _reference_log(ref_plant, cert_params, cert_derived, horizon=2.0)
@@ -193,14 +203,22 @@ def _row(r):
     return (r.name, r.n_checked, r.status, r.worst_margin)
 
 
-@pytest.mark.parametrize("sig", [
-    PulseTrain([(10.5, 10.7, [1.5]), (22.5, 22.7, [1.5])], dim=1),
-    Sinusoid([0.05], freq_hz=0.5, phase=0.3),
-    SeededUniform(bound=0.05, seed=3, hold=0.37),
-], ids=["pulses", "sinusoid", "uniform"])
-def test_dense_checks_match_quadratic_oracle(ref_plant, cert_params, cert_derived, sig):
-    log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array([1.0, 1.0]),
-                          30.0, substeps=100)
+@pytest.mark.parametrize("sig,x0,horizon", [
+    (PulseTrain([(10.5, 10.7, [1.5]), (22.5, 22.7, [1.5])], dim=1), [1.0, 1.0], 30.0),
+    (Sinusoid([0.05], freq_hz=0.5, phase=0.3), [1.0, 1.0], 30.0),
+    (SeededUniform(bound=0.05, seed=3, hold=0.37), [1.0, 1.0], 30.0),
+    # the last escape of these two is still open at the horizon
+    (Sinusoid([0.6], freq_hz=0.7, phase=0.3), [1.0, 1.0], 30.0),
+    (SeededUniform(bound=0.8, seed=3, hold=0.37), [1.0, 1.0], 30.0),
+    (PulseTrain([(10.5, 10.7, [1.5]), (22.5, 22.7, [1.5])], dim=1), [0.1, -0.1], 30.0),
+    (Zero(1), [30.0, -20.0], 10.0),
+    (Zero(1), [1e4, -3e3], 2.0),
+], ids=["pulses", "sinusoid", "uniform", "sine_escapes", "uniform_escapes",
+        "visible_at_start", "lost_then_captured", "never_captured"])
+def test_dense_checks_match_quadratic_oracle(ref_plant, cert_params, cert_derived, sig, x0,
+                                             horizon):
+    log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array(x0),
+                          horizon, substeps=100)
     g = gain_constants(cert_derived, cert_params)
     rows = [_row(r) for r in check_trajectory(log, cert_derived, cert_params, g, sig).rows]
     assert len(rows) == 17 and all(r[2] == "pass" for r in rows)
@@ -211,8 +229,11 @@ def test_dense_checks_match_quadratic_oracle(ref_plant, cert_params, cert_derive
         "exp_decay_envelope": check_oracle.exp_decay_envelope(
             log.stage == 1, x_norm, log.radius, log.d_sup_prev, g.c_exp, cert_derived.nu,
             cert_derived.dist_gain),
+        **check_oracle.episode_rows(log, _SearchMaps(cert_derived, cert_params),
+                                    g.escape_gain, cert_params.radius0,
+                                    cert_params.dist_level, sig),
     }
-    # the other 15 rows share their code with the oracle-free checker
+    # the other 9 rows share their code with the oracle-free checker
     assert [expected.get(r[0], r) for r in rows] == rows
 
 

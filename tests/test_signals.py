@@ -73,10 +73,10 @@ def test_seeded_uniform_reproducible():
 
 
 def test_seeded_uniform_seed_is_a_philox_key():
-    for seed in (0, 2**128 - 1):
+    for seed in (0, 2**128 - 1, np.uint64(7), 7.0):
         assert abs(SeededUniform(bound=1.0, seed=seed, hold=0.1).value(0.0)[0]) <= 1.0
-    for seed in (-1, 2**128):
-        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\), got"):
+    for seed in (-1, 2**128, 2.7, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\), got"):
             SeededUniform(bound=1.0, seed=seed, hold=0.1)
 
 
