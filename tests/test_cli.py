@@ -560,15 +560,60 @@ COMMAND_SHA256 = {
 }
 
 
+# exit code and sha256 of every file check writes for CI's sinusoid
+# scenario, the RK4 path, as integrated with a fresh input per RK4 stage
+CHECK_SHA256 = {
+    ("check", "sinusoid", ()): (0, {
+        "checks.csv": "ee850e57e130c41934779e88d049c4d98264b30fa4291c52151a71e54c2526fd",
+        "dense.csv": "7f1b82315feabe93c3921b66442181993f89bec8a48a48e4849a5ec1301fa538",
+        "err_E.svg": "07fa6edb9b0191fbdea0d6ecd922fb343a744fefd7f7bae069b9aa08e61be696",
+        "events.csv": "f77b35e195f03904ddd773c55a3d8543f62ccf7eb7634b41b961b6d1438c505c",
+        "report.txt": "8bfbf57faa7b212035296a78fa8b2e7ad1806179df1508a0e9cca40a2a90746f",
+        "samples.csv": "daf47af32d2353c426d5297ebee2b9f487d1a90727004b935cb2bd0bd1619105",
+        "x1_aux.svg": "fd75eaddb4daf2b274e421b7f85c71c3cdf80f56876f7e5bc73bab6dba30b76d"}),
+    ("check", "sinusoid", ("--substeps", "10")): (0, {
+        "checks.csv": "b7040adf898af874a291fbc2db2ea57484fc8870e62cccbda2fc244797852c7e",
+        "dense.csv": "99872c60f8b29c81049edab6ea02b26fa28e684dd64d333c84bd0925cc629266",
+        "err_E.svg": "2b7492ad7e136bf4a63d6ce23b55a5c8979b2e9fdbc804f3d4cf4e87ce0546cb",
+        "events.csv": "899137ed3c9a23e61d1a71c8b903b8bbbff1e2e019dbb09960be745903e216d4",
+        "report.txt": "baa140b55cc07307bbb59df1839c70383b59a6dd940a540976262f21b041420b",
+        "samples.csv": "8d392977f0ad02ceeb4c4bb2aa207f040162d4eb7dab144263c857616ce16443",
+        "x1_aux.svg": "3125e4682ade19e7f66ac9f6a33c52a7bc54d29eae823ca4498d9787563bb379"}),
+}
+
+
+@pytest.fixture()
+def sine_cfg_path(cert_cfg_path):
+    # the certified config with its disturbance lines replaced, as CI writes it
+    lines = [line for line in cert_cfg_path.read_text(encoding="utf-8").splitlines()
+             if not line.startswith("disturbance.")]
+    lines += ["disturbance.kind = sinusoid", "disturbance.amplitude = 0.05",
+              "disturbance.freq_hz = 0.5"]
+    path = cert_cfg_path.with_name("sinusoid.cfg")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _command_files(argv, out):
+    code = main([*argv, "--out", str(out)])
+    return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 @pytest.mark.parametrize("command, label, flags", list(COMMAND_SHA256),
                          ids=["validate_raw", "validate_certified", "gains", "gains_s_grid"])
 def test_validate_and_gains_files_match_pinned_bytes(command, label, flags, raw_cfg_path,
                                                      cert_cfg_path, tmp_path):
     path = cert_cfg_path if label == "certified" else raw_cfg_path
-    out = tmp_path / "out"
-    code = main([command, "--config", str(path), "--out", str(out), *flags])
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert (code, got) == COMMAND_SHA256[command, label, flags]
+    got = _command_files([command, "--config", str(path), *flags], tmp_path / "out")
+    assert got == COMMAND_SHA256[command, label, flags]
+
+
+@pytest.mark.parametrize("command, label, flags", list(CHECK_SHA256),
+                         ids=["default", "substeps_10"])
+def test_check_sinusoid_files_match_pinned_bytes(command, label, flags, sine_cfg_path,
+                                                 tmp_path):
+    got = _command_files([command, "--config", str(sine_cfg_path), *flags], tmp_path / "out")
+    assert got == CHECK_SHA256[command, label, flags]
 
 
 def test_seed_override_changes_uniform_disturbance(tmp_path):
