@@ -6,8 +6,9 @@ whitespace-separated entries.  One ordered key table per section (``plant``,
 ``design``, ``sim``, ``outputs`` and each disturbance kind) gives every
 key's attribute, value kind and default; parsing, serialization and the set
 of known keys all come from these tables.  A bad value is a
-:class:`ConfigError` naming its line and key, and so is a ``disturbance.*``
-key that the selected kind does not read.  Numbers are written with 17
+:class:`ConfigError` naming its line and key, whether a reader or the
+constructor rejects it, and so is a ``disturbance.*`` key that the selected
+kind does not read.  Numbers are written with 17
 significant digits, so a serialized scenario reads back to the same text and
 reproduces bit-identical runs.
 """
@@ -227,14 +228,17 @@ def parse_config(text: str) -> ScenarioConfig:
                 values[attr] = default
         return values
 
-    def build(section: str, cls, values: dict):
+    def build(section: str, cls, table: dict, values: dict):
         try:
             return cls(**values)
         except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}") from None
+            # A constructor's message starts with the argument it rejects.
+            arg = str(exc).split(" ", 1)[0]
+            key = next((k for k, (attr, _, _) in table.items() if attr == arg), None)
+            raise ConfigError(f"{where(key) if key in entries else section}: {exc}") from None
 
-    plant = build("plant", PlantModel, read(_PLANT))
-    design = build("design", DesignParams, read(_DESIGN, plant))
+    plant = build("plant", PlantModel, _PLANT, read(_PLANT))
+    design = build("design", DesignParams, _DESIGN, read(_DESIGN, plant))
     sim = read(_SIM, plant)
     if sim["horizon"] < plant.dt:
         raise ConfigError(f"{where('sim.horizon')}: must cover at least one sampling period")
@@ -251,7 +255,7 @@ def parse_config(text: str) -> ScenarioConfig:
     values = read(keys, plant)
     if takes_dim:
         values["dim"] = plant.n_d
-    disturbance = build("disturbance", cls, values)
+    disturbance = build("disturbance", cls, keys, values)
     return ScenarioConfig(plant, design, disturbance=disturbance, **sim, **read(_OUTPUTS))
 
 

@@ -131,7 +131,7 @@ class DesignParams:
                 raise ValueError("Q must be symmetric")
             if not np.all(np.isfinite(sym)):
                 raise ValueError("Q is too large: (Q + Q^T)/2 overflows")
-            if np.linalg.eigvalsh(sym)[0] <= 0:
+            if not matnum.is_positive_definite(sym):
                 raise ValueError("Q must be positive definite")
             object.__setattr__(self, "Q", Q)
 
@@ -218,7 +218,11 @@ class _Derivation:
             q_min, _ = matnum.sym_eig_extremes(self.Q)
             _, p_max = matnum.sym_eig_extremes(self.P)
             sps = matnum.inf_norm_mat(S.T @ self.P @ S)
-            self.chi = 2.0 * m.n_x**2 * sps**2 / q_min + m.n_x * sps
+            try:
+                self.chi = 2.0 * m.n_x**2 * sps**2 / q_min + m.n_x * sps
+            except OverflowError:
+                raise ArithmeticError(f"chi overflows: |S^T P S| is {sps:.3g} and the smallest "
+                                      f"eigenvalue of Q {q_min:.3g}") from None
             self.contraction = 1.0 - q_min / (2.0 * p_max)
         self.quant_gain = ((n - 1) ** 2 / n**2) * self.chi
 

@@ -189,6 +189,15 @@ def is_schur_stable(S) -> bool:
     return rho < 1.0 - SCHUR_MARGIN
 
 
+def is_positive_definite(M) -> bool:
+    """True iff the symmetric M has a Cholesky factor: unlike the sign of its
+    smallest computed eigenvalue, that does not depend on how M is scaled."""
+    try:
+        return np.linalg.cholesky(M) is not None
+    except np.linalg.LinAlgError:
+        return False
+
+
 def dlyap(S, Q) -> np.ndarray:
     """Solve S^T P S - P = -Q for symmetric positive definite P.
 
@@ -205,7 +214,7 @@ def dlyap(S, Q) -> np.ndarray:
     if np.max(np.abs(Qm - Qm.T)) > _SYM_TOL:
         raise ValueError("Q must be symmetric")
     Qm = (Qm + Qm.T) / 2.0
-    if np.linalg.eigvalsh(Qm)[0] <= 0:
+    if not is_positive_definite(Qm):
         raise ValueError("Q must be positive definite")
 
     P = Qm.copy()

@@ -2,9 +2,10 @@
 
 Every signal knows its own discontinuities, so the integrator can split
 substeps at them, and computes sup norms in closed form rather than from
-sampled maxima.  ``sup_norm(a, b)`` is the one sup-norm method: ``a`` and
-``b`` broadcast, so one call covers any number of intervals, and each
-entry is the same arithmetic as a call on that interval alone.
+sampled maxima.  ``sup_norm(a, b)`` is the one sup-norm method and
+``value(t)`` the one evaluation method: their arguments broadcast, so one
+call covers any number of intervals or instants, and each entry is the
+same arithmetic as a call on that interval or instant alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ class Disturbance:
     dim: int = 1
     piecewise_constant: bool = False
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t) -> np.ndarray:
+        """The signal at ``t``: a scalar gives shape (dim,), an array of
+        shape S gives S + (dim,)."""
+        t = np.asarray(t, dtype=float)
+        out = self._value(t.ravel()) if t.size else np.zeros((0, self.dim))
+        return out.reshape(t.shape + (self.dim,))
+
+    def _value(self, t: np.ndarray) -> np.ndarray:
+        """``value`` on a non-empty 1-D array, one row per entry."""
         raise NotImplementedError
 
     def sup_norm(self, a, b) -> float | np.ndarray:
@@ -75,8 +84,8 @@ class Zero(Disturbance):
     dim: int = 1
     piecewise_constant = True
 
-    def value(self, t: float) -> np.ndarray:
-        return np.zeros(self.dim)
+    def _value(self, t: np.ndarray) -> np.ndarray:
+        return np.zeros((t.size, self.dim))
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(a.size)
@@ -89,8 +98,8 @@ class Constant(Disturbance):
         self.level = as_vector(level, "level")
         self.dim = self.level.size
 
-    def value(self, t: float) -> np.ndarray:
-        return self.level
+    def _value(self, t: np.ndarray) -> np.ndarray:
+        return np.tile(self.level, (t.size, 1))
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.full(a.size, float(np.max(np.abs(self.level))))
@@ -106,7 +115,7 @@ class PulseTrain(Disturbance):
         for start, end, level in pulses:
             lv = as_vector(level, "pulse level")
             if not end > start:
-                raise ValueError("pulse must have positive duration")
+                raise ValueError("pulses must have positive durations")
             parsed.append((float(start), float(end), lv))
         parsed.sort(key=lambda p: p[0])
         for (s0, e0, _), (s1, _, _) in zip(parsed, parsed[1:]):
@@ -122,12 +131,14 @@ class PulseTrain(Disturbance):
         self._starts = np.array([p[0] for p in parsed])
         self._ends = np.array([p[1] for p in parsed])
         self._norms = np.array([float(np.max(np.abs(p[2]))) for p in parsed] + [0.0])  # padded
+        self._levels = np.array([p[2] for p in parsed] + [np.zeros(self.dim)])  # zero row last
 
-    def value(self, t: float) -> np.ndarray:
-        for start, end, level in self.pulses:
-            if start <= t < end:
-                return level
-        return np.zeros(self.dim)
+    def _value(self, t: np.ndarray) -> np.ndarray:
+        # The pulse holding t, if any, is the last one starting at or before
+        # t; row -1 is zero, also for the t that compare false (NaN).
+        i = np.searchsorted(self._starts, t, side="right") - 1
+        i[~(t < np.append(self._ends, -np.inf)[i])] = -1
+        return self._levels[i]
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # Sorted, disjoint pulses meeting [a, b] form one index range: those
@@ -158,8 +169,10 @@ class Sinusoid(Disturbance):
         self.phase = float(phase)
         self.dim = self.amplitude.size
 
-    def value(self, t: float) -> np.ndarray:
-        return self.amplitude * math.sin(2.0 * math.pi * self.freq_hz * t + self.phase)
+    def _value(self, t: np.ndarray) -> np.ndarray:
+        # math.sin, as in _sup, keeps each entry the bits of the scalar formula
+        th = (2.0 * math.pi * self.freq_hz) * t + self.phase
+        return np.fromiter(map(math.sin, th.tolist()), float, t.size)[:, None] * self.amplitude
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         amp = float(np.max(np.abs(self.amplitude)))
@@ -216,8 +229,10 @@ class SeededUniform(Disturbance):
         # Nudge keeps exact hold-boundary times in the interval they open.
         return max(int(math.floor(t / self.hold + 1e-9)), 0)
 
-    def value(self, t: float) -> np.ndarray:
-        return self._draw(self._index(t))
+    def _value(self, t: np.ndarray) -> np.ndarray:
+        i = [self._index(s) for s in t.tolist()]
+        self._draw(max(i))
+        return np.array([self._draws[j] for j in i])
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # _index elementwise; at a == b the range is a's own draw.

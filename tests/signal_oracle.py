@@ -1,5 +1,6 @@
-"""The scalar interval sup norm of each signal class, one interval per
-call, kept independent of the package's array implementation.
+"""The scalar interval sup norm and value of each signal class, one
+interval or time per call, kept independent of the package's array
+implementation.
 
 The bodies are the package's scalar ``sup_norm`` methods as they stood
 before ``sup_norm`` took arrays, with ``self`` renamed ``sig``.  Every
@@ -74,6 +75,23 @@ _BY_CLASS = {Zero: zero_sup, Constant: constant_sup, PulseTrain: pulse_train_sup
 
 def sup_norm(sig, a: float, b: float) -> float:
     return _BY_CLASS[type(sig)](sig, a, b)
+
+
+def value(sig, t: float) -> np.ndarray:
+    """``sig.value(t)`` at one time, as each class computed it before
+    ``value`` took arrays."""
+    if isinstance(sig, Zero):
+        return np.zeros(sig.dim)
+    if isinstance(sig, Constant):
+        return sig.level
+    if isinstance(sig, PulseTrain):
+        for start, end, level in sig.pulses:
+            if start <= t < end:
+                return level
+        return np.zeros(sig.dim)
+    if isinstance(sig, Sinusoid):
+        return sig.amplitude * math.sin(2.0 * math.pi * sig.freq_hz * t + sig.phase)
+    return sig._draw(sig._index(t))
 
 
 def seeded_uniform_breakpoints(sig, a, b):

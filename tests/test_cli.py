@@ -91,8 +91,9 @@ def _scenarios(draw):
     plant = PlantModel(A=matrix(n_x, n_x), B=matrix(n_x, n_u), D=matrix(n_x, n_d),
                        K=matrix(n_u, n_x), dt=draw(_positive),
                        n_levels=draw(st.integers(2, 2**64)))
-    # a diagonal Q conditioned well enough for the positive-definite check
-    Q = draw(st.none() | st.lists(st.floats(1e-3, 1e3), min_size=n_x, max_size=n_x).map(np.diag))
+    # a positive diagonal Q, however badly scaled, whose (Q + Q^T)/2 is finite
+    Q = draw(st.none() | st.lists(st.floats(0.0, 1e307, exclude_min=True), min_size=n_x,
+                                  max_size=n_x).map(np.diag))
     params = DesignParams(*(draw(_positive) for _ in range(6)), Q=Q,
                           floor_margin=draw(_positive))
     kind = draw(st.sampled_from(["zero", "constant", "pulses", "sinusoid", "uniform"]))
@@ -242,19 +243,48 @@ def test_config_rejects_a_q_whose_symmetric_part_overflows(q_line):
     text = serialize_config(bundled_scenario(certified=True)) + q_line + "\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match="design: Q "):
+        with pytest.raises(ConfigError, match=f"^line {text.count(chr(10))}, design.Q: Q "):
             parse_config(text)
 
 
 def test_validate_rejects_a_q_whose_symmetric_part_overflows(cert_cfg_path, capsys):
     with cert_cfg_path.open("a", encoding="utf-8") as fh:
         fh.write(_HUGE_Q + "\n")
+    lineno = len(cert_cfg_path.read_text(encoding="utf-8").splitlines())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["validate", "--config", str(cert_cfg_path)]) == 2
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [
-        "config error: design: Q is too large: (Q + Q^T)/2 overflows"]
+        f"config error: line {lineno}, design.Q: Q is too large: (Q + Q^T)/2 overflows"]
+
+
+@pytest.mark.parametrize("key, bad, message", [
+    ("disturbance.bound", "-1", "bound must be nonnegative and finite"),
+    ("plant.dt", "0", "dt must be positive"),
+    ("disturbance.pulses", "1 3 0.5 ; 2 4 0.5", "pulses must not overlap"),
+], ids=["negative_bound", "zero_dt", "overlapping_pulses"])
+def test_constructor_errors_name_the_line_and_key(key, bad, message, tmp_path, capsys):
+    lines = serialize_config(_scenario_with(key)).splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(key + " "))
+    lines[lineno - 1] = f"{key} = {bad}"
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: line {lineno}, {key}: {message}"]
+
+
+def test_validate_takes_a_badly_scaled_positive_q_without_a_traceback(cert_cfg_path, tmp_path,
+                                                                      capsys):
+    # eigvalsh puts the smallest eigenvalue of diag(1e170, 1e-300) at or
+    # below 0; a Cholesky factor exists
+    with cert_cfg_path.open("a", encoding="utf-8") as fh:
+        fh.write("design.Q = 1e170 0 ; 0 1e-300\n")
+    assert parse_config(cert_cfg_path.read_text(encoding="utf-8")).design.Q[1, 1] == 1e-300
+    code = main(["validate", "--config", str(cert_cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("error: chi overflows: ")
 
 
 _CONFIG_TEXTS = [serialize_config(cfg) for cfg in (

@@ -234,29 +234,68 @@ def _step_interval_per_segment(m, x, xhat, stage, sig, t_k, substeps, cache):
     return zs[-1, :n].copy(), zs[-1, n:].copy(), (ts, xs, xhats, us)
 
 
-@pytest.mark.parametrize("sig", [
-    _reference_pulses(),
-    SeededUniform(bound=0.05, seed=3, hold=0.37),
-    SeededUniform(bound=0.08, seed=5, hold=0.1),
-    Sinusoid([0.05], freq_hz=0.5, phase=0.3),
-], ids=["pulses", "uniform", "uniform_hold_dt", "sinusoid_rk4"])
-def test_step_interval_matches_per_segment_loop_bitwise(ref_plant, cert_params, cert_derived,
-                                                        sig):
-    # Every interval of a logged run, restarted from its logged state:
-    # breakpoint-free intervals of a piecewise-constant signal take the
+def _plant_3x2():
+    m = make_random_plant(np.random.default_rng(7), n=3)
+    D = np.random.default_rng(8).uniform(-1.0, 1.0, (3, 2))
+    return PlantModel(A=m.A, B=m.B, D=D, K=m.K, dt=m.dt, n_levels=m.n_levels)
+
+
+@pytest.mark.parametrize("plant, sig", [
+    ("bundled", _reference_pulses()),
+    ("bundled", SeededUniform(bound=0.05, seed=3, hold=0.37)),
+    ("bundled", SeededUniform(bound=0.08, seed=5, hold=0.1)),
+    ("bundled", Sinusoid([0.05], freq_hz=0.5, phase=0.3)),
+    ("3x2", Sinusoid([0.05, -0.03], freq_hz=0.7, phase=0.3)),
+    # edges off the substep grid, and two pulses sharing an edge
+    ("3x2", PulseTrain([(0.0337, 1.2113, [1.5, -0.4]), (1.2113, 2.35001, [-0.2, 0.9]),
+                        (5.00007, 6.1, [0.3, 0.3])], dim=2)),
+], ids=["pulses", "uniform", "uniform_hold_dt", "sinusoid_rk4", "3x2_sinusoid_rk4",
+        "3x2_pulses_off_grid"])
+def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, cert_params,
+                                                        cert_derived):
+    # Breakpoint-free intervals of a piecewise-constant signal take the
     # constant-input fast path, the others the segment loop.
-    log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array([1.0, 1.0]),
-                          30.0, substeps=50)
+    if plant == "bundled":
+        # every interval of a logged run, restarted from its logged state
+        m = ref_plant
+        log = run_closed_loop(m, cert_params, cert_derived, sig, np.array([1.0, 1.0]), 30.0,
+                              substeps=50)
+        starts = [(log.x[k], log.xhat[k], log.stage[k], log.t[k])
+                  for k in range(log.n_samples - 1)]
+    else:
+        # a 3-state plant with two disturbance channels, from random states
+        m, rng = _plant_3x2(), np.random.default_rng(3)
+        starts = [(rng.standard_normal(3), rng.standard_normal(3), k % 2, k * m.dt)
+                  for k in range(80)]
     fast_cache, ref_cache = {}, {}
-    for k in range(log.n_samples - 1):
-        stage = Stage.STABILIZING if log.stage[k] else Stage.SEARCHING
-        args = (ref_plant, log.x[k], log.xhat[k], stage, sig, log.t[k], 50)
+    for x, xhat, stabilizing, t_k in starts:
+        stage = Stage.STABILIZING if stabilizing else Stage.SEARCHING
+        args = (m, x, xhat, stage, sig, t_k, 50)
         x_end, xhat_end, dense = step_interval(*args, fast_cache)
         ref_x, ref_xhat, ref_dense = _step_interval_per_segment(*args, ref_cache)
-        assert np.array_equal(x_end, ref_x) and np.array_equal(xhat_end, ref_xhat), k
+        assert np.array_equal(x_end, ref_x) and np.array_equal(xhat_end, ref_xhat), t_k
         for got, want in zip(dense, ref_dense):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), t_k
     assert list(fast_cache) == list(ref_cache)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ndarray_dot_and_matmul_round_alike(n):
+    # step_interval forms M z as M.dot(z, out) and the inputs D d(t) as one
+    # stacked matmul; its bits are those of M @ z and D @ d(t) only while
+    # numpy sends all of them to the same BLAS gemv.
+    rng = np.random.default_rng(n)
+    why = f"numpy {np.__version__} rounds (2n, 2n) @ (2n,) products differently at n = {n}"
+    out = np.empty(2 * n)
+    for _ in range(500):
+        M = rng.standard_normal((2 * n, 2 * n)) * 10.0 ** rng.uniform(-3, 3, (2 * n, 2 * n))
+        z = rng.standard_normal(2 * n)
+        M.dot(z, out)
+        assert out.tobytes() == (M @ z).tobytes(), f"{why}: ndarray.dot against np.matmul"
+        D, ds = M[:, :n], rng.standard_normal((7, n))
+        stacked = np.matmul(D, ds[:, :, None])[:, :, 0]
+        assert stacked.tobytes() == np.array([D @ d for d in ds]).tobytes(), (
+            f"{why}: a stacked matmul against one matmul per vector")
 
 
 def test_bundled_run_matches_pinned_bits():
@@ -376,9 +415,25 @@ def test_step_interval_evaluates_constant_input_once(monkeypatch, ref_plant):
     # breakpoint-free interval: one evaluation for all 100 substeps
     _, _, (ts, _, _, _) = step_interval(ref_plant, x, x.copy(), Stage.SEARCHING, sig, 0.1,
                                         substeps=100)
-    assert ts.size == 101 and len(calls) == 1
-    # an interval split at a pulse edge keeps one evaluation per segment
+    assert ts.size == 101 and len(calls) == 1 and np.shape(calls[0]) == (1,)
+    # an interval split at a pulse edge evaluates every segment's midpoint,
+    # all in one call
     calls.clear()
     _, _, (ts, _, _, _) = step_interval(ref_plant, x, x.copy(), Stage.SEARCHING, sig, 0.0,
                                         substeps=100)
-    assert len(calls) == ts.size - 1 == 101
+    assert len(calls) == 1
+    assert calls[0].tolist() == (0.5 * (ts[:-1] + ts[1:])).tolist() and ts.size - 1 == 101
+
+
+def test_step_interval_evaluates_rk4_inputs_in_one_call(monkeypatch, ref_plant):
+    sig = Sinusoid([0.05], freq_hz=0.5, phase=0.3)
+    calls = _count_value_calls(monkeypatch, Sinusoid)
+    x = np.array([0.5, -0.2])
+    _, _, (ts, _, _, _) = step_interval(ref_plant, x, x.copy(), Stage.SEARCHING, sig, 0.1,
+                                        substeps=100)
+    # each substep's midpoint and end, and the first start: the other
+    # starts are the previous ends
+    assert len(calls) == 1
+    a, h = ts[:-1], np.diff(ts)
+    assert sorted(calls[0].tolist()) == sorted((a + 0.5 * h).tolist() + (a + h).tolist()
+                                               + [ts[0]])

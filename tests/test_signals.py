@@ -188,6 +188,40 @@ def test_sup_norm_arrays_match_scalar_oracle_bitwise(sig_edges, data):
         assert type(one) is float and one == w and math.copysign(1, one) == math.copysign(1, w)
 
 
+def _near(edge: float):
+    """The edge itself or the float on either side of it."""
+    return st.sampled_from([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)])
+
+
+@given(_signal_and_edges(), st.data())
+def test_value_arrays_match_scalar_oracle_bitwise(sig_edges, data):
+    sig, edges = sig_edges
+    # anywhere, or on or next to a pulse edge, hold boundary or sine peak
+    time = st.one_of(_ends, st.sampled_from(edges).flatmap(_near)) if edges else _ends
+    ts = np.array(data.draw(st.lists(time, max_size=30)), dtype=float)
+    got = sig.value(ts)
+    assert got.shape == (ts.size, sig.dim)
+    for row, t in zip(got, ts.tolist()):
+        one = sig.value(t)
+        assert one.shape == (sig.dim,)
+        assert row.tobytes() == one.tobytes() == signal_oracle.value(sig, t).tobytes()
+    assert sig.value(ts.reshape(-1, 1)).tobytes() == got.tobytes()
+    assert sig.value(ts.reshape(-1, 1)).shape == (ts.size, 1, sig.dim)
+
+
+def test_value_array_edge_cases():
+    sig = PulseTrain([(1.0, 2.0, [2.0, -1.0]), (2.0, 3.0, [0.5, 0.5])], dim=2)
+    assert sig.value(np.empty(0)).shape == (0, 2)
+    # a pulse holds its start, not its end; NaN is in no pulse
+    assert sig.value([0.5, 1.0, 2.0, 3.0, math.nan]).tolist() == [
+        [0.0, 0.0], [2.0, -1.0], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0]]
+    assert PulseTrain([], dim=2).value([0.0, 1.0]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert Constant([0.3, -0.1]).value(np.zeros((2, 3))).shape == (2, 3, 2)
+    hold = SeededUniform(bound=1.0, seed=7, hold=0.25, dim=1)
+    # a later call that needs more draws than the earlier ones sees them all
+    assert hold.value([5.0, 0.0]).tolist() == [hold.value(5.0).tolist(), hold.value(0.0).tolist()]
+
+
 def test_sup_norm_array_edge_cases():
     sig = PulseTrain([(1.0, 2.0, [2.0]), (3.0, 4.0, [-1.0])], dim=1)
     assert sig.sup_norm(1.0, np.empty(0)).shape == (0,)
