@@ -131,14 +131,15 @@ class PulseTrain(Disturbance):
         self._starts = np.array([p[0] for p in parsed])
         self._ends = np.array([p[1] for p in parsed])
         self._norms = np.array([float(np.max(np.abs(p[2]))) for p in parsed] + [0.0])  # padded
-        self._levels = np.array([p[2] for p in parsed] + [np.zeros(self.dim)])  # zero row last
+        # padded for index -1: a zero level that no t is before the end of
+        self._levels = np.array([p[2] for p in parsed] + [np.zeros(self.dim)])
+        self._held_ends = np.append(self._ends, -np.inf)
 
     def _value(self, t: np.ndarray) -> np.ndarray:
         # The pulse holding t, if any, is the last one starting at or before
-        # t; row -1 is zero, also for the t that compare false (NaN).
+        # t; a t that compares false (NaN) is held by none.
         i = np.searchsorted(self._starts, t, side="right") - 1
-        i[~(t < np.append(self._ends, -np.inf)[i])] = -1
-        return self._levels[i]
+        return self._levels[np.where(t < self._held_ends[i], i, -1)]
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # Sorted, disjoint pulses meeting [a, b] form one index range: those

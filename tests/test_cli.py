@@ -575,7 +575,9 @@ def test_reproduce_paper_files_match_pinned_bytes(flags, tmp_path):
 
 
 # exit code and sha256 of every file validate and gains write for the
-# bundled scenario, as formatted one field at a time with fmt_num
+# bundled scenario, as formatted one field at a time with fmt_num, and of
+# every file check writes for CI's sinusoid scenario (the RK4 path), as
+# integrated with a fresh input per RK4 stage
 COMMAND_SHA256 = {
     ("validate", "raw", ()): (1, {
         "certificate.csv": "6706b6c0c01fc13bf42aee87c8be4afd51637ad0db38d3eeefdee95c251ba09b",
@@ -587,12 +589,6 @@ COMMAND_SHA256 = {
         "gains.csv": "29e1c437365bf5255f39d628d10a4e051665bad1b1a9a6ccd271334487f97525"}),
     ("gains", "certified", ("--s-grid", "0,0.5,1,2")): (0, {
         "gains.csv": "bd879c7faf02aed067192928862e6e2057d3480d5a0f5ae01359f1f9ccb76592"}),
-}
-
-
-# exit code and sha256 of every file check writes for CI's sinusoid
-# scenario, the RK4 path, as integrated with a fresh input per RK4 stage
-CHECK_SHA256 = {
     ("check", "sinusoid", ()): (0, {
         "checks.csv": "ee850e57e130c41934779e88d049c4d98264b30fa4291c52151a71e54c2526fd",
         "dense.csv": "7f1b82315feabe93c3921b66442181993f89bec8a48a48e4849a5ec1301fa538",
@@ -624,26 +620,16 @@ def sine_cfg_path(cert_cfg_path):
     return path
 
 
-def _command_files(argv, out):
-    code = main([*argv, "--out", str(out)])
-    return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-
-
 @pytest.mark.parametrize("command, label, flags", list(COMMAND_SHA256),
-                         ids=["validate_raw", "validate_certified", "gains", "gains_s_grid"])
+                         ids=["validate_raw", "validate_certified", "gains", "gains_s_grid",
+                              "check_sinusoid", "check_sinusoid_substeps_10"])
 def test_validate_and_gains_files_match_pinned_bytes(command, label, flags, raw_cfg_path,
-                                                     cert_cfg_path, tmp_path):
-    path = cert_cfg_path if label == "certified" else raw_cfg_path
-    got = _command_files([command, "--config", str(path), *flags], tmp_path / "out")
-    assert got == COMMAND_SHA256[command, label, flags]
-
-
-@pytest.mark.parametrize("command, label, flags", list(CHECK_SHA256),
-                         ids=["default", "substeps_10"])
-def test_check_sinusoid_files_match_pinned_bytes(command, label, flags, sine_cfg_path,
-                                                 tmp_path):
-    got = _command_files([command, "--config", str(sine_cfg_path), *flags], tmp_path / "out")
-    assert got == CHECK_SHA256[command, label, flags]
+                                                     cert_cfg_path, sine_cfg_path, tmp_path):
+    path = {"raw": raw_cfg_path, "certified": cert_cfg_path, "sinusoid": sine_cfg_path}[label]
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out), *flags])
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert (code, got) == COMMAND_SHA256[command, label, flags]
 
 
 def test_seed_override_changes_uniform_disturbance(tmp_path):

@@ -205,8 +205,8 @@ def test_value_arrays_match_scalar_oracle_bitwise(sig_edges, data):
         one = sig.value(t)
         assert one.shape == (sig.dim,)
         assert row.tobytes() == one.tobytes() == signal_oracle.value(sig, t).tobytes()
-    assert sig.value(ts.reshape(-1, 1)).tobytes() == got.tobytes()
-    assert sig.value(ts.reshape(-1, 1)).shape == (ts.size, 1, sig.dim)
+    column = sig.value(ts.reshape(-1, 1))
+    assert column.shape == (ts.size, 1, sig.dim) and column.tobytes() == got.tobytes()
 
 
 def test_value_array_edge_cases():
