@@ -22,6 +22,7 @@ __all__ = [
     "sym_eig_extremes",
     "dlyap",
     "is_schur_stable",
+    "is_positive_definite",
     "SCHUR_MARGIN",
 ]
 
