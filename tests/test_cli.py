@@ -575,9 +575,10 @@ def test_reproduce_paper_files_match_pinned_bytes(flags, tmp_path):
 
 
 # exit code and sha256 of every file validate and gains write for the
-# bundled scenario, as formatted one field at a time with fmt_num, and of
-# every file check writes for CI's sinusoid scenario (the RK4 path), as
-# integrated with a fresh input per RK4 stage
+# bundled scenario, as formatted one field at a time with fmt_num, of every
+# file check writes for CI's sinusoid scenario (the RK4 path), as integrated
+# with a fresh input per RK4 stage, and of every file check writes for CI's
+# uniform scenario, as run with separate encoder and decoder states
 COMMAND_SHA256 = {
     ("validate", "raw", ()): (1, {
         "certificate.csv": "6706b6c0c01fc13bf42aee87c8be4afd51637ad0db38d3eeefdee95c251ba09b",
@@ -605,27 +606,38 @@ COMMAND_SHA256 = {
         "report.txt": "baa140b55cc07307bbb59df1839c70383b59a6dd940a540976262f21b041420b",
         "samples.csv": "8d392977f0ad02ceeb4c4bb2aa207f040162d4eb7dab144263c857616ce16443",
         "x1_aux.svg": "3125e4682ade19e7f66ac9f6a33c52a7bc54d29eae823ca4498d9787563bb379"}),
+    ("check", "uniform", ()): (0, {
+        "checks.csv": "6021609cde339596d23ac340410b212455ab4d39040be2fc5d7ad35006d74dad",
+        "dense.csv": "66bf875f9194cb89fe2f2f85781cb8c9608e0b2ab7897357205e99e8bc46ce76",
+        "err_E.svg": "05fa50fc913a6ed05598fde7875f1ca17835cb949a15c18985eecfed8825dcbd",
+        "events.csv": "2e51607cf76546c9d658d61582c999c4dd6415b42cc08be517543cea527e019b",
+        "report.txt": "3d8e651ad2252705c553f818c87db593992ed0d8561c9530a3483fe0e3222f6e",
+        "samples.csv": "acff155089af66587a7afe51cf6c09eb7e83900b931e5b6f793fc7150f42cba1",
+        "x1_aux.svg": "66c194b4987848286af8c8d26197bd04c50669471cfa33424bc0207c2b494c9f"}),
 }
 
 
-@pytest.fixture()
-def sine_cfg_path(cert_cfg_path):
-    # the certified config with its disturbance lines replaced, as CI writes it
-    lines = [line for line in cert_cfg_path.read_text(encoding="utf-8").splitlines()
-             if not line.startswith("disturbance.")]
-    lines += ["disturbance.kind = sinusoid", "disturbance.amplitude = 0.05",
-              "disturbance.freq_hz = 0.5"]
-    path = cert_cfg_path.with_name("sinusoid.cfg")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+# the disturbance lines CI puts in place of the certified config's
+_CI_DISTURBANCES = {
+    "sinusoid": ["disturbance.kind = sinusoid", "disturbance.amplitude = 0.05",
+                 "disturbance.freq_hz = 0.5"],
+    "uniform": ["disturbance.kind = uniform", "disturbance.bound = 0.05",
+                "disturbance.seed = 3", "disturbance.hold = 0.37"],
+}
 
 
 @pytest.mark.parametrize("command, label, flags", list(COMMAND_SHA256),
                          ids=["validate_raw", "validate_certified", "gains", "gains_s_grid",
-                              "check_sinusoid", "check_sinusoid_substeps_10"])
+                              "check_sinusoid", "check_sinusoid_substeps_10", "check_uniform"])
 def test_validate_and_gains_files_match_pinned_bytes(command, label, flags, raw_cfg_path,
-                                                     cert_cfg_path, sine_cfg_path, tmp_path):
-    path = {"raw": raw_cfg_path, "certified": cert_cfg_path, "sinusoid": sine_cfg_path}[label]
+                                                     cert_cfg_path, tmp_path):
+    path = {"raw": raw_cfg_path, "certified": cert_cfg_path}.get(label)
+    if path is None:
+        # the certified config with its disturbance lines replaced, as CI writes it
+        lines = [line for line in cert_cfg_path.read_text(encoding="utf-8").splitlines()
+                 if not line.startswith("disturbance.")]
+        path = cert_cfg_path.with_name(f"{label}.cfg")
+        path.write_text("\n".join(lines + _CI_DISTURBANCES[label]) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     code = main([command, "--config", str(path), "--out", str(out), *flags])
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}

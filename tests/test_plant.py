@@ -24,6 +24,20 @@ BUNDLED_DENSE_SHA256 = {
     "dense_xhat": "2e6c5aaf8880ed72b4b2066045cd2d721e5a706a1ca63ad045df4a82b26c3e52",
     "dense_u": "27567fbcf70ab3d0a7ce3c3d700b6d2464965233d6b3e635f65c4e9a35814e6d",
 }
+# the same for the other sample arrays, as logged one sample at a time by a
+# loop that advanced separate encoder and decoder states, and of the repr of
+# (kind, k, t) for each event
+BUNDLED_SAMPLE_SHA256 = {
+    "t": "421f2dec2e9e78748ff4ebb729d95d1e6d619d178acdf2bc5179a920c80c733a",
+    "xhat": "38a7ba40ae59a13675689595a17a12429b3ec9b0d0eebb4f5b3a46eddff66fe4",
+    "symbol": "07fc5a2a5be70b0e0146cd068daad1e792d6e6208415609470654cbd75083d23",
+    "stage": "f747da8a9dd0ce509168f791d69199fa0e4ceb03afeebece180792bdeb8287e7",
+    "radius": "a904510751701bcb39e1748ef1d106b4425fc894543b1196a580b7516e3f8a3d",
+    "center": "cd8668a29ae2915a4cdce3ba3a389c3b83adf3c5d2f6a32fa6ebe5de8f908c8c",
+    "value": "f64013c2412cc8d53b6ad14e3b1630ef86e309ae3d27b97714c8fbdee94d25b9",
+    "d_sup_prev": "a6342e0fbbe78cd8e7cc6fdff0ac2ccfc5d2bc710db4d7a6e9dbe43acee70d70",
+    "events": "adafe5ade57831764323ac7feeee21ab8b38881da527b06320ca366d3dd9f48f",
+}
 
 
 def _reference_pulses():
@@ -308,6 +322,14 @@ def test_bundled_run_matches_pinned_bits():
         a = getattr(log, name)
         assert a.dtype == (np.int64 if name == "dense_k" else np.float64)
         assert hashlib.sha256(a.tobytes()).hexdigest() == digest, name
+    for name, digest in BUNDLED_SAMPLE_SHA256.items():
+        if name == "events":
+            data = repr([(e.kind, e.k, e.t) for e in log.events]).encode()
+        else:
+            a = getattr(log, name)
+            assert a.dtype == (np.int64 if name in ("symbol", "stage") else np.float64)
+            data = a.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("sig, n_dense", [
