@@ -392,15 +392,6 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
                        certified=g.valid)
 
 
-def _exp_decay_envelope(stab: np.ndarray, x_norm: np.ndarray, E: np.ndarray,
-                        dsup: np.ndarray, c_exp: float, nu: float,
-                        dist_gain: float) -> CheckRow:
-    """The exp_decay_envelope row on its own."""
-    acc = _Acc("exp_decay_envelope")
-    _add_exp_decay(acc, stab, x_norm, E, dsup, c_exp, nu, dist_gain)
-    return acc.row()
-
-
 def _add_exp_decay(acc: _Acc, stab: np.ndarray, x_norm: np.ndarray, E: np.ndarray,
                    dsup: np.ndarray, c_exp: float, nu: float, dist_gain: float) -> None:
     """|x(t_k)| <= nu^{(k-l)/2} c_exp (|x(t_l)| + E_l) + dist_gain dsup_k

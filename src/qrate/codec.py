@@ -1,9 +1,9 @@
 """Encoder/decoder pair of the quantized feedback protocol.
 
-Both endpoints hold an identical :class:`CodecState` and advance it with the
-same deterministic rules after every symbol exchange, so the sensor-side
-encoder and the controller-side decoder stay in lockstep without further
-communication.  Symbols are plain integers:
+The :class:`CodecState` after a sample is a function of the symbols exchanged
+so far, so the sensor-side encoder and the controller-side decoder hold the
+same state without further communication, and a simulation keeps one copy
+for both.  Symbols are plain integers:
 
     0                 overflow: the sampled state is outside the range
     1                 near-origin cell (decoded center is the origin)
@@ -52,7 +52,6 @@ class CodecState:
     radius because the escape-adjusted update needs it.
     """
 
-    k: int
     center: np.ndarray
     radius: float
     radius_prev: float | None = None
@@ -62,19 +61,6 @@ class CodecState:
         if self.radius <= 0:
             raise ValueError("radius must stay positive")
 
-    def __eq__(self, other) -> bool:
-        # Bit-for-bit: lockstep equality must not tolerate any drift.
-        if not isinstance(other, CodecState):
-            return NotImplemented
-        return (self.k == other.k
-                and self.center.tobytes() == other.center.tobytes()
-                and np.float64(self.radius).tobytes() == np.float64(other.radius).tobytes()
-                and ((self.radius_prev is None and other.radius_prev is None)
-                     or (self.radius_prev is not None and other.radius_prev is not None
-                         and np.float64(self.radius_prev).tobytes()
-                         == np.float64(other.radius_prev).tobytes()))
-                and self.stage == other.stage)
-
 
 def symbol_count(n_levels: int, n_x: int) -> int:
     """Size of the symbol alphabet, including overflow and near-origin."""
@@ -83,7 +69,7 @@ def symbol_count(n_levels: int, n_x: int) -> int:
 
 def initial_state(radius0: float, n_x: int) -> CodecState:
     """State both endpoints start from: center at the origin."""
-    return CodecState(k=0, center=np.zeros(n_x), radius=float(radius0))
+    return CodecState(center=np.zeros(n_x), radius=float(radius0))
 
 
 def encode(state: CodecState, x, n_levels: int) -> int:
@@ -158,8 +144,7 @@ def advance(state: CodecState, symbol: int, d: DerivedConstants,
         center = d.S_open @ state.center
         radius = d.search_growth * E + d.dist_gain * p.dist_level
         stage = Stage.SEARCHING
-    return CodecState(k=state.k + 1, center=center, radius=float(radius),
-                      radius_prev=E, stage=stage)
+    return CodecState(center=center, radius=float(radius), radius_prev=E, stage=stage)
 
 
 def controller_input(stage: Stage, K: np.ndarray, xhat: np.ndarray) -> np.ndarray:

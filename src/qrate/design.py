@@ -216,6 +216,10 @@ class _Derivation:
             self.Q = p.resolved_q(m.n_x)
             self.P = matnum.dlyap(S, self.Q)
             q_min, _ = matnum.sym_eig_extremes(self.Q)
+            if q_min <= 0:
+                # eigvalsh can lose it for a badly scaled Q: 1 / |L^-1|_2^2, L = chol(Q)
+                L = np.linalg.cholesky((self.Q + self.Q.T) / 2)
+                q_min = (1.0 / float(np.linalg.norm(np.linalg.inv(L), 2))) ** 2
             _, p_max = matnum.sym_eig_extremes(self.P)
             sps = matnum.inf_norm_mat(S.T @ self.P @ S)
             try:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from . import codec
-from .codec import CodecState, Stage
+from .codec import Stage
 from .design import DerivedConstants, DesignParams, PlantModel
 from .matnum import as_vector
 from .signals import Disturbance
@@ -64,8 +64,6 @@ class TrajectoryLog:
     dense_xhat: np.ndarray
     dense_u: np.ndarray
     events: list[TrajectoryEvent]
-    enc_states: list[CodecState]
-    dec_states: list[CodecState]
 
     @property
     def n_samples(self) -> int:
@@ -269,11 +267,11 @@ class _DenseLog:
 def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
                     sig: Disturbance, x0, horizon: float,
                     substeps: int = DEFAULT_SUBSTEPS) -> TrajectoryLog:
-    """Run the full sampled protocol: encode, decode, reset, integrate,
-    and propagate both codec states, logging everything.
+    """Run the full sampled protocol: encode, decode, reset, integrate and
+    advance the codec state, logging everything.
 
-    The encoder and decoder are advanced independently from the exchanged
-    symbol; a lockstep divergence raises immediately.
+    Both endpoints compute the codec state from the symbols alone, so the run
+    holds one copy.  Each change of ``stage`` (``symbol >= 1``) is an event.
     """
     x = as_vector(x0, "x0").copy()
     if x.size != m.n_x:
@@ -284,70 +282,47 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         raise ValueError("horizon must cover at least one sampling period")
     n_steps = int(np.floor(horizon / m.dt + 1e-9))
 
-    enc = codec.initial_state(p.radius0, m.n_x)
-    dec = codec.initial_state(p.radius0, m.n_x)
-
-    samp_t, samp_x, samp_xhat = [], [], []
-    samp_sym, samp_stage, samp_E, samp_center, samp_V = [], [], [], [], []
+    state = codec.initial_state(p.radius0, m.n_x)
+    samples = []  # (x, xhat, symbol, radius, center, V) at each sample
     # Each interval has substeps + 1 edges and one more per breakpoint off them.
     n_off = _off_grid_count(np.array(sig.breakpoints(0.0, n_steps * m.dt)), m.dt, substeps)
     dense = _DenseLog(n_steps * (substeps + 1) + n_off, m.n_x, m.n_u)
-    events: list[TrajectoryEvent] = []
-    enc_states: list[CodecState] = []
-    dec_states: list[CodecState] = []
     cache: dict = {}
-    prev_visible: bool | None = None
 
     for k in range(n_steps + 1):
-        t_k = k * m.dt
-        sym = codec.encode(enc, x, m.n_levels)
+        sym = codec.encode(state, x, m.n_levels)
         if sym >= 1:
-            xhat = codec.decode_center(dec, sym, m.n_levels)
+            xhat = codec.decode_center(state, sym, m.n_levels)
             stage = Stage.STABILIZING
         else:
-            xhat = dec.center.copy()
+            xhat = state.center
             stage = Stage.SEARCHING
 
-        visible = sym >= 1
-        if prev_visible is not None and visible != prev_visible:
-            events.append(TrajectoryEvent("captured" if visible else "escaped", k, t_k))
-        prev_visible = visible
-
-        samp_t.append(t_k)
-        samp_x.append(x.copy())
-        samp_xhat.append(xhat.copy())
-        samp_sym.append(sym)
-        samp_stage.append(1 if stage is Stage.STABILIZING else 0)
-        samp_E.append(dec.radius)
-        samp_center.append(dec.center.copy())
-        samp_V.append(codec.quad_value(dec.center, dec.radius, d.P, p.rho))
-        enc_states.append(enc)
-        dec_states.append(dec)
+        samples.append((x, xhat, sym, state.radius, state.center,
+                        codec.quad_value(state.center, state.radius, d.P, p.rho)))
 
         if k == n_steps:
             break
 
-        x, _, records = step_interval(m, x, xhat, stage, sig, t_k, substeps, cache)
+        x, _, records = step_interval(m, x, xhat, stage, sig, k * m.dt, substeps, cache)
         dense.append(k, *records)
+        state = codec.advance(state, sym, d, p)
 
-        enc = codec.advance(enc, sym, d, p)
-        dec = codec.advance(dec, sym, d, p)
-        if enc != dec:
-            raise RuntimeError("encoder and decoder states diverged")
-
-    t = np.asarray(samp_t)
+    t = np.arange(n_steps + 1) * m.dt
+    x, xhat, symbol, radius, center, value = (np.asarray(col) for col in zip(*samples))
+    visible = symbol >= 1
+    toggles = np.flatnonzero(visible[1:] != visible[:-1]) + 1
     return TrajectoryLog(
         t=t,
-        x=np.asarray(samp_x),
-        xhat=np.asarray(samp_xhat),
-        symbol=np.asarray(samp_sym, dtype=int),
-        stage=np.asarray(samp_stage, dtype=int),
-        radius=np.asarray(samp_E),
-        center=np.asarray(samp_center),
-        value=np.asarray(samp_V),
+        x=x,
+        xhat=xhat,
+        symbol=symbol,
+        stage=visible.astype(int),
+        radius=radius,
+        center=center,
+        value=value,
         d_sup_prev=np.concatenate([[0.0], sig.sup_norm(t[:-1], t[1:])]),
         **dense.arrays(),
-        events=events,
-        enc_states=enc_states,
-        dec_states=dec_states,
+        events=[TrajectoryEvent("captured" if visible[k] else "escaped", k, k * m.dt)
+                for k in toggles.tolist()],
     )

@@ -20,6 +20,8 @@ from .matnum import as_vector
 
 __all__ = ["Disturbance", "Zero", "Constant", "PulseTrain", "Sinusoid", "SeededUniform"]
 
+_MAX_HOLD_EDGES = 10**7  # per breakpoints call: 80 MB as float64, 320 MB as a list
+
 
 class Disturbance:
     """Base class: a measurable, locally bounded signal on [0, inf)."""
@@ -250,12 +252,16 @@ class SeededUniform(Disturbance):
         # The hold edges i * hold past a's interval and before b.  While
         # b / hold < 2**52, the edge at ceil(b / hold) + 1 is at or past b
         # however the products round, so every edge before b has an index
-        # up to ceil(b / hold): the range is known before anything is
-        # built, and a range too large to build raises at once.
+        # up to ceil(b / hold): the count is known before anything is
+        # built, and a count above _MAX_HOLD_EDGES raises at once.
         try:
             i0 = self._index(a) + 1
-            edges = np.arange(i0, max(math.ceil(b / self.hold) + 1, i0)) * self.hold
-        except (ValueError, MemoryError, OverflowError):
+            count = max(math.ceil(b / self.hold) + 1, i0) - i0
+        except (ValueError, OverflowError):
+            count = math.inf
+        if count > _MAX_HOLD_EDGES:
             raise ValueError(f"hold interval {self.hold!r} s gives {(b - a) / self.hold:.3g} "
-                             f"hold edges in ({a!r}, {b!r}), too many to build") from None
+                             f"hold edges in ({a!r}, {b!r}), too many to build "
+                             f"(at most {_MAX_HOLD_EDGES:.0e} per call)")
+        edges = np.arange(i0, i0 + count) * self.hold
         return edges[(a < edges) & (edges < b)].tolist()

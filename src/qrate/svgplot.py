@@ -150,5 +150,8 @@ def render_svg(path, series: list[Series], title: str = "", xlabel: str = "",
         parts.append(f'<text x="{_W - 120}" y="{yp}">{s.name}</text>')
     parts.append("</svg>")
 
+    # part by part: joining them first would hold the whole document twice
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        for part in parts:
+            fh.write(part)
+            fh.write("\n")

@@ -1,6 +1,7 @@
 """Quadratic-time transcription of the two dense trajectory checks and a
 per-event transcription of the six escape and capture checks, kept
-independent of the package's vectorized implementation.
+independent of the package's vectorized implementation, and a replay of
+the codec bookkeeping from a run's symbols.
 
 ``intersample_envelope`` masks the dense records of each sampling interval
 and calls ``sup_norm`` once per dense point; ``exp_decay_envelope`` expands
@@ -8,13 +9,69 @@ every pair l < k of each stabilizing run; ``episode_rows`` walks the events
 one at a time and looks each escape's recapture up among all captures.
 Each returns the row tuple ``(name, n_checked, status, worst_margin)`` that
 ``qrate.CheckRow`` carries.
+
+``replay`` is what the controller-side decoder knows: the range and value
+at each sample, from the symbol stream alone.  ``visibility_events`` logs
+the stage column and the events sample by sample, as the protocol loop
+once did.  ``replay_mismatches`` names the fields of a run that differ from
+both, bit for bit.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from qrate import codec
+from qrate.plant import TrajectoryEvent
+
 SLACK = 1e-9
+
+
+def replay(symbols, d, p, n_x):
+    """(radius, center, value) at each sample, by one ``codec.advance`` per
+    symbol from ``codec.initial_state``."""
+    state = codec.initial_state(p.radius0, n_x)
+    radius, center, value = [], [], []
+    for sym in np.asarray(symbols).tolist():
+        radius.append(state.radius)
+        center.append(state.center)
+        value.append(codec.quad_value(state.center, state.radius, d.P, p.rho))
+        state = codec.advance(state, sym, d, p)
+    return np.asarray(radius), np.asarray(center), np.asarray(value)
+
+
+def visibility_events(symbols, dt):
+    """(stage, events): stage 1 at a visible symbol (>= 1), else 0, and an
+    event at each sample whose visibility differs from the previous
+    sample's, at t_k = k * dt."""
+    stage, events, prev_visible = [], [], None
+    for k, sym in enumerate(np.asarray(symbols).tolist()):
+        visible = sym >= 1
+        if prev_visible is not None and visible != prev_visible:
+            events.append(TrajectoryEvent("captured" if visible else "escaped", k, k * dt))
+        prev_visible = visible
+        stage.append(1 if visible else 0)
+    return np.asarray(stage, dtype=int), events
+
+
+def differing_fields(a, b, names):
+    """The names among ``names`` whose values differ between ``a`` and
+    ``b``: arrays by dtype, shape and bytes, anything else by repr, which
+    tells every two floats apart (and an event's np.float64 time from a
+    float one)."""
+    def bits(v):
+        return (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+    return [name for name in names if bits(getattr(a, name)) != bits(getattr(b, name))]
+
+
+def replay_mismatches(log, m, p, d):
+    """The fields of ``log`` that differ from the replay of ``log.symbol``."""
+    radius, center, value = replay(log.symbol, d, p, m.n_x)
+    stage, events = visibility_events(log.symbol, m.dt)
+    want = SimpleNamespace(radius=radius, center=center, value=value, stage=stage,
+                           events=events)
+    return differing_fields(log, want, vars(want))
 
 
 class _Tally:

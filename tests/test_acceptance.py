@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import check_oracle
 from conftest import make_random_plant
 from gain_oracle import constants_from, oracle_values
 from qrate import (Constant, DesignParams, PulseTrain, SeededUniform, Sinusoid,
@@ -46,8 +47,9 @@ def _random_signal(rng, horizon):
 
 
 def test_criterion_1_lockstep_determinism():
-    # 100 randomized scenarios: encoder and decoder states identical
-    # bit-for-bit at every sample; under 30 s total.
+    # 100 randomized scenarios: the decoder's replay of the symbol stream
+    # gives the logged range, value, stage and events bit-for-bit, and a
+    # second run of the scenario gives the same log; under 30 s total.
     rng = np.random.default_rng(1001)
     t0 = time.perf_counter()
     for _ in range(100):
@@ -56,10 +58,9 @@ def test_criterion_1_lockstep_determinism():
         d = derive_constants(m, p)
         sig = _random_signal(rng, 3.0)
         x0 = rng.uniform(-2.0, 2.0, m.n_x)
-        log = run_closed_loop(m, p, d, sig, x0, 3.0, substeps=10)
-        assert len(log.enc_states) == log.n_samples
-        for a, b in zip(log.enc_states, log.dec_states):
-            assert a == b
+        log, again = (run_closed_loop(m, p, d, sig, x0, 3.0, substeps=10) for _ in range(2))
+        assert check_oracle.replay_mismatches(log, m, p, d) == []
+        assert check_oracle.differing_fields(log, again, vars(log)) == []
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     _ok("1 lockstep determinism", f"(100 scenarios in {elapsed:.1f}s)")
@@ -83,7 +84,7 @@ def test_criterion_2_quantization_soundness():
             center = rng.uniform(-3.0, 3.0, n_x)
             span = 1.3 if mode == 0 else 0.999
             x = center + rng.uniform(-span, span, n_x) * radius
-        st = CodecState(k=0, center=center, radius=radius)
+        st = CodecState(center=center, radius=radius)
         sym = codec.encode(st, x, n)
         if sym == 0:
             counts[0] += 1

@@ -12,8 +12,8 @@ from gain_oracle import constants_from, oracle_values
 from qrate import (PulseTrain, SeededUniform, Sinusoid, Zero, check_trajectory,
                    derive_constants, eta_functions, gain_constants, iss_gains,
                    run_closed_loop)
-from qrate.analysis import (CERTIFICATE_CHECKS, CHECKS, _DENSE_BLOCK, _SearchMaps,
-                            _exp_decay_envelope)
+from qrate.analysis import (CERTIFICATE_CHECKS, CHECKS, _DENSE_BLOCK, _Acc, _add_exp_decay,
+                            _SearchMaps)
 from qrate.codec import quad_value
 
 
@@ -252,7 +252,9 @@ def test_exp_decay_envelope_matches_pair_grid(inject, samples, nu, c_exp, dist_g
         stab[k - 1] = stab[k] = True
         x_norm[k] = 2.0 * (c_exp * (x_norm.max() + E.max()) + dist_gain * dsup.max()) + 1.0
     args = (stab, x_norm, E, dsup, c_exp, nu, dist_gain)
-    got = _row(_exp_decay_envelope(*args))
+    acc = _Acc("exp_decay_envelope")
+    _add_exp_decay(acc, *args)
+    got = _row(acc.row())
     want = check_oracle.exp_decay_envelope(*args)
     assert got[:3] == want[:3]
     if inject:

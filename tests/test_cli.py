@@ -278,13 +278,15 @@ def test_constructor_errors_name_the_line_and_key(key, bad, message, tmp_path, c
 def test_validate_takes_a_badly_scaled_positive_q_without_a_traceback(cert_cfg_path, tmp_path,
                                                                       capsys):
     # eigvalsh puts the smallest eigenvalue of diag(1e170, 1e-300) at or
-    # below 0; a Cholesky factor exists
+    # below 0; a Cholesky factor exists, and the error names the eigenvalue
+    # it gives
     with cert_cfg_path.open("a", encoding="utf-8") as fh:
         fh.write("design.Q = 1e170 0 ; 0 1e-300\n")
     assert parse_config(cert_cfg_path.read_text(encoding="utf-8")).design.Q[1, 1] == 1e-300
     code = main(["validate", "--config", str(cert_cfg_path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err.splitlines()
-    assert code == 2 and len(err) == 1 and err[0].startswith("error: chi overflows: ")
+    assert code == 2 and err == ["error: chi overflows: |S^T P S| is 1.54e+170 and the smallest "
+                                 "eigenvalue of Q 1e-300"]
 
 
 _CONFIG_TEXTS = [serialize_config(cfg) for cfg in (
@@ -325,15 +327,15 @@ _CAPPED_MAIN = (
     "sys.exit(main(sys.argv[1:]))\n")
 
 
-@pytest.mark.parametrize("hold, code, n_err", [(0.37, 0, 0), (1e-300, 2, 1)])
-def test_tiny_hold_exits_2_at_once_under_a_memory_cap(hold, code, n_err, tmp_path):
-    # hold 1e-300 means 3e301 hold edges over the horizon.  Only ever run it
-    # under the 1 GiB address-space cap: building the edges one by one
-    # would take all the memory there is.  Hold 0.37 shows the cap alone
-    # lets a run through.
+def _capped_check(tmp_path, hold, horizon):
+    """``check`` on the certified scenario with uniform noise of the given
+    hold, in a child process under the 1 GiB address-space cap: a hold edge
+    list that is built although it should not be then ends in MemoryError
+    instead of taking all the memory there is.  Returns the finished process
+    and its wall time."""
     cfg = bundled_scenario(certified=True)
     cfg.disturbance = SeededUniform(0.05, 3, hold=hold)
-    cfg.horizon = 1.0
+    cfg.horizon = horizon
     path = tmp_path / "uniform.cfg"
     path.write_text(serialize_config(cfg), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(Path(qrate.__file__).parents[1]),
@@ -342,27 +344,38 @@ def test_tiny_hold_exits_2_at_once_under_a_memory_cap(hold, code, n_err, tmp_pat
     proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, "check", "--config", str(path),
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert time.monotonic() - start < 5.0
+    return proc, time.monotonic() - start
+
+
+@pytest.mark.parametrize("hold, code, n_err", [(0.37, 0, 0), (1e-300, 2, 1)])
+def test_tiny_hold_exits_2_at_once_under_a_memory_cap(hold, code, n_err, tmp_path):
+    # hold 1e-300 means 3e301 hold edges over the horizon.  Only ever run it
+    # under the memory cap.  Hold 0.37 shows the cap alone lets a run through.
+    proc, elapsed = _capped_check(tmp_path, hold, 1.0)
+    assert elapsed < 5.0
     assert proc.returncode == code, proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == n_err and all(line.startswith("error: ") for line in err)
 
 
 def test_tiny_hold_error_names_the_hold_and_the_edge_count(tmp_path):
-    # the same 1 GiB cap as above: never build hold edges one by one uncapped
-    cfg = bundled_scenario(certified=True)
-    cfg.disturbance = SeededUniform(0.05, 3, hold=1e-300)
-    cfg.horizon = 1.0
-    path = tmp_path / "uniform.cfg"
-    path.write_text(serialize_config(cfg), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(qrate.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, "check", "--config", str(path),
-                           "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc, _ = _capped_check(tmp_path, 1e-300, 1.0)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
-        "error: hold interval 1e-300 s gives 1e+300 hold edges in (0.0, 1.0), too many to build"]
+        "error: hold interval 1e-300 s gives 1e+300 hold edges in (0.0, 1.0), too many to build "
+        "(at most 1e+07 per call)"]
+
+
+def test_hold_edges_past_the_bound_exit_2_at_once_under_a_memory_cap(tmp_path):
+    # 3e8 hold edges could be built, but would take about 12 GB as a list:
+    # the bound on edges per call refuses them before any is built.  Only
+    # ever run it under the memory cap.
+    proc, elapsed = _capped_check(tmp_path, 1e-7, 30.0)
+    assert elapsed < 5.0
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: hold interval 1e-07 s gives 3e+08 hold edges in (0.0, 30.0), too many to build "
+        "(at most 1e+07 per call)"]
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

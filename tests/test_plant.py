@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import check_oracle
 import signal_oracle
 from conftest import make_random_plant
 from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform, Sinusoid,
@@ -147,11 +150,40 @@ def test_run_closed_loop_reference_events(ref_plant, cert_params, cert_derived):
 
 
 def test_lockstep_states_recorded(ref_plant, cert_params, cert_derived):
-    log = run_closed_loop(ref_plant, cert_params, cert_derived, _reference_pulses(),
-                          np.array([1.0, 1.0]), 8.0, substeps=10)
-    assert len(log.enc_states) == log.n_samples
-    for a, b in zip(log.enc_states, log.dec_states):
-        assert a == b
+    log, again = (run_closed_loop(ref_plant, cert_params, cert_derived, _reference_pulses(),
+                                  np.array([1.0, 1.0]), 8.0, substeps=10) for _ in range(2))
+    assert log.events and check_oracle.replay_mismatches(log, ref_plant, cert_params,
+                                                         cert_derived) == []
+    assert check_oracle.differing_fields(log, again, vars(log)) == []
+
+
+@st.composite
+def _any_disturbance(draw):
+    kind = draw(st.sampled_from(["zero", "constant", "pulses", "sinusoid", "uniform"]))
+    level = st.floats(-2.0, 2.0)
+    if kind == "zero":
+        return Zero(dim=1)
+    if kind == "constant":
+        return Constant([draw(level)])
+    if kind == "pulses":
+        start, width = draw(st.floats(0.0, 2.5)), draw(st.floats(0.01, 1.0))
+        return PulseTrain([(start, start + width, [draw(level)])], dim=1)
+    if kind == "sinusoid":
+        return Sinusoid([draw(level)], freq_hz=draw(st.floats(0.1, 3.0)),
+                        phase=draw(st.floats(0.0, 6.3)))
+    return SeededUniform(bound=draw(st.floats(0.0, 2.0)), seed=draw(st.integers(0, 2**32)),
+                         hold=draw(st.floats(0.01, 1.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_any_disturbance(), st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_run_fields_are_the_replay_of_its_symbols(ref_plant, cert_params, cert_derived,
+                                                  sig, x0):
+    # Whatever the disturbance, what the decoder rebuilds from the symbols
+    # alone is what the run logged, to the bit.
+    log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array(x0), 3.0,
+                          substeps=5)
+    assert check_oracle.replay_mismatches(log, ref_plant, cert_params, cert_derived) == []
 
 
 def test_zero_disturbance_containment():

@@ -254,8 +254,8 @@ def test_seeded_uniform_rejects_non_finite_or_non_positive_parameters(bound, hol
 @pytest.mark.parametrize("hold, a, b, count", [(1e-300, 0.0, 1.0, "1e+300"),
                                                (5e-324, 0.5, 30.0, "inf")])
 def test_seeded_uniform_breakpoints_name_a_hold_too_fine_to_build(hold, a, b, count):
-    # both ranges fail before any edge is allocated: numpy refuses the size,
-    # and b / hold overflows to inf
+    # both ranges fail before any edge is allocated: the edge count is far
+    # above the bound per call, and b / hold overflows to inf
     message = f"hold interval {hold!r} s gives {count} hold edges"
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         SeededUniform(0.1, 0, hold).breakpoints(a, b)
