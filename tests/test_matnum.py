@@ -18,6 +18,15 @@ from qrate import matnum as mn
 # at n = 2..6, taken from the point-by-point _grid_norms.
 DESIGN_PEAKS_SHA256 = "4a86ef671b7b7ee0a5ad0ff36ccdf605cbd7e94939a8ba3b65132981fc44c508"
 
+# (n_x, seed) of plants make_random_plant(default_rng(seed), n_x) (drawn like
+# design_sweep's random_plant) whose phi_integral refines to n = 8,192,
+# 16,384, 32,768 and 65,536 points: each such level crosses many re-anchored
+# sub-chains of _grid_norms, which the plants above never reach.
+DEEP_PLANTS = {(2, 16): 32768, (3, 33): 16384, (4, 35): 8192, (5, 1): 65536, (6, 2): 32768}
+# sha256 of their (dist_gain, peak_closed, peak_open) bits as for
+# DESIGN_PEAKS_SHA256, taken from the point-at-a-time chain walk.
+DEEP_PEAKS_SHA256 = "5b187274761b47f1cb989ae9c5cbe1e69404ff47b046c42b793d7428af74466a"
+
 
 def test_inf_norm_vec_examples():
     assert mn.inf_norm_vec([0.0, 0.0, 0.0]) == 0.0
@@ -224,15 +233,36 @@ def test_design_peaks_match_pinned_bits():
     assert h.hexdigest() == DESIGN_PEAKS_SHA256
 
 
+def test_deep_design_peaks_match_pinned_bits(monkeypatch):
+    deepest = []
+    orig = mn._grid_norms
+
+    def counted(A, D, tau, n):
+        if D is not None:
+            deepest[-1] = max(deepest[-1], n)
+        return orig(A, D, tau, n)
+
+    monkeypatch.setattr(mn, "_grid_norms", counted)
+    h = hashlib.sha256()
+    for (n_x, seed), n in DEEP_PLANTS.items():
+        deepest.append(0)
+        d = derive_constants(make_random_plant(np.random.default_rng(seed), n_x), bundled_params())
+        assert deepest[-1] == n, (n_x, seed)
+        h.update(struct.pack("<3d", d.dist_gain, d.peak_closed, d.peak_open))
+    assert h.hexdigest() == DEEP_PEAKS_SHA256
+
+
 def test_grid_norms_memory_is_bounded_by_the_block():
     rng = np.random.default_rng(2)
     A = rng.uniform(-1.0, 1.0, (6, 6))
     D = rng.uniform(-1.0, 1.0, (6, 1))
     tracemalloc.start()
     try:
-        mn._grid_norms(A, D, 0.1, 1 << 17)
+        got = mn._grid_norms(A, D, 0.1, 1 << 17)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the result alone is 1 MB; an unblocked stack of 6x6 matrices is 37 MB
     assert peak < 4 * 2**20
+    # 513 sub-chains, more than _GRID_BLOCK: each block holds a single step
+    assert got.tobytes() == oracle_grid_norms(A, D, 0.1, 1 << 17).tobytes()
