@@ -115,21 +115,22 @@ def quad_value(center: np.ndarray, radius: float, P: np.ndarray, rho: float) -> 
     return float(center @ P @ center + rho * radius * radius)
 
 
-def advance(state: CodecState, symbol: int, d: DerivedConstants,
-            p: DesignParams) -> CodecState:
+def advance(state: CodecState, symbol: int, xhat: np.ndarray, value: float,
+            d: DerivedConstants, p: DesignParams) -> CodecState:
     """Propagate (center, radius) one period after processing ``symbol``.
 
-    Visible symbols contract the radius through the value function;
-    the overflow symbol grows it, with the escape-adjusted seed when the
-    previous sample was stabilizing.
+    ``xhat`` is ``decode_center(state, symbol, d.n_levels)`` and ``value``
+    is ``quad_value(state.center, state.radius, d.P, p.rho)``, which the
+    caller has already computed for this sample; only a visible symbol
+    reads them.  Visible symbols contract the radius through the value
+    function; the overflow symbol grows it, with the escape-adjusted seed
+    when the previous sample was stabilizing.
     """
     n = d.n_levels
     E = state.radius
     if symbol >= 1:
-        c = decode_center(state, symbol, n)
-        v = quad_value(state.center, E, d.P, p.rho)
-        center = d.S_closed @ c
-        radius = d.growth_eff / n * E + np.sqrt(p.phi * v)
+        center = d.S_closed @ xhat
+        radius = d.growth_eff / n * E + np.sqrt(p.phi * value)
         stage = Stage.STABILIZING
     elif state.stage is Stage.STABILIZING:
         # Escape: reseed the radius from the pre-escape one so the growth

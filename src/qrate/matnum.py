@@ -31,8 +31,13 @@ SCHUR_MARGIN = 1e-9
 
 _SYM_TOL = 1e-10
 
-# Grid points per block in _grid_norms: large enough to amortize the
-# batched reductions, small enough that the stack stays near 150 kB at n_x = 6.
+# _grid_norms restarts its chain of powers from a fresh exponential every
+# _GRID_ANCHOR grid points.
+_GRID_ANCHOR = 256
+# Matrices _grid_norms holds at once: enough steps of its sub-chains per block
+# to amortize the batched reductions, few enough that the stack stays near
+# 150 kB at n_x = 6.  A level with more sub-chains than this holds one step of
+# each, one matrix per sub-chain.
 _GRID_BLOCK = 512
 
 
@@ -91,36 +96,54 @@ def _grid_norms(A: np.ndarray, D: np.ndarray | None, tau: float, n: int) -> np.n
     uniform grid s_i = i*tau/n, i = 0..n.
 
     Powers of e^{Ah} are accumulated by repeated multiplication and
-    re-anchored with a fresh exponential every 256 steps to keep roundoff
-    drift far below the quadrature tolerances.
+    re-anchored with a fresh exponential every ``_GRID_ANCHOR`` steps to keep
+    roundoff drift far below the quadrature tolerances.  The grid is thus
+    n // _GRID_ANCHOR + 1 independent sub-chains: X_{aj} is the exponential
+    (the identity for j = 0) and X_{aj+r} = X_{aj+r-1} e^{Ah} for
+    r = 1..a-1, the last sub-chain stopping at i = n.
 
-    The grid is evaluated in blocks of ``_GRID_BLOCK`` points: only the
-    chain X_i = X_{i-1} e^{Ah} runs point by point, each product written
-    into a preallocated stack, and the products with D, the absolute row
-    sums and the row maxima are then taken once over the whole block.
+    All anchors are computed first; then step r advances every sub-chain that
+    reaches it with one batched product.  The steps run in blocks of as many
+    as fit in ``_GRID_BLOCK`` matrices (at least one), and the products with
+    D, the absolute row sums and the row maxima are taken once per block.
     Every value is bitwise the one a point-by-point loop computes (the same
     products and the same reductions, only batched), which matters because
     the disturbance gain feeds the codec's radius and rounding differences
-    grow with the plant.  The stack bounds the working memory at about
-    ``_GRID_BLOCK`` matrices whatever n is.
+    grow with the plant.  Working memory stays at about
+    max(_GRID_BLOCK, n // _GRID_ANCHOR + 1) matrices whatever n is.
     """
+    a = _GRID_ANCHOR
     h = tau / n
     T = scipy.linalg.expm(A * h)
-    stack = np.empty((min(_GRID_BLOCK, n + 1),) + A.shape)
-    rows = list(stack)
-    out = np.empty(n + 1)
-    X = np.eye(A.shape[0])
-    for start in range(0, n + 1, _GRID_BLOCK):
-        size = min(_GRID_BLOCK, n + 1 - start)
-        for i, row in zip(range(start, start + size), rows):
-            if i % 256:
-                np.matmul(X, T, out=row)
-            else:
-                row[...] = scipy.linalg.expm(A * (i * h)) if i else X
-            X = row
-        Y = stack[:size] if D is None else stack[:size] @ D
-        np.max(np.sum(np.abs(Y), axis=2), axis=1, out=out[start:start + size])
-    return out
+    n_sub, last = divmod(n, a)
+    n_sub += 1
+    steps = min(a, n + 1)
+    R = max(1, min(steps, _GRID_BLOCK // n_sub))
+    stack = np.empty((R, n_sub) + A.shape)
+    stack[0, 0] = np.eye(A.shape[0])
+    for j, i in enumerate(range(a, n + 1, a), 1):
+        stack[0, j] = scipy.linalg.expm(A * (i * h))
+    grid = np.empty((n_sub, a))
+    for r0 in range(0, steps, R):
+        r1 = min(r0 + R, steps)
+        for r in range(max(r0, 1), r1):
+            # the last sub-chain reaches step r only while r <= last; with
+            # R = 1 the product overwrites its input, which numpy buffers
+            live = n_sub if r <= last else n_sub - 1
+            np.matmul(stack[(r - 1) % R, :live], T, out=stack[r % R, :live])
+        full = n_sub if r1 - 1 <= last else n_sub - 1
+        _norm_maxima(stack[:r1 - r0, :full], D, grid[:full, r0:r1].T)
+        if full < n_sub and r0 <= last:
+            # the last sub-chain ends inside this block: its later slots
+            # hold stale or uninitialized matrices, which must not be reduced
+            _norm_maxima(stack[:last + 1 - r0, full], D, grid[full, r0:last + 1])
+    return grid.reshape(-1)[:n + 1]
+
+
+def _norm_maxima(X: np.ndarray, D: np.ndarray | None, out: np.ndarray) -> None:
+    """out = induced infinity norm of each matrix X[...] @ D (or X[...])."""
+    Y = X if D is None else X @ D
+    np.max(np.sum(np.abs(Y), axis=-1), axis=-1, out=out)
 
 
 def phi_integral(A, D, tau_s: float) -> float:

@@ -298,15 +298,15 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
             xhat = state.center
             stage = Stage.SEARCHING
 
-        samples.append((x, xhat, sym, state.radius, state.center,
-                        codec.quad_value(state.center, state.radius, d.P, p.rho)))
+        v = codec.quad_value(state.center, state.radius, d.P, p.rho)
+        samples.append((x, xhat, sym, state.radius, state.center, v))
 
         if k == n_steps:
             break
 
         x, _, records = step_interval(m, x, xhat, stage, sig, k * m.dt, substeps, cache)
         dense.append(k, *records)
-        state = codec.advance(state, sym, d, p)
+        state = codec.advance(state, sym, xhat, v, d, p)
 
     t = np.arange(n_steps + 1) * m.dt
     x, xhat, symbol, radius, center, value = (np.asarray(col) for col in zip(*samples))

@@ -34,10 +34,12 @@ def replay(symbols, d, p, n_x):
     state = codec.initial_state(p.radius0, n_x)
     radius, center, value = [], [], []
     for sym in np.asarray(symbols).tolist():
+        v = codec.quad_value(state.center, state.radius, d.P, p.rho)
+        xhat = codec.decode_center(state, sym, d.n_levels) if sym >= 1 else state.center
         radius.append(state.radius)
         center.append(state.center)
-        value.append(codec.quad_value(state.center, state.radius, d.P, p.rho))
-        state = codec.advance(state, sym, d, p)
+        value.append(v)
+        state = codec.advance(state, sym, xhat, v, d, p)
     return np.asarray(radius), np.asarray(center), np.asarray(value)
 
 

@@ -84,6 +84,14 @@ class _Params:
         self.dist_level = dist_level
 
 
+def _advance(st, sym, d, p):
+    """codec.advance with the decoded center and value the protocol loop
+    passes for the sample."""
+    xhat = codec.decode_center(st, sym, d.n_levels) if sym >= 1 else st.center
+    return codec.advance(st, sym, xhat, codec.quad_value(st.center, st.radius, d.P, p.rho),
+                         d, p)
+
+
 def test_advance_searching_growth():
     # radius growth (1 + 0.2) * e^0.1 * E + (e^0.1 - 1) * 0.1 from a lost sample
     lam = math.exp(0.1)
@@ -91,7 +99,7 @@ def test_advance_searching_growth():
     p = _Params(rho=1.0, phi=0.01, search_margin=0.2, dist_level=0.1)
     st = CodecState(center=np.array([0.0]), radius=0.5,
                     radius_prev=0.4, stage=Stage.SEARCHING)
-    nxt = codec.advance(st, 0, d, p)
+    nxt = _advance(st, 0, d, p)
     expected = 1.2 * lam * 0.5 + (lam - 1.0) * 0.1
     assert abs(nxt.radius - expected) < 1e-12
     assert nxt.stage is Stage.SEARCHING
@@ -104,7 +112,7 @@ def test_advance_escape_reseeds_radius():
     p = _Params(rho=1.0, phi=0.01, search_margin=0.2, dist_level=0.1)
     st = CodecState(center=np.array([0.0]), radius=0.05,
                     radius_prev=0.2, stage=Stage.STABILIZING)
-    nxt = codec.advance(st, 0, d, p)
+    nxt = _advance(st, 0, d, p)
     seed = lam / 5.0 * 0.2 + (lam - 1.0) * 0.1
     expected = 1.2 * lam * seed + (lam - 1.0) * 0.1
     assert abs(nxt.radius - expected) < 1e-12
@@ -117,11 +125,15 @@ def test_advance_stabilizing_contraction():
     p = _Params(rho=1.0, phi=0.01, search_margin=0.2, dist_level=0.1)
     st = CodecState(center=np.array([0.0]), radius=0.5,
                     radius_prev=0.6, stage=Stage.STABILIZING)
-    nxt = codec.advance(st, 1, d, p)  # near-origin symbol: cell center 0
+    nxt = _advance(st, 1, d, p)  # near-origin symbol: cell center 0
     expected = lam / 5.0 * 0.5 + math.sqrt(0.01 * (0.0 + 1.0 * 0.25))
     assert abs(nxt.radius - expected) < 1e-12
     assert nxt.stage is Stage.STABILIZING
     assert np.array_equal(nxt.center, np.zeros(1))
+    # a visible symbol reads the center and value it is given, not its own
+    nxt = codec.advance(st, 1, np.array([2.0]), 4.0, d, p)
+    assert nxt.radius == lam / 5.0 * 0.5 + math.sqrt(0.01 * 4.0)
+    assert np.array_equal(nxt.center, np.array([1.0]))
 
 
 def test_advance_initial_sample_cannot_escape():
@@ -129,13 +141,13 @@ def test_advance_initial_sample_cannot_escape():
     d = _Consts(growth_eff=lam, dist_gain=lam - 1.0, search_margin=0.2, n_levels=5)
     p = _Params(rho=1.0, phi=0.01, search_margin=0.2, dist_level=0.1)
     st = codec.initial_state(0.5, 1)
-    nxt = codec.advance(st, 0, d, p)  # lost at the first sample: plain search
+    nxt = _advance(st, 0, d, p)  # lost at the first sample: plain search
     assert abs(nxt.radius - (1.2 * lam * 0.5 + (lam - 1.0) * 0.1)) < 1e-12
     # a hand-built inconsistent state must be rejected
     bad = CodecState(center=np.zeros(1), radius=0.5,
                      radius_prev=None, stage=Stage.STABILIZING)
     with pytest.raises(RuntimeError):
-        codec.advance(bad, 0, d, p)
+        _advance(bad, 0, d, p)
 
 
 def test_radius_stays_positive_under_any_symbols():
@@ -146,7 +158,7 @@ def test_radius_stays_positive_under_any_symbols():
     st = codec.initial_state(0.5, 1)
     for _ in range(200):
         sym = int(rng.integers(0, 7))
-        st = codec.advance(st, sym, d, p)
+        st = _advance(st, sym, d, p)
         assert st.radius > 0.0
 
 
@@ -164,8 +176,8 @@ def test_lockstep_under_random_symbol_streams():
         assert check_oracle.differing_fields(a, b, _FIELDS) == []
         for _ in range(50):
             sym = int(rng.integers(0, 7))
-            a = codec.advance(a, sym, d, p)
-            b = codec.advance(b, sym, d, p)
+            a = _advance(a, sym, d, p)
+            b = _advance(b, sym, d, p)
             assert check_oracle.differing_fields(a, b, _FIELDS) == []
 
 

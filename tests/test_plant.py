@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import check_oracle
 import signal_oracle
 from conftest import make_random_plant
+from qrate import codec
 from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform, Sinusoid,
                    Zero, bundled_scenario, derive_constants, run_closed_loop, step_interval,
                    synthesize_design)
@@ -155,6 +157,21 @@ def test_lockstep_states_recorded(ref_plant, cert_params, cert_derived):
     assert log.events and check_oracle.replay_mismatches(log, ref_plant, cert_params,
                                                          cert_derived) == []
     assert check_oracle.differing_fields(log, again, vars(log)) == []
+
+
+def test_run_decodes_and_values_each_sample_once(monkeypatch, ref_plant, cert_params,
+                                                  cert_derived):
+    calls = Counter()
+    for name in ("decode_center", "quad_value"):
+        def counted(*args, _fn=getattr(codec, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(codec, name, counted)
+    log = run_closed_loop(ref_plant, cert_params, cert_derived, _reference_pulses(),
+                          np.array([1.0, 1.0]), 30.0, substeps=1)
+    # the loop hands advance the center and value it computed for the sample
+    assert calls == {"decode_center": np.count_nonzero(log.symbol >= 1),
+                     "quad_value": log.symbol.size}
 
 
 @st.composite
