@@ -12,13 +12,14 @@ for both.  Symbols are plain integers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .design import DerivedConstants, DesignParams
-from .matnum import as_vector, inf_norm_vec
+from .matnum import as_vector
 
 __all__ = [
     "Stage",
@@ -83,14 +84,17 @@ def encode(state: CodecState, x, n_levels: int) -> int:
     if x.shape != state.center.shape:
         raise ValueError("state dimension mismatch")
     E = state.radius
-    if inf_norm_vec(x - state.center) > E:
+    deviation = float(np.abs(x - state.center).max())
+    if not math.isfinite(deviation):  # x is finite, so the center overflowed
+        raise ValueError("vector must have finite entries")
+    if deviation > E:
         return OVERFLOW
-    if inf_norm_vec(x) <= E / n_levels:
+    if float(np.abs(x).max()) <= E / n_levels:
         return NEAR_ORIGIN
-    scaled = (x - (state.center - E)) * n_levels / (2.0 * E)
-    idx = np.minimum(np.floor(scaled).astype(int), n_levels - 1)
-    idx = np.maximum(idx, 0)
-    offset = int(np.ravel_multi_index(tuple(idx), (n_levels,) * x.size))
+    offset = 0  # row-major, each axis's cell clamped into range
+    for xi, ci in zip(x.tolist(), state.center.tolist()):
+        cell = math.floor((xi - (ci - E)) * n_levels / (2.0 * E))
+        offset = offset * n_levels + min(max(cell, 0), n_levels - 1)
     return 2 + offset
 
 
@@ -104,10 +108,14 @@ def decode_center(state: CodecState, symbol: int, n_levels: int) -> np.ndarray:
     offset = symbol - 2
     if not 0 <= offset < n_levels**n_x:
         raise ValueError(f"symbol {symbol} out of range")
-    idx = np.array(np.unravel_index(offset, (n_levels,) * n_x), dtype=float)
-    # (2i + 1 - n)/n is exact for the extreme cells, so the decoded center
-    # meets the (n-1)/n * E distance bound without rounding slop.
-    return state.center + ((2.0 * idx + 1.0 - n_levels) / n_levels) * state.radius
+    # (2i + 1 - n)/n per row-major digit i of the offset, last axis first; it
+    # is exact for the extreme cells, so the decoded center meets the
+    # (n-1)/n * E distance bound without rounding slop.
+    cells = []
+    for _ in range(n_x):
+        offset, i = divmod(offset, n_levels)
+        cells.append((2.0 * i + 1.0 - n_levels) / n_levels)
+    return state.center + np.array(cells[::-1]) * state.radius
 
 
 def quad_value(center: np.ndarray, radius: float, P: np.ndarray, rho: float) -> float:
@@ -130,7 +138,7 @@ def advance(state: CodecState, symbol: int, xhat: np.ndarray, value: float,
     E = state.radius
     if symbol >= 1:
         center = d.S_closed @ xhat
-        radius = d.growth_eff / n * E + np.sqrt(p.phi * value)
+        radius = d.growth_eff / n * E + math.sqrt(p.phi * value)
         stage = Stage.STABILIZING
     elif state.stage is Stage.STABILIZING:
         # Escape: reseed the radius from the pre-escape one so the growth

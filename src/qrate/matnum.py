@@ -58,14 +58,14 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     x = np.asarray(v, dtype=float).reshape(-1)
     if x.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} must have finite entries")
     return x
 
 
 def inf_norm_vec(v) -> float:
     """Max absolute entry of a vector."""
-    return float(np.max(np.abs(as_vector(v))))
+    return float(np.abs(as_vector(v)).max())
 
 
 def inf_norm_mat(M) -> float:

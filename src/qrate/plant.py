@@ -3,20 +3,24 @@ controller's auxiliary model, and the full sampled protocol loop.
 
 Integration is exact zero-order-hold stepping (block matrix exponentials)
 where the disturbance is constant, split at its discontinuities, and
-fixed-step RK4 otherwise.  Each sampling interval evaluates its inputs in
-one broadcast ``Disturbance.value`` call: every segment midpoint (one input
-when no breakpoint splits a constant one), or every RK4 start, midpoint and
-end.  Each substep is then a few numpy calls into preallocated buffers;
-matrix-vector products are ``ndarray.dot(v, out)``, the same BLAS gemv as
-``@`` and so the same bits, at half the call cost.  This is the arithmetic
-of stepping segment by segment with a fresh input, operation for operation,
-so the trajectory is the same to the bit.  It has to be: the bundled plant
-has an open-loop eigenvalue of +1, so any rounding difference grows like
-e^t until it flips a symbol.
+fixed-step RK4 otherwise.  Each stage's block matrix is built once per
+plant and the substep grid once per (dt, substeps); a run computes the ZOH
+pair of each (stage, substep width) once, and sizes its dense log once.
+Each sampling interval then encodes, decodes, values and advances the codec
+state once, and evaluates its inputs in one broadcast ``Disturbance.value``
+call: the first midpoint when no breakpoint splits a constant input, else
+every segment midpoint, or every RK4 start, midpoint and end.  Each substep
+is a few numpy calls into preallocated buffers; matrix-vector products are
+``ndarray.dot(v, out)``, the same BLAS gemv as ``@`` at half the call cost.
+This is the arithmetic of stepping segment by segment with a fresh input,
+operation for operation, so the trajectory is the same to the bit.  It has
+to be: the bundled plant has an open-loop eigenvalue of +1, so any rounding
+difference grows like e^t until it flips a symbol.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +80,9 @@ def sup_norm_on(sig: Disturbance, a: float, b: float) -> float:
     return sig.sup_norm(a, b)
 
 
+@functools.lru_cache(maxsize=32)
 def _augmented(m: PlantModel, stage: Stage) -> np.ndarray:
-    """Block dynamics of z = (x, xhat) for one stage."""
+    """Block dynamics of z = (x, xhat) for one stage, read-only, built once per plant."""
     n = m.n_x
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n] = m.A
@@ -86,17 +91,27 @@ def _augmented(m: PlantModel, stage: Stage) -> np.ndarray:
         M[n:, n:] = m.closed_loop()
     else:
         M[n:, n:] = m.A
+    M.flags.writeable = False
     return M
 
 
+@functools.lru_cache(maxsize=32)
+def _substep_grid(dt: float, substeps: int) -> np.ndarray:
+    """Offsets of an interval's substep edges from its start, read-only."""
+    grid = (dt / substeps) * np.arange(substeps + 1)
+    grid.flags.writeable = False
+    return grid
+
+
 def _zoh_pair(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{Mh}, integral of e^{Ms} ds over [0, h]) via one block exponential."""
+    """(e^{Mh}, integral of e^{Ms} ds over [0, h]) via one block exponential;
+    e^{Mh} C-contiguous, as ``ndarray.dot`` copies any other layout per call."""
     n = M.shape[0]
     blk = np.zeros((2 * n, 2 * n))
     blk[:n, :n] = M
     blk[:n, n:] = np.eye(n)
     E = scipy.linalg.expm(blk * h)
-    return E[:n, :n], E[:n, n:]
+    return np.ascontiguousarray(E[:n, :n]), E[:n, n:]
 
 
 def _inputs(m: PlantModel, sig: Disturbance, ts: np.ndarray) -> np.ndarray:
@@ -148,11 +163,9 @@ def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray
 def _zoh_lookup(cache: dict, M: np.ndarray, stage: Stage,
                 h: float) -> tuple[np.ndarray, np.ndarray]:
     key = (stage, h)
-    pair = cache.get(key)
-    if pair is None:
-        pair = _zoh_pair(M, h)
-        cache[key] = pair
-    return pair
+    if key not in cache:
+        cache[key] = _zoh_pair(M, h)
+    return cache[key]
 
 
 def _zoh_steps(M: np.ndarray, stage: Stage, hs: list, rows: list, cache: dict,
@@ -165,17 +178,18 @@ def _zoh_steps(M: np.ndarray, stage: Stage, hs: list, rows: list, cache: dict,
         by_width = {}
         for h in dict.fromkeys(hs):  # distinct widths in order of first use
             Phi, Psi = _zoh_lookup(cache, M, stage, h)
-            by_width[h] = (Phi, Psi @ w[0])
-        steps = [by_width[h] for h in hs]
+            by_width[h] = (Phi.dot, Psi @ w[0])
+        steps = map(by_width.__getitem__, hs)
     else:
         steps = []
         for h, w_seg in zip(hs, w):
             Phi, Psi = _zoh_lookup(cache, M, stage, h)
-            steps.append((Phi, Psi @ w_seg))
+            steps.append((Phi.dot, Psi @ w_seg))
     phi_z = np.empty(rows[0].size)
-    for (Phi, c), src, dst in zip(steps, rows, rows[1:]):
-        Phi.dot(src, phi_z)
-        np.add(phi_z, c, out=dst)
+    add = np.add
+    for (phi_dot, c), src, dst in zip(steps, rows, rows[1:]):
+        phi_dot(src, phi_z)
+        add(phi_z, c, dst)
 
 
 def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
@@ -191,7 +205,7 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
     n = m.n_x
     z = np.concatenate([as_vector(x, "x"), as_vector(xhat, "xhat")])
     M = _augmented(m, stage)
-    edges = t_k + (m.dt / substeps) * np.arange(substeps + 1)
+    edges = t_k + _substep_grid(m.dt, substeps)
     bps = sig.breakpoints(t_k, t_k + m.dt)
     if bps:
         merged = np.concatenate([edges, np.asarray(bps, dtype=float)])
@@ -203,19 +217,15 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
     zs = np.empty((edges.size, z.size))
     zs[0] = z
     if sig.piecewise_constant:
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        # Without a breakpoint the input is constant: one row serves every segment.
-        _zoh_steps(M, stage, np.diff(edges).tolist(), list(zs),
-                   zoh_cache if zoh_cache is not None else {},
-                   _inputs(m, sig, mids if bps else mids[:1]))
+        # Without a breakpoint the input is constant: the first midpoint's serves all.
+        mids = 0.5 * (edges[:-1] + edges[1:]) if bps else 0.5 * (edges[:1] + edges[1:2])
+        _zoh_steps(M, stage, (edges[1:] - edges[:-1]).tolist(), list(zs),
+                   zoh_cache if zoh_cache is not None else {}, _inputs(m, sig, mids))
     else:
         _rk4_steps(m, M, sig, edges, list(zs))
 
     xs, xhats = zs[:, :n], zs[:, n:]
-    if stage is Stage.STABILIZING:
-        us = xhats @ m.K.T
-    else:
-        us = np.zeros((edges.size, m.n_u))
+    us = xhats @ m.K.T if stage is Stage.STABILIZING else np.zeros((edges.size, m.n_u))
     return zs[-1, :n].copy(), zs[-1, n:].copy(), (edges, xs, xhats, us)
 
 
@@ -241,6 +251,7 @@ class _DenseLog:
 
     def __init__(self, capacity: int, n_x: int, n_u: int):
         self.size = 0
+        self.capacity = capacity
         self.cols = {"dense_t": np.empty(capacity), "dense_k": np.empty(capacity, dtype=int),
                      "dense_x": np.empty((capacity, n_x)),
                      "dense_xhat": np.empty((capacity, n_x)),
@@ -248,12 +259,11 @@ class _DenseLog:
 
     def append(self, k: int, ts, xs, xhats, us) -> None:
         lo, hi = self.size, self.size + ts.size
-        for name, rec in zip(self.cols, (ts, k, xs, xhats, us)):
-            col = self.cols[name]
-            if hi > col.shape[0]:
-                grown = np.empty((max(hi, col.shape[0] * 3 // 2),) + col.shape[1:], col.dtype)
-                grown[:lo] = col[:lo]
-                self.cols[name] = col = grown
+        if hi > self.capacity:
+            self.capacity = max(hi, self.capacity * 3 // 2)
+            for col in self.cols.values():  # owned, and no view of them is alive
+                col.resize((self.capacity,) + col.shape[1:], refcheck=False)
+        for col, rec in zip(self.cols.values(), (ts, k, xs, xhats, us)):
             col[lo:hi] = rec
         self.size = hi
 

@@ -133,15 +133,16 @@ class PulseTrain(Disturbance):
         self._starts = np.array([p[0] for p in parsed])
         self._ends = np.array([p[1] for p in parsed])
         self._norms = np.array([float(np.max(np.abs(p[2]))) for p in parsed] + [0.0])  # padded
-        # padded for index -1: a zero level that no t is before the end of
-        self._levels = np.array([p[2] for p in parsed] + [np.zeros(self.dim)])
-        self._held_ends = np.append(self._ends, -np.inf)
+        # Starts and ends interleaved, and the level held after each number
+        # of them: a t at or past an odd number of edges is in a pulse.
+        self._edges = np.column_stack([self._starts, self._ends]).ravel()
+        zero = np.zeros(self.dim)
+        self._held = np.array([zero] + [lv for p in parsed for lv in (p[2], zero)])
 
     def _value(self, t: np.ndarray) -> np.ndarray:
         # The pulse holding t, if any, is the last one starting at or before
-        # t; a t that compares false (NaN) is held by none.
-        i = np.searchsorted(self._starts, t, side="right") - 1
-        return self._levels[np.where(t < self._held_ends[i], i, -1)]
+        # t, if t is before its end; NaN sorts past every edge, held by none.
+        return self._held[np.searchsorted(self._edges, t, side="right")]
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # Sorted, disjoint pulses meeting [a, b] form one index range: those

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_oracle
+import codec_oracle
 from qrate import codec
 from qrate.codec import CodecState, Stage
 
@@ -224,6 +225,53 @@ def test_quantization_soundness_on_cell_boundaries(n, radius, data):
         c = codec.decode_center(state, sym, n)
         assert np.max(np.abs(x - c)) <= radius / n + ulp
         assert np.max(np.abs(c - center)) <= (n - 1) / n * radius + ulp
+
+
+@st.composite
+def _coordinate(draw, c, radius, n):
+    """A coordinate on a cell face (j = n is the face clamped into the last
+    cell), on the overflow boundary c +- E or one ulp past it, on the
+    near-origin face +- E/n, or anywhere in a little more than the range."""
+    kind = draw(st.sampled_from(["face", "overflow", "near_origin", "any"]))
+    if kind == "face":
+        return c - radius + draw(st.integers(0, n)) * (2.0 * radius / n)
+    if kind == "overflow":
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        face = c + sign * radius
+        return draw(st.sampled_from([face, float(np.nextafter(face, sign * np.inf))]))
+    if kind == "near_origin":
+        return draw(st.sampled_from([-1.0, 1.0])) * radius / n
+    return c + draw(st.floats(-1.2, 1.2)) * radius
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 9), st.floats(1e-6, 1e6), st.data())
+def test_encode_and_decode_match_the_numpy_index_oracle(n_x, n, radius, data):
+    coords = st.lists(st.floats(-1e3, 1e3), min_size=n_x, max_size=n_x)
+    center = np.array(data.draw(st.one_of(st.just([0.0] * n_x), coords)))
+    state = CodecState(center=center, radius=radius)
+    x = np.array([data.draw(_coordinate(c, radius, n)) for c in center.tolist()])
+    sym = codec.encode(state, x, n)
+    assert type(sym) is int and sym == codec_oracle.encode(state, x, n)
+    symbols = [sym, data.draw(st.integers(1, n**n_x + 1))] if sym >= 1 else []
+    for s in symbols:
+        assert (codec.decode_center(state, s, n).tobytes()
+                == codec_oracle.decode_center(state, s, n).tobytes())
+
+
+@pytest.mark.parametrize("center, x", [
+    ([0.0, 0.0], [np.nan, 0.1]),                # x not finite
+    ([0.0, 0.0], [0.1, np.inf]),
+    ([0.0, 0.0], [0.1, 0.2, 0.3]),              # x of the wrong shape
+    ([np.inf, 0.0], [0.1, 0.2]),                # the center has overflowed
+    ([np.nan, 0.0], [0.1, 0.2]),
+    ([1e308, 0.0], [-1e308, 0.2]),              # finite, but x - center is not
+])
+def test_encode_rejects_what_the_oracle_rejects(center, x):
+    state = CodecState(center=np.array(center), radius=1.0)
+    for encode in (codec.encode, codec_oracle.encode):
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            encode(state, np.array(x), 5)
 
 
 def test_controller_input_stages():

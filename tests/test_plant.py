@@ -11,6 +11,7 @@ import check_oracle
 import signal_oracle
 from conftest import make_random_plant
 from qrate import codec
+from qrate import plant as plant_mod
 from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform, Sinusoid,
                    Zero, bundled_scenario, derive_constants, run_closed_loop, step_interval,
                    synthesize_design)
@@ -172,6 +173,48 @@ def test_run_decodes_and_values_each_sample_once(monkeypatch, ref_plant, cert_pa
     # the loop hands advance the center and value it computed for the sample
     assert calls == {"decode_center": np.count_nonzero(log.symbol >= 1),
                      "quad_value": log.symbol.size}
+
+
+def test_run_keeps_the_call_contract_the_benchmark_tracer_counts(monkeypatch, ref_plant,
+                                                                  cert_params, cert_derived):
+    # The benchmark's tracer wraps these functions by module attribute and
+    # reads step_interval's arguments by position (7 is zoh_cache, and 8 a
+    # decimation that must stay absent), so a private path would read as zero.
+    m = PlantModel(A=ref_plant.A, B=ref_plant.B, D=ref_plant.D, K=ref_plant.K,
+                   dt=ref_plant.dt, n_levels=ref_plant.n_levels)  # nothing built for it yet
+    symbols, advanced, steps, blocks = [], [], [], []
+
+    def counted(module, name, record):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            record(args, kwargs, out)
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(codec, "encode", lambda args, kwargs, out: symbols.append(out))
+    counted(codec, "advance", lambda args, kwargs, out: advanced.append(args[1]))
+    counted(plant_mod, "step_interval", lambda args, kwargs, out: steps.append((args, kwargs, out)))
+    counted(plant_mod, "_zoh_pair", lambda args, kwargs, out: blocks.append(args[0]))
+    built = plant_mod._augmented.cache_info().misses
+    sig = PulseTrain([(t, t + 0.2, [1.5]) for t in (10.0, 25.0, 40.0, 55.0, 70.0, 85.0)], dim=1)
+    log = run_closed_loop(m, cert_params, cert_derived, sig, np.array([1.0, -0.5]), 300.0)
+
+    assert len(symbols) == log.symbol.size == 3001 and symbols == log.symbol.tolist()
+    assert 0 < symbols.count(0) == np.count_nonzero(log.symbol == 0)
+    assert len(steps) == len(advanced) == 3000 and advanced == symbols[:-1]
+    assert all(len(args) == 8 and kwargs == {} for args, kwargs, _ in steps)
+    caches = {id(args[7]): args[7] for args, _, _ in steps}
+    assert len(caches) == 1
+    first_use = dict.fromkeys((args[3], h) for args, _, (_, _, (ts, *_)) in steps
+                              for h in (ts[1:] - ts[:-1]).tolist())
+    cache = caches.popitem()[1]
+    assert list(cache) == list(first_use)
+    assert all(type(stage) is Stage and type(h) is float for stage, h in cache)
+    # each stage's block matrix is built once for the plant, then shared
+    assert plant_mod._augmented.cache_info().misses - built == 2
+    assert len({id(M) for M in blocks}) == 2 and len(blocks) == len(cache)
 
 
 @st.composite
