@@ -59,7 +59,7 @@ class CodecState:
     stage: Stage | None = None
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN too
             raise ValueError("radius must stay positive")
 
 

@@ -69,10 +69,10 @@ class PlantModel:
             raise ValueError("dt must be positive")
         if int(self.n_levels) != self.n_levels or self.n_levels < 2:
             raise ValueError("n_levels must be an integer >= 2")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "K", K)
+        for name, M in (("A", A), ("B", B), ("D", D), ("K", K)):
+            M = M.copy()  # read-only: the simulation builds its dynamics once per plant
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "n_levels", int(self.n_levels))
 

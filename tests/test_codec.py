@@ -227,6 +227,13 @@ def test_quantization_soundness_on_cell_boundaries(n, radius, data):
         assert np.max(np.abs(c - center)) <= (n - 1) / n * radius + ulp
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_codec_state_rejects_a_radius_that_is_not_positive(radius):
+    # a NaN radius would reach encode's cell index (math.floor raises there)
+    with pytest.raises(ValueError, match="radius must stay positive"):
+        CodecState(center=np.zeros(2), radius=radius)
+
+
 @st.composite
 def _coordinate(draw, c, radius, n):
     """A coordinate on a cell face (j = n is the face clamped into the last

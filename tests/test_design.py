@@ -27,6 +27,18 @@ def test_check_assumptions_integrator_minimal_grid():
     assert check_assumptions(m) == (True, True)
 
 
+def test_plant_matrices_are_its_own_read_only_copies(ref_plant):
+    # The simulation builds each stage's block dynamics once per plant, so a
+    # plant's matrices must not change under it.
+    A = np.array(ref_plant.A)
+    m = PlantModel(A=A, B=ref_plant.B, D=ref_plant.D, K=ref_plant.K, dt=0.1, n_levels=5)
+    A[0, 0] += 1.0
+    assert m.A[0, 0] == ref_plant.A[0, 0]
+    for M in (m.A, m.B, m.D, m.K):
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
+
+
 def test_derive_constants_reference_oracles(ref_plant, raw_params):
     d = derive_constants(ref_plant, raw_params)
     assert abs(d.growth - math.exp(0.1)) < 1e-12

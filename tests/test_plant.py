@@ -177,9 +177,10 @@ def test_run_decodes_and_values_each_sample_once(monkeypatch, ref_plant, cert_pa
 
 def test_run_keeps_the_call_contract_the_benchmark_tracer_counts(monkeypatch, ref_plant,
                                                                   cert_params, cert_derived):
-    # The benchmark's tracer wraps these functions by module attribute and
-    # reads step_interval's arguments by position (7 is zoh_cache, and 8 a
-    # decimation that must stay absent), so a private path would read as zero.
+    # The benchmark's tracer wraps these functions by module attribute, so a
+    # private path would read as zero, and reads step_interval's arguments by
+    # position: 6 substeps, 7 zoh_cache, and 8 a decimation that no longer
+    # exists, so no ninth argument may appear.
     m = PlantModel(A=ref_plant.A, B=ref_plant.B, D=ref_plant.D, K=ref_plant.K,
                    dt=ref_plant.dt, n_levels=ref_plant.n_levels)  # nothing built for it yet
     symbols, advanced, steps, blocks = [], [], [], []
