@@ -535,45 +535,45 @@ def test_reproduce_paper(tmp_path):
 
 
 # sha256 of every file reproduce-paper writes, as formatted one number at a
-# time with fmt_num and svgplot._fmt
+# time with fmt_num and svgplot._fmt; each SVG polyline thinned by M4
 REPRODUCE_SHA256 = {
     (): {
         "certified/checks.csv": "5977a2212f3a1060b11c8fa4961db63e5103c40d10ee87f7c90188f6ede8b62b",
         "certified/dense.csv": "b5c74c7ba97949cc4fc7c01d7399a08b0fb133111dc567b3c576139117a1b25b",
-        "certified/err_E.svg": "f244fd1b04b32879ef06080dc9d670a467245810a86b56658e4157004664a0f9",
+        "certified/err_E.svg": "9df93e9b630ec84da20b8a43d9b6d434b47716191036845dcffa2c52115fc61b",
         "certified/events.csv": "eab9b10d9f734c008b887ab55bd5da732a9b7ec636e348d01a12543e45aaa087",
         "certified/paper_sec7_certified.cfg":
             "388ff4b83b854d463d129c02fe8fc3d1ccc6c951904c6e4db45f5df61c2b7604",
         "certified/report.txt": "03c7a4308fbb7080dac1b6d6a7669111426e8fff9e0310718fad9180e8e1ce51",
         "certified/samples.csv": "c4457f0e224e9a1b6443c131bdfd4e5a061d8e494be34dbcd3bf9c381a25bbdb",
-        "certified/x1_aux.svg": "bacf3680cb3d0f320994379301917513cfbee9b56b56cdb80cbfd2e54b6d950e",
+        "certified/x1_aux.svg": "551b6f0b05bad729f2c6d567ff0026de351b4deffd5068bc74bde0b4033baf4f",
         "raw/checks.csv": "b89004749fa634a3ea1d02b4fa5aeb85b2d2cd3dc230e10e91ff051f844bad61",
         "raw/dense.csv": "4ecba703e6a83d1edfac7ccbc939d276eb5192b32c2947750fc3708e8dd1987b",
-        "raw/err_E.svg": "1a8fd7d1ccffe6cde699bbc08b2853ec4256a970d4f94b7da795e203f65efd8f",
+        "raw/err_E.svg": "467344ef44325c92eaabee5e62d0ec9ce8e9dc810965824513bbe2b4e727061d",
         "raw/events.csv": "eab9b10d9f734c008b887ab55bd5da732a9b7ec636e348d01a12543e45aaa087",
         "raw/paper_sec7_raw.cfg": "b00c97f3631eeb9512a7e8bb0ec544af034d022e5c61b3e6cbef06ac1ee6fb36",
         "raw/report.txt": "7ed9c991469c803b251a5dbd9cefc1638071aa49790894ec4ebc25ee30daebeb",
         "raw/samples.csv": "2cda966347f39abcb5794922ea113521a0f79bd7c95b263db7005f9fa453c596",
-        "raw/x1_aux.svg": "0dce5c858bdc3a0d5d12838ccbae4f9590f0fe846cd3543d96809e2bb5663a93",
+        "raw/x1_aux.svg": "94e38e6e0b78a7f3480d4eaa1b7a2b7d2a314473388b26880f8154be0ecdaab8",
     },
     ("--substeps", "10"): {
         "certified/checks.csv": "07b90938268fd993b47862e5d46a5aebe7c800caeb0b84f14b11bbaf222b76d7",
         "certified/dense.csv": "479da17779c25446064a2e41eff984e9547a032c949ab13196d2ee5a9d9be22e",
-        "certified/err_E.svg": "fbebf3ee60a9e8974942c090e8e957303a70ba40dfcaca1e539f27c1c5d291df",
+        "certified/err_E.svg": "811a0253f44b8714a6192cc175a6e8670e9e8c403bf12d555c3e8b112d779196",
         "certified/events.csv": "eab9b10d9f734c008b887ab55bd5da732a9b7ec636e348d01a12543e45aaa087",
         "certified/paper_sec7_certified.cfg":
             "8da13cb06abfd812f1ee00d6678e8a56ef5630018008a6c1667b40eb8d9e2c1e",
         "certified/report.txt": "03c7a4308fbb7080dac1b6d6a7669111426e8fff9e0310718fad9180e8e1ce51",
         "certified/samples.csv": "25e28b6b2cce6d5c1093beb11f612036501d1a11e4ca22e1f06271a4057e4f69",
-        "certified/x1_aux.svg": "4d80987660ba82bc03ad73a50654b207955154308eced5dbabfc6a9c96fd2240",
+        "certified/x1_aux.svg": "52cc1e2d483f21837a8bcecee1618eb298f65fbf4e612c7ccad70b44954fed38",
         "raw/checks.csv": "b6a7061a72a720fb33940dc48b5a00ef91d61680f586675d085577414935bad7",
         "raw/dense.csv": "e3f3939589fe2d059a2b4c746fdcd82e541a8d4dd0c3803b13e59c8599d4e035",
-        "raw/err_E.svg": "72f551429d0c29235c3f5c92aff3834ff05c29769dad16a0620f64bc843857d5",
+        "raw/err_E.svg": "45fc45f995830d9b589e3333840fd85742fa83973fe1598442e4381f116d83ae",
         "raw/events.csv": "eab9b10d9f734c008b887ab55bd5da732a9b7ec636e348d01a12543e45aaa087",
         "raw/paper_sec7_raw.cfg": "400f32ba951485647a7c5fbe225b58862d634a062bbf445e364a28b44f3ff243",
         "raw/report.txt": "7ed9c991469c803b251a5dbd9cefc1638071aa49790894ec4ebc25ee30daebeb",
         "raw/samples.csv": "00edfc9d1061e2c4a4651015234b0841927fecfd86b82fcaa7d58aad5c0e2881",
-        "raw/x1_aux.svg": "46215f187d7bb50042689f5cfd46531fde3c0066b27b7d599d28f4d1d6b925c0",
+        "raw/x1_aux.svg": "792f209fa810032463e8996a82b59536a0f74d267791c0cc260b908aa5b8d6be",
     },
 }
 
@@ -606,27 +606,27 @@ COMMAND_SHA256 = {
     ("check", "sinusoid", ()): (0, {
         "checks.csv": "ee850e57e130c41934779e88d049c4d98264b30fa4291c52151a71e54c2526fd",
         "dense.csv": "7f1b82315feabe93c3921b66442181993f89bec8a48a48e4849a5ec1301fa538",
-        "err_E.svg": "07fa6edb9b0191fbdea0d6ecd922fb343a744fefd7f7bae069b9aa08e61be696",
+        "err_E.svg": "f1f4d5707690614befe77d1b0a4798f8a9f7fac53f944025a3f5a19ec0b2a128",
         "events.csv": "f77b35e195f03904ddd773c55a3d8543f62ccf7eb7634b41b961b6d1438c505c",
         "report.txt": "8bfbf57faa7b212035296a78fa8b2e7ad1806179df1508a0e9cca40a2a90746f",
         "samples.csv": "daf47af32d2353c426d5297ebee2b9f487d1a90727004b935cb2bd0bd1619105",
-        "x1_aux.svg": "fd75eaddb4daf2b274e421b7f85c71c3cdf80f56876f7e5bc73bab6dba30b76d"}),
+        "x1_aux.svg": "4f68419119fdfffd6c08fb33a90bcd4851ba5b0e035614ad58009d37db1ac623"}),
     ("check", "sinusoid", ("--substeps", "10")): (0, {
         "checks.csv": "b7040adf898af874a291fbc2db2ea57484fc8870e62cccbda2fc244797852c7e",
         "dense.csv": "99872c60f8b29c81049edab6ea02b26fa28e684dd64d333c84bd0925cc629266",
-        "err_E.svg": "2b7492ad7e136bf4a63d6ce23b55a5c8979b2e9fdbc804f3d4cf4e87ce0546cb",
+        "err_E.svg": "e807fc780c14f783f777a8876b1114b3c15fc4b0da819b28e9e92ee9d07612ae",
         "events.csv": "899137ed3c9a23e61d1a71c8b903b8bbbff1e2e019dbb09960be745903e216d4",
         "report.txt": "baa140b55cc07307bbb59df1839c70383b59a6dd940a540976262f21b041420b",
         "samples.csv": "8d392977f0ad02ceeb4c4bb2aa207f040162d4eb7dab144263c857616ce16443",
-        "x1_aux.svg": "3125e4682ade19e7f66ac9f6a33c52a7bc54d29eae823ca4498d9787563bb379"}),
+        "x1_aux.svg": "06a02b525d5dfdd565511eec1e217bcc93d837d15156700ee8152e44b6e37e1c"}),
     ("check", "uniform", ()): (0, {
         "checks.csv": "6021609cde339596d23ac340410b212455ab4d39040be2fc5d7ad35006d74dad",
         "dense.csv": "66bf875f9194cb89fe2f2f85781cb8c9608e0b2ab7897357205e99e8bc46ce76",
-        "err_E.svg": "05fa50fc913a6ed05598fde7875f1ca17835cb949a15c18985eecfed8825dcbd",
+        "err_E.svg": "b76151670829be4b1285ea2f125898a04239eb37f2a30d3af4f08867fff10063",
         "events.csv": "2e51607cf76546c9d658d61582c999c4dd6415b42cc08be517543cea527e019b",
         "report.txt": "3d8e651ad2252705c553f818c87db593992ed0d8561c9530a3483fe0e3222f6e",
         "samples.csv": "acff155089af66587a7afe51cf6c09eb7e83900b931e5b6f793fc7150f42cba1",
-        "x1_aux.svg": "66c194b4987848286af8c8d26197bd04c50669471cfa33424bc0207c2b494c9f"}),
+        "x1_aux.svg": "c50eba7dc48367aa49d10f73c0d169c5146baf0c03de36292e25a122818ffd82"}),
 }
 
 
