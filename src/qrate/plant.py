@@ -274,6 +274,14 @@ class _DenseLog:
         return dict(self.cols)
 
 
+def _left_float_range(dense: _DenseLog) -> str:
+    """Where the logged state first has a non-finite entry."""
+    xs = dense.cols["dense_x"][:dense.size]
+    i = int(np.argmin(np.isfinite(xs).all(axis=1)))
+    return (f"the state left the float range at t = {dense.cols['dense_t'][i]:g}, in the "
+            f"sampling interval from sample k = {dense.cols['dense_k'][i]}")
+
+
 def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
                     sig: Disturbance, x0, horizon: float,
                     substeps: int = DEFAULT_SUBSTEPS) -> TrajectoryLog:
@@ -299,24 +307,32 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
     dense = _DenseLog(n_steps * (substeps + 1) + n_off, m.n_x, m.n_u)
     cache: dict = {}
 
-    for k in range(n_steps + 1):
-        sym = codec.encode(state, x, m.n_levels)
-        if sym >= 1:
-            xhat = codec.decode_center(state, sym, m.n_levels)
-            stage = Stage.STABILIZING
-        else:
-            xhat = state.center
-            stage = Stage.SEARCHING
+    # A state that leaves the float range is reported by the next encode,
+    # not by a numpy warning from each product on the way there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            try:
+                sym = codec.encode(state, x, m.n_levels)
+            except ValueError:
+                if np.isfinite(x).all():
+                    raise
+                raise ValueError(_left_float_range(dense)) from None
+            if sym >= 1:
+                xhat = codec.decode_center(state, sym, m.n_levels)
+                stage = Stage.STABILIZING
+            else:
+                xhat = state.center
+                stage = Stage.SEARCHING
 
-        v = codec.quad_value(state.center, state.radius, d.P, p.rho)
-        samples.append((x, xhat, sym, state.radius, state.center, v))
+            v = codec.quad_value(state.center, state.radius, d.P, p.rho)
+            samples.append((x, xhat, sym, state.radius, state.center, v))
 
-        if k == n_steps:
-            break
+            if k == n_steps:
+                break
 
-        x, _, records = step_interval(m, x, xhat, stage, sig, k * m.dt, substeps, cache)
-        dense.append(k, *records)
-        state = codec.advance(state, sym, xhat, v, d, p)
+            x, _, records = step_interval(m, x, xhat, stage, sig, k * m.dt, substeps, cache)
+            dense.append(k, *records)
+            state = codec.advance(state, sym, xhat, v, d, p)
 
     t = np.arange(n_steps + 1) * m.dt
     x, xhat, symbol, radius, center, value = (np.asarray(col) for col in zip(*samples))

@@ -320,6 +320,42 @@ def test_unallocatable_horizon_exits_2_with_one_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def _with_pulses(cert_cfg_path, pulses: str):
+    """The certified scenario with its pulse list replaced."""
+    lines = [f"disturbance.pulses = {pulses}" if line.startswith("disturbance.pulses ")
+             else line for line in cert_cfg_path.read_text(encoding="utf-8").splitlines()]
+    cert_cfg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cert_cfg_path
+
+
+@pytest.mark.parametrize("warning_filter", ["always", "error"])
+def test_a_state_that_leaves_the_float_range_exits_2_naming_where(warning_filter, cert_cfg_path,
+                                                                  tmp_path, capsys):
+    # a 1e308 pulse drives the unstable mode past the float range about 2.1 s after it ends
+    path = _with_pulses(cert_cfg_path, "10.5 10.7 1e308 ; 22.5 22.7 1.5")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warning_filter)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the state left the float range at t = 12.795, in the sampling interval from "
+        "sample k = 127"]
+
+
+@pytest.mark.parametrize("command, flags, pulses, message", [
+    ("gains", ("--s-grid", "0,1e300"), None, "gain capture0_gain(1e+300)"),
+    ("check", (), "10.5 10.7 1e300 ; 22.5 22.7 1.5", "gain gamma2(1e+300)"),
+], ids=["gains", "check"])
+def test_a_gain_that_leaves_the_float_range_exits_2_naming_it(command, flags, pulses, message,
+                                                              cert_cfg_path, tmp_path, capsys):
+    path = _with_pulses(cert_cfg_path, pulses) if pulses else cert_cfg_path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message} leaves the float range"]
+
+
 _CAPPED_MAIN = (
     "import resource, sys\n"
     "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
