@@ -62,11 +62,11 @@ def _m4(xp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep = start.copy()
     keep[starts[1:] - 1] = True
     keep[-1] = True
-    run = np.cumsum(start) - 1
+    lengths = np.diff(starts, append=n)
     for extreme in (np.minimum, np.maximum):
-        at = np.flatnonzero(yp == extreme.reduceat(yp, starts)[run])
-        # the first of a run's points at its extreme
-        keep[at[np.diff(run[at], prepend=-1) != 0]] = True
+        at = np.flatnonzero(yp == np.repeat(extreme.reduceat(yp, starts), lengths))
+        # the first of a run's points at its extreme: its run differs from the previous one's
+        keep[at[np.diff(np.searchsorted(starts, at, side="right"), prepend=0) != 0]] = True
     return xp[keep], yp[keep]
 
 

@@ -88,6 +88,8 @@ def _polylines(draw):
 @example((np.array([0.5, 0.6, 0.7, 0.8, 0.9]), np.array([0.0, 3.0, 1.0, 1.0, 1.0])))
 @example((np.array([0.5, 1.5, 0.5, 1.5, 0.5, 1.5]), np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])))
 @example((np.full(6, math.nan), np.zeros(6)))
+@example((np.array([1.0, 2.0, math.inf, math.inf, -math.inf, 3.0]), np.arange(6.0)))
+@example((np.arange(6.0), np.array([0.0, math.inf, math.inf, math.nan, -math.inf, 1.0])))
 @example((np.array([2.1, 2.2, 2.3]), np.array([1.0, -1.0, 0.0])))
 def test_m4_keeps_every_columns_first_last_lowest_and_highest(polyline):
     xs, ys = polyline
