@@ -127,16 +127,20 @@ def eta_functions(d: DerivedConstants):
 
 def _gain_map(fn):
     """Evaluate gain map ``fn`` over Python floats (numpy's bits, but no
-    overflow warning), and report a power that leaves the float range as
-    one line naming the outermost map and its arguments."""
+    overflow warning), and report a value that leaves the float range, by a
+    power that raises or a product that rounds to inf, as one line naming
+    the outermost map and its arguments."""
     @functools.wraps(fn)
     def gain(self, *args):
         args = tuple(map(float, args))
         try:
-            return fn(self, *args)
+            value = fn(self, *args)
         except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
             raise OverflowError(f"gain {fn.__name__}({', '.join(map(repr, args))}) "
-                                f"leaves the float range") from None
+                                f"leaves the float range")
+        return value
     return gain
 
 

@@ -320,10 +320,10 @@ def test_unallocatable_horizon_exits_2_with_one_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-def _with_pulses(cert_cfg_path, pulses: str):
-    """The certified scenario with its pulse list replaced."""
-    lines = [f"disturbance.pulses = {pulses}" if line.startswith("disturbance.pulses ")
-             else line for line in cert_cfg_path.read_text(encoding="utf-8").splitlines()]
+def _with_value(cert_cfg_path, key: str, value: str):
+    """The certified scenario with the value of ``key`` replaced."""
+    lines = [f"{key} = {value}" if line.startswith(key + " ") else line
+             for line in cert_cfg_path.read_text(encoding="utf-8").splitlines()]
     cert_cfg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return cert_cfg_path
 
@@ -332,7 +332,7 @@ def _with_pulses(cert_cfg_path, pulses: str):
 def test_a_state_that_leaves_the_float_range_exits_2_naming_where(warning_filter, cert_cfg_path,
                                                                   tmp_path, capsys):
     # a 1e308 pulse drives the unstable mode past the float range about 2.1 s after it ends
-    path = _with_pulses(cert_cfg_path, "10.5 10.7 1e308 ; 22.5 22.7 1.5")
+    path = _with_value(cert_cfg_path, "disturbance.pulses", "10.5 10.7 1e308 ; 22.5 22.7 1.5")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(warning_filter)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -342,13 +342,18 @@ def test_a_state_that_leaves_the_float_range_exits_2_naming_where(warning_filter
         "sample k = 127"]
 
 
-@pytest.mark.parametrize("command, flags, pulses, message", [
-    ("gains", ("--s-grid", "0,1e300"), None, "gain capture0_gain(1e+300)"),
-    ("check", (), "10.5 10.7 1e300 ; 22.5 22.7 1.5", "gain gamma2(1e+300)"),
-], ids=["gains", "check"])
-def test_a_gain_that_leaves_the_float_range_exits_2_naming_it(command, flags, pulses, message,
-                                                              cert_cfg_path, tmp_path, capsys):
-    path = _with_pulses(cert_cfg_path, pulses) if pulses else cert_cfg_path
+@pytest.mark.parametrize("command, flags, key, value, message", [
+    # a power that raises OverflowError
+    ("gains", ("--s-grid", "0,1e300"), None, None, "gain capture0_gain(1e+300)"),
+    ("check", (), "disturbance.pulses", "10.5 10.7 1e300 ; 22.5 22.7 1.5",
+     "gain gamma2(1e+300)"),
+    # a finite power times the state norm, which rounds to inf
+    ("check", (), "sim.x0", "1e148 1e148", "gain initial_search_bound(1e+148, 1e+148)"),
+], ids=["gains", "check_pulse", "check_x0"])
+def test_a_gain_that_leaves_the_float_range_exits_2_naming_it(command, flags, key, value,
+                                                              message, cert_cfg_path, tmp_path,
+                                                              capsys):
+    path = _with_value(cert_cfg_path, key, value) if key else cert_cfg_path
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), *flags])
