@@ -18,7 +18,6 @@ with a pass/fail verdict at 1e-9 slack.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +36,7 @@ __all__ = [
     "gain_constants",
     "eta_functions",
     "iss_gains",
+    "gain_value",
     "check_trajectory",
     "CHECKS",
     "PROTOCOL_CHECKS",
@@ -125,25 +125,6 @@ def eta_functions(d: DerivedConstants):
     return eta_state, eta_dist, eta_smooth
 
 
-def _gain_map(fn):
-    """Evaluate gain map ``fn`` over Python floats (numpy's bits, but no
-    overflow warning), and report a value that leaves the float range, by a
-    power that raises or a product that rounds to inf, as one line naming
-    the outermost map and its arguments."""
-    @functools.wraps(fn)
-    def gain(self, *args):
-        args = tuple(map(float, args))
-        try:
-            value = fn(self, *args)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise OverflowError(f"gain {fn.__name__}({', '.join(map(repr, args))}) "
-                                f"leaves the float range")
-        return value
-    return gain
-
-
 class _SearchMaps:
     """Capture-step counters and search-stage bounds; these need no
     contraction certificate."""
@@ -157,28 +138,24 @@ class _SearchMaps:
         self._e0 = p.radius0
         self._n = d.n_levels
 
-    @_gain_map
     def initial_search_bound(self, s: float, r: float) -> float:
         """State bound during the initial search."""
         m = self.eta_smooth(s / self._e0) + self.eta_smooth(r / self._delta)
         pw = self._lam**m
         return pw * s + (pw - 1.0) / (self._lam - 1.0) * self._phi_d * r
 
-    @_gain_map
     def initial_capture_radius(self, e: float, s: float, r: float) -> float:
         """Radius bound at the first capture."""
         m = self.eta_smooth(s / e) + self.eta_smooth(r / self._delta)
         pw = self._lam_hat**m
         return pw * e + (pw - 1.0) / (self._lam_hat - 1.0) * self._phi_d * self._delta
 
-    @_gain_map
     def recapture_bound(self, s: float, r: float) -> float:
         """State bound between an escape and the recapture."""
         m = 2.0 * self.eta_smooth(r / self._delta) + 1.0
         pw = self._lam**m
         return pw * s + (pw - 1.0) / (self._lam - 1.0) * self._phi_d * r
 
-    @_gain_map
     def recapture_radius(self, e: float, s: float) -> float:
         """Radius bound at a recapture."""
         m = 2.0 * self.eta_smooth(s / self._delta) + 1.0
@@ -209,65 +186,54 @@ class GainFunctions(_SearchMaps):
         self._gamma_esc = g.escape_gain
         self._h_tilde = d.intersample_gain
 
-    @_gain_map
     def stab_state_gain(self, e: float, s: float) -> float:
         """Stabilizing-stage bound from the entry state."""
         long_time = self._c12 * s ** (self._kappa / 2.0) * (s + e)
         short_time = self._h_factor * s**self._expo
         return max(long_time, short_time)
 
-    @_gain_map
     def stab_dist_gain(self, e: float, s: float) -> float:
         """Stabilizing-stage bound from the disturbance."""
         long_time = self._c12 * s ** (self._kappa / 2.0) * (self._phi_d * s + e)
         short_time = self._h_factor * self._phi_d * s**self._expo
         return max(long_time, short_time)
 
-    @_gain_map
     def capture0_gain(self, s: float) -> float:
         """initial_search_bound on the diagonal."""
         return self.initial_search_bound(s, s)
 
-    @_gain_map
     def capture_gain(self, s: float) -> float:
         """recapture_bound on the diagonal."""
         return self.recapture_bound(s, s)
 
-    @_gain_map
     def first_stage_bound(self, e: float, s: float, r: float) -> float:
         """First stabilizing stage, full arguments."""
         e_cap = self.initial_capture_radius(e, s, r)
         return (self.stab_state_gain(e_cap, self.capture0_gain(s) + self.capture0_gain(r))
                 + self.stab_dist_gain(e_cap, r))
 
-    @_gain_map
     def first_stage_gain(self, e: float, s: float) -> float:
         """first_stage_bound on the diagonal."""
         return self.first_stage_bound(e, s, s)
 
-    @_gain_map
     def post_escape_gain(self, s: float) -> float:
         """Searching stages after an escape."""
         return self.capture_gain(self._gamma_esc * s) + self.capture_gain(s)
 
-    @_gain_map
     def post_recapture_gain(self, s: float) -> float:
         """Stabilizing stages after a recapture."""
         e_cap = self.recapture_radius(self._gamma_esc * s, s)
         return (self.stab_state_gain(e_cap, self.post_escape_gain(s))
                 + self.stab_dist_gain(e_cap, s))
 
-    @_gain_map
     def gamma1(self, s: float) -> float:
         return self._h_tilde * max(self.capture0_gain(s), self.first_stage_gain(self._e0, s))
 
-    @_gain_map
     def gamma2(self, s: float) -> float:
         return (self._h_tilde * max(self.capture0_gain(s), self.first_stage_gain(self._e0, s),
                                     self.post_escape_gain(s), self.post_recapture_gain(s))
                 + self._phi_d * s)
 
-    @_gain_map
     def gamma3(self, s: float) -> float:
         return (self._h_tilde * max(self._phi_d * s, self.post_escape_gain(s),
                                     self.post_recapture_gain(s))
@@ -278,6 +244,21 @@ def iss_gains(d: DerivedConstants, p: DesignParams, g: GainConstants) -> GainFun
     """The full gain-function stack; raises ValueError without a valid
     contraction certificate."""
     return GainFunctions(d, p, g)
+
+
+def gain_value(name: str, fn, *args) -> float:
+    """``fn(*args)`` over Python floats (numpy's bits, but no overflow
+    warning).  A value that leaves the float range, by a power that raises
+    or a product that rounds to inf, raises OverflowError with one line
+    naming the gain and its arguments."""
+    args = tuple(map(float, args))
+    try:
+        value = fn(*args)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"gain {name}({', '.join(map(repr, args))}) leaves the float range")
+    return value
 
 
 @dataclass
@@ -403,12 +384,15 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         bound = max(maps.eta_state(x_norm[0] / p.radius0), maps.eta_dist(r / p.dist_level))
         if captured or last > bound:
             acc["capture_initial_index"].add(float(k_cap), bound)
+        search_bound = maps.initial_search_bound
         acc["initial_search_state_bound"].add(
             x_norm[: k_cap + 1],
-            maps.initial_search_bound(x_norm[0], x_norm[0]) + maps.initial_search_bound(r, r))
+            gain_value("initial_search_bound", search_bound, x_norm[0], x_norm[0])
+            + gain_value("initial_search_bound", search_bound, r, r))
         if captured:
             acc["initial_capture_radius"].add(
-                E[k_cap], maps.initial_capture_radius(p.radius0, x_norm[0], r))
+                E[k_cap], gain_value("initial_capture_radius", maps.initial_capture_radius,
+                                     p.radius0, x_norm[0], r))
 
     if g.valid:
         acc["lyapunov_decay"].add(V[ks_stab + 1], d.nu * V[ks_stab])
@@ -420,7 +404,8 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
                        d.dist_gain)
         gains = iss_gains(d, p, g)
         acc["iss_envelope"].add(
-            dense_norm, gains.gamma1(x_norm[0]) + gains.gamma2(sig.sup_norm(0.0, t[last])))
+            dense_norm, gain_value("gamma1", gains.gamma1, x_norm[0])
+            + gain_value("gamma2", gains.gamma2, sig.sup_norm(0.0, t[last])))
 
     return CheckReport([acc[name].row() if name in acc
                         else CheckRow(name, 0, math.nan, "not_certified") for name in CHECKS],

@@ -262,7 +262,8 @@ def cmd_gains(args) -> int:
              "post_escape": f.post_escape_gain, "post_recapture": f.post_recapture_gain,
              "first_stage": lambda s: f.first_stage_gain(params.radius0, s),
              "gamma1": f.gamma1, "gamma2": f.gamma2, "gamma3": f.gamma3}
-    table = np.array([[s] + [g(s) for g in gains.values()] for s in grid], dtype=float)
+    table = np.array([[s] + [analysis.gain_value(name, g, s) for name, g in gains.items()]
+                      for s in grid], dtype=float)
     _write_table(out / "gains.csv", ["s", *gains], [table])
     print(f"wrote {out / 'gains.csv'} ({len(grid)} grid points)")
     return 0

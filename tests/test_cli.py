@@ -344,7 +344,7 @@ def test_a_state_that_leaves_the_float_range_exits_2_naming_where(warning_filter
 
 @pytest.mark.parametrize("command, flags, key, value, message", [
     # a power that raises OverflowError
-    ("gains", ("--s-grid", "0,1e300"), None, None, "gain capture0_gain(1e+300)"),
+    ("gains", ("--s-grid", "0,1e300"), None, None, "gain capture0(1e+300)"),
     ("check", (), "disturbance.pulses", "10.5 10.7 1e300 ; 22.5 22.7 1.5",
      "gain gamma2(1e+300)"),
     # a finite power times the state norm, which rounds to inf
