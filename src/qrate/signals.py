@@ -10,6 +10,7 @@ same arithmetic as a call on that interval or instant alone.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -120,9 +121,11 @@ class PulseTrain(Disturbance):
                 raise ValueError("pulses must have positive durations")
             parsed.append((float(start), float(end), lv))
         parsed.sort(key=lambda p: p[0])
-        for (s0, e0, _), (s1, _, _) in zip(parsed, parsed[1:]):
-            if s1 < e0:
-                raise ValueError("pulses must not overlap")
+        # Starts and ends interleaved, sorted unless two pulses overlap:
+        # starts are the even entries, ends the odd ones.
+        self._edges = np.array([t for p in parsed for t in p[:2]])
+        if np.any(self._edges[1:] < self._edges[:-1]):
+            raise ValueError("pulses must not overlap")
         dims = {p[2].size for p in parsed}
         if len(dims) > 1:
             raise ValueError("pulse levels must share one dimension")
@@ -130,42 +133,39 @@ class PulseTrain(Disturbance):
         self.dim = dim if dim is not None else (dims.pop() if dims else 1)
         if parsed and parsed[0][2].size != self.dim:
             raise ValueError("pulse level dimension mismatch")
-        self._starts = np.array([p[0] for p in parsed])
-        self._ends = np.array([p[1] for p in parsed])
         self._norms = np.array([float(np.max(np.abs(p[2]))) for p in parsed] + [0.0])  # padded
-        # Starts and ends interleaved, and the level held after each number
-        # of them: a t at or past an odd number of edges is in a pulse.
-        self._edges = np.column_stack([self._starts, self._ends]).ravel()
+        # The level held after each number of edges: a t at or past an odd
+        # number of them is in a pulse.
         zero = np.zeros(self.dim)
         self._held = np.array([zero] + [lv for p in parsed for lv in (p[2], zero)])
 
     def _value(self, t: np.ndarray) -> np.ndarray:
         # The pulse holding t, if any, is the last one starting at or before
         # t, if t is before its end; NaN sorts past every edge, held by none.
-        return self._held[np.searchsorted(self._edges, t, side="right")]
+        return self._held[self._edges.searchsorted(t, side="right")]
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # Sorted, disjoint pulses meeting [a, b] form one index range: those
         # ending after a and starting before b, since only overlaps of
         # positive measure count; at a == b, the pulse holding a.
-        lo = np.searchsorted(self._ends, a, side="right")
-        hi = np.where(a == b, np.searchsorted(self._starts, b, side="right"),
-                      np.searchsorted(self._starts, b, side="left"))
+        starts, ends = self._edges[0::2], self._edges[1::2]
+        lo = ends.searchsorted(a, side="right")
+        hi = np.where(a == b, starts.searchsorted(b, side="right"),
+                      starts.searchsorted(b, side="left"))
         return _range_max(self._norms, lo, hi)
 
     def breakpoints(self, a: float, b: float) -> list[float]:
-        pts = []
-        for start, end, _ in self.pulses:
-            for t in (start, end):
-                if a < t < b:
-                    pts.append(t)
-        return pts
+        e = self._edges
+        return e[bisect.bisect_right(e, a):bisect.bisect_left(e, b)].tolist()
+
+
+def _sin(th: np.ndarray) -> np.ndarray:
+    """sin of each entry by math.sin: np.sin need not give the scalar bits."""
+    return np.fromiter(map(math.sin, th.tolist()), float, th.size)
 
 
 class Sinusoid(Disturbance):
     """amplitude * sin(2*pi*freq_hz*t + phase), per channel."""
-
-    piecewise_constant = False
 
     def __init__(self, amplitude, freq_hz: float, phase: float = 0.0):
         self.amplitude = as_vector(amplitude, "amplitude")
@@ -174,9 +174,7 @@ class Sinusoid(Disturbance):
         self.dim = self.amplitude.size
 
     def _value(self, t: np.ndarray) -> np.ndarray:
-        # math.sin, as in _sup, keeps each entry the bits of the scalar formula
-        th = (2.0 * math.pi * self.freq_hz) * t + self.phase
-        return np.fromiter(map(math.sin, th.tolist()), float, t.size)[:, None] * self.amplitude
+        return _sin((2.0 * math.pi * self.freq_hz) * t + self.phase)[:, None] * self.amplitude
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         amp = float(np.max(np.abs(self.amplitude)))
@@ -184,13 +182,10 @@ class Sinusoid(Disturbance):
         th_a, th_b = w * a + self.phase, w * b + self.phase
         lo, hi = np.minimum(th_a, th_b), np.maximum(th_a, th_b)
         # |sin| peaks at pi/2 + k*pi; without a peak inside, the max sits at
-        # an endpoint.  math.sin rather than np.sin keeps each entry the bits
-        # of the scalar formula.
+        # an endpoint.
         k = np.ceil((lo - math.pi / 2.0) / math.pi)
         peak = math.pi / 2.0 + k * math.pi <= hi
-        sin_lo = np.abs(np.fromiter(map(math.sin, lo.tolist()), float, lo.size))
-        sin_hi = np.abs(np.fromiter(map(math.sin, hi.tolist()), float, hi.size))
-        return np.where(peak, amp, amp * np.maximum(sin_lo, sin_hi))
+        return np.where(peak, amp, amp * np.maximum(np.abs(_sin(lo)), np.abs(_sin(hi))))
 
 
 class SeededUniform(Disturbance):
@@ -209,9 +204,10 @@ class SeededUniform(Disturbance):
         self.hold = float(hold)
         self.dim = int(dim)
         self._rng = np.random.Generator(np.random.Philox(key=self.seed))
-        self._draws: list[np.ndarray] = []
-        self._norms: list[float] = []  # max |entry| of each draw
-        self._norm_array = np.zeros(1)  # _norms padded, rebuilt after new draws
+        # Row i is the draw held on [i * hold, (i + 1) * hold); _norms holds
+        # each row's max |entry| and then one unused 0.0 (see _range_max).
+        self._draws = np.zeros((0, self.dim))
+        self._norms = np.zeros(1)
 
     @staticmethod
     def check_seed(seed) -> int:
@@ -222,32 +218,34 @@ class SeededUniform(Disturbance):
             raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
         return int(seed)
 
-    def _draw(self, i: int) -> np.ndarray:
-        while len(self._draws) <= i:
-            w = self._rng.uniform(-self.bound, self.bound, self.dim)
-            self._draws.append(w)
-            self._norms.append(float(np.max(np.abs(w))))
-        return self._draws[i]
+    def _index(self, t):
+        """The hold interval of each t, as a float.  The nudge keeps exact
+        hold-boundary times in the interval they open."""
+        return np.maximum(np.floor(t / self.hold + 1e-9), 0.0)
 
-    def _index(self, t: float) -> int:
-        # Nudge keeps exact hold-boundary times in the interval they open.
-        return max(int(math.floor(t / self.hold + 1e-9)), 0)
+    def _rows(self, i: np.ndarray) -> np.ndarray:
+        """``i`` as row indices, once a draw is held for each.  Philox is
+        counter-based: one (k, dim) draw gives the numbers of k draws of dim.
+        Each growth draws at least as many rows as are held, so copying stays
+        linear."""
+        n = self._draws.shape[0]
+        need = int(i.max()) + 1 - n  # a non-finite index raises here
+        if need > 0:
+            w = self._rng.uniform(-self.bound, self.bound, (max(need, n), self.dim))
+            self._draws = np.concatenate([self._draws, w])
+            self._norms = np.concatenate([self._norms[:-1], np.max(np.abs(w), axis=1), [0.0]])
+        return i.astype(np.int64)
 
     def _value(self, t: np.ndarray) -> np.ndarray:
-        i = [self._index(s) for s in t.tolist()]
-        self._draw(max(i))
-        return np.array([self._draws[j] for j in i])
+        i = self._rows(self._index(t))  # before _draws is read: it may grow
+        return self._draws[i]
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # _index elementwise; at a == b the range is a's own draw.
-        lo, hi = (np.maximum(np.floor(t / self.hold + 1e-9), 0.0).astype(np.int64)
-                  for t in (a, b))
+        lo, hi = self._index(a), self._index(b)
         hi -= hi * self.hold >= b - 1e-9 * self.hold  # the interval opening at b has zero overlap
-        top = np.maximum(hi, lo)
-        self._draw(int(top.max()))
-        if self._norm_array.size != len(self._norms) + 1:
-            self._norm_array = np.append(self._norms, 0.0)
-        return _range_max(self._norm_array, lo, top + 1)
+        # at a == b the range is a's own draw
+        top = self._rows(np.maximum(hi, lo))
+        return _range_max(self._norms, lo.astype(np.int64), top + 1)
 
     def breakpoints(self, a: float, b: float) -> list[float]:
         # The hold edges i * hold past a's interval and before b.  While
@@ -256,7 +254,7 @@ class SeededUniform(Disturbance):
         # up to ceil(b / hold): the count is known before anything is
         # built, and a count above _MAX_HOLD_EDGES raises at once.
         try:
-            i0 = self._index(a) + 1
+            i0 = int(self._index(a)) + 1
             count = max(math.ceil(b / self.hold) + 1, i0) - i0
         except (ValueError, OverflowError):
             count = math.inf

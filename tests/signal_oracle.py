@@ -1,13 +1,16 @@
-"""The scalar interval sup norm and value of each signal class, one
-interval or time per call, kept independent of the package's array
+"""The scalar interval sup norm, value and hold edges of each signal class,
+one interval or time per call, kept independent of the package's array
 implementation.
 
-The bodies are the package's scalar ``sup_norm`` methods as they stood
-before ``sup_norm`` took arrays, with ``self`` renamed ``sig``.  Every
+The sup-norm bodies are the package's scalar ``sup_norm`` methods as they
+stood before ``sup_norm`` took arrays, with ``self`` renamed ``sig``.  Every
 entry of ``sig.sup_norm(a, b)`` must equal ``sup_norm(sig, a_i, b_i)`` to
-the bit.
+the bit.  Only public attributes of a signal are read: the hold-index rule
+and the uniform draws are restated here, the draws one vector at a time from
+a Philox stream of the oracle's own.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -18,6 +21,30 @@ from qrate.signals import Constant, PulseTrain, SeededUniform, Sinusoid, Zero
 def _check_interval(a, b):
     if b < a:
         raise ValueError("reversed interval")
+
+
+def hold_index(sig, t):
+    """The hold interval of ``t``; the nudge keeps an exact hold-boundary
+    time in the interval it opens."""
+    return max(int(math.floor(t / sig.hold + 1e-9)), 0)
+
+
+@functools.lru_cache(maxsize=4)
+def _stream(seed, bound, dim):
+    """A fresh Philox stream, the vectors drawn from it so far and the max
+    |entry| of each.  Memoized, so that a test need not redraw the prefix on
+    every call; the draws depend on the key alone."""
+    return np.random.Generator(np.random.Philox(key=seed)), [], []
+
+
+def uniform_draws(sig, i):
+    """At least the first i + 1 draws of a ``SeededUniform`` and their
+    norms: one vector at a time from a Philox stream keyed by its seed."""
+    rng, draws, norms = _stream(sig.seed, sig.bound, sig.dim)
+    while len(draws) <= i:
+        draws.append(rng.uniform(-sig.bound, sig.bound, sig.dim))
+        norms.append(float(np.max(np.abs(draws[-1]))))
+    return draws, norms
 
 
 def zero_sup(sig, a, b):
@@ -33,7 +60,7 @@ def constant_sup(sig, a, b):
 def pulse_train_sup(sig, a, b):
     _check_interval(a, b)
     if a == b:
-        return float(np.max(np.abs(sig.value(a)))) if sig.dim else 0.0
+        return float(np.max(np.abs(value(sig, a))))
     # Only overlaps of positive measure count toward the essential sup.
     best = 0.0
     for start, end, level in sig.pulses:
@@ -59,14 +86,13 @@ def sinusoid_sup(sig, a, b):
 def seeded_uniform_sup(sig, a, b):
     _check_interval(a, b)
     if a == b:
-        return float(np.max(np.abs(sig.value(a))))
-    lo = sig._index(a)
-    hi = sig._index(b)
+        return float(np.max(np.abs(value(sig, a))))
+    lo = hold_index(sig, a)
+    hi = hold_index(sig, b)
     if hi * sig.hold >= b - 1e-9 * sig.hold:
         hi -= 1  # the interval opening at b has zero overlap
     top = max(hi, lo)
-    sig._draw(top)
-    return max(sig._norms[lo:top + 1])
+    return max(uniform_draws(sig, top)[1][lo:top + 1])
 
 
 _BY_CLASS = {Zero: zero_sup, Constant: constant_sup, PulseTrain: pulse_train_sup,
@@ -91,14 +117,15 @@ def value(sig, t: float) -> np.ndarray:
         return np.zeros(sig.dim)
     if isinstance(sig, Sinusoid):
         return sig.amplitude * math.sin(2.0 * math.pi * sig.freq_hz * t + sig.phase)
-    return sig._draw(sig._index(t))
+    i = hold_index(sig, t)
+    return uniform_draws(sig, i)[0][i].copy()
 
 
 def seeded_uniform_breakpoints(sig, a, b):
     """``SeededUniform.breakpoints`` as it stood before it counted the hold
     edges arithmetically: one edge at a time."""
     pts = []
-    i = sig._index(a) + 1
+    i = hold_index(sig, a) + 1
     while i * sig.hold < b:
         t = i * sig.hold
         if a < t:

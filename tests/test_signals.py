@@ -139,6 +139,49 @@ def test_seeded_uniform_breakpoints_match_edge_loop_anywhere(hold, a, width, on_
         assert np.array(sig.breakpoints(a, b)).tobytes() == np.array(want).tobytes()
 
 
+# a time in units of the hold interval: anywhere, or on a hold edge
+_in_holds = st.one_of(st.floats(-1.0, 3000.0), st.integers(0, 3000).map(float))
+
+
+@given(st.integers(0, 2**64 - 1), st.floats(0.0, 2.0), st.floats(1e-3, 1.0), st.integers(1, 3),
+       st.lists(st.tuples(_in_holds, _in_holds), min_size=1, max_size=30), st.data())
+def test_seeded_uniform_does_not_depend_on_the_order_or_grouping_of_calls(
+        seed, bound, hold, dim, pairs, data):
+    def fresh():
+        return SeededUniform(bound=bound, seed=seed, hold=hold, dim=dim)
+
+    a = np.array([min(p, q) * hold for p, q in pairs])
+    b = np.array([max(p, q) * hold for p, q in pairs])
+    ts = np.concatenate([b, a])
+    want_v = np.array([signal_oracle.value(fresh(), t) for t in ts.tolist()])
+    want_s = np.array([signal_oracle.sup_norm(fresh(), p, q)
+                       for p, q in zip(a.tolist(), b.tolist())])
+
+    # one long call each
+    whole = fresh()
+    assert whole.value(ts).tobytes() == want_v.tobytes()
+    assert whole.sup_norm(a, b).tobytes() == want_s.tobytes()
+
+    # many short calls, sup norms and values alternating, edges in between
+    short, n = fresh(), a.size
+    cuts = sorted({0, n, *data.draw(st.lists(st.integers(0, n), max_size=6))})
+    got_v, got_s = np.empty_like(want_v), np.empty_like(want_s)
+    for lo, hi in zip(cuts, cuts[1:]):
+        got_s[lo:hi] = short.sup_norm(a[lo:hi], b[lo:hi])
+        got_v[[*range(lo, hi), *range(n + lo, n + hi)]] = short.value(np.append(b[lo:hi], a[lo:hi]))
+        p, q = float(a[lo]), float(min(b[lo], a[lo] + 20 * hold))
+        want_e = signal_oracle.seeded_uniform_breakpoints(fresh(), p, q)
+        assert np.array(short.breakpoints(p, q)).tobytes() == np.array(want_e).tobytes()
+    assert got_v.tobytes() == want_v.tobytes() and got_s.tobytes() == want_s.tobytes()
+
+    # one time or interval per call, in any order
+    shuffled = fresh()
+    for i in data.draw(st.permutations(range(2 * n))):
+        if i < n:
+            assert np.float64(shuffled.sup_norm(a[i], b[i])).tobytes() == want_s[i].tobytes()
+        assert shuffled.value(ts[i]).tobytes() == want_v[i].tobytes()
+
+
 _levels = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=3)
 
 
