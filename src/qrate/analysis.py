@@ -371,8 +371,9 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
     esc_bound = g.escape_gain * dsup[k_esc]
     acc["escape_state_bound"].add(x_norm[k_esc], esc_bound)
     acc["escape_radius_bound"].add(E[k_esc - 1], esc_bound)
-    s = sig.sup_norm(t[k_esc - 1], t[k_rec]) / p.dist_level
-    rec_bound = k_esc + np.array([max(maps.eta_dist(v), 1.0) for v in s.tolist()])
+    # Each counter's argument is a ratio of Python floats: no overflow warning.
+    rec_bound = k_esc + np.array([max(gain_value("eta_dist", maps.eta_dist, s / p.dist_level), 1.0)
+                                  for s in sig.sup_norm(t[k_esc - 1], t[k_rec]).tolist()])
     # An open search counts only once it has outrun its bound.
     kept = recaptured | (last > rec_bound)
     acc["recapture_index"].add(k_rec[kept], rec_bound[kept])
@@ -381,7 +382,8 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         captured = ev_k.size > 0
         k_cap = int(ev_k[0]) if captured else last
         r = sig.sup_norm(0.0, t[k_cap])
-        bound = max(maps.eta_state(x_norm[0] / p.radius0), maps.eta_dist(r / p.dist_level))
+        bound = max(gain_value("eta_state", maps.eta_state, float(x_norm[0]) / p.radius0),
+                    gain_value("eta_dist", maps.eta_dist, r / p.dist_level))
         if captured or last > bound:
             acc["capture_initial_index"].add(float(k_cap), bound)
         search_bound = maps.initial_search_bound

@@ -202,8 +202,12 @@ class _Derivation:
     """
 
     def __init__(self, m: PlantModel, p: DesignParams | None = None):
-        S = self.S_closed = matnum.expm(m.closed_loop(), m.dt)
-        self.S_open = matnum.expm(m.A, m.dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            S = self.S_closed = matnum.expm(m.closed_loop(), m.dt)
+            self.S_open = matnum.expm(m.A, m.dt)
+        for name, T in (("e^{(A+BK) dt}", S), ("e^{A dt}", self.S_open)):
+            if not np.isfinite(T).all():
+                raise OverflowError(f"the one-period transition {name} leaves the float range")
         self.growth = matnum.inf_norm_mat(self.S_open)
         self.assumptions = (matnum.is_schur_stable(S), self.growth < m.n_levels)
         if p is None:

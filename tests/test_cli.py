@@ -361,6 +361,49 @@ def test_a_gain_that_leaves_the_float_range_exits_2_naming_it(command, flags, ke
     assert capsys.readouterr().err.splitlines() == [f"error: {message} leaves the float range"]
 
 
+def _main_without_warnings(warning_filter: str, *argv: str) -> int:
+    """``main(argv)``, asserting that it issues no warning under the filter."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warning_filter)
+        code = main(list(argv))
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+@pytest.mark.parametrize("warning_filter", ["always", "error"])
+@pytest.mark.parametrize("command", ["validate", "synthesize", "check", "gains"])
+@pytest.mark.parametrize("plant, transition", [
+    # e^800 overflows in scipy's exp, in its diagonal shortcut and in its squaring
+    ({"plant.A": "800", "plant.B": "1", "plant.D": "1", "plant.K": "-801", "sim.x0": "1"},
+     "e^{A dt}"),
+    ({"plant.A": "800 0 ; 0 -1"}, "e^{(A+BK) dt}"),
+    ({"plant.A": "800 1 ; 1 -1"}, "e^{(A+BK) dt}"),
+], ids=["1x1", "2x2_diagonal", "2x2_coupled"])
+def test_a_one_period_exponential_that_overflows_exits_2_naming_it(
+        plant, transition, command, warning_filter, cert_cfg_path, tmp_path, capsys):
+    path = _with_value(cert_cfg_path, "plant.dt", "1")
+    for key, value in plant.items():
+        path = _with_value(path, key, value)
+    assert _main_without_warnings(warning_filter, command, "--config", str(path),
+                                  "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: the one-period transition {transition} leaves the float range"]
+
+
+@pytest.mark.parametrize("warning_filter", ["always", "error"])
+@pytest.mark.parametrize("dist_level, argument", [
+    ("1e-308", "1.5000000000000002e+308"),  # ratio * s overflows inside eta_dist
+    ("5e-324", "inf"),  # the sup norm over dist_level overflows
+])
+def test_an_eta_counter_that_leaves_the_float_range_exits_2_naming_it(
+        dist_level, argument, warning_filter, cert_cfg_path, tmp_path, capsys):
+    path = _with_value(cert_cfg_path, "design.dist_level", dist_level)
+    assert _main_without_warnings(warning_filter, "check", "--config", str(path),
+                                  "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: gain eta_dist({argument}) leaves the float range"]
+
+
 _CAPPED_MAIN = (
     "import resource, sys\n"
     "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
