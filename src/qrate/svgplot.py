@@ -30,14 +30,11 @@ def _fmt(v: float) -> str:
 
 # one polyline point, each coordinate as _fmt writes it
 _POINT = "%.6g,%.6g"
-_POINT_BLOCK = 4096  # points formatted per block, so one block's floats are alive at once
 
 
 def _points(xp: np.ndarray, yp: np.ndarray) -> str:
     """The ``points`` attribute of a polyline through (xp[i], yp[i])."""
-    return " ".join([" ".join([_POINT % p for p in zip(xp[i:i + _POINT_BLOCK].tolist(),
-                                                      yp[i:i + _POINT_BLOCK].tolist())])
-                     for i in range(0, xp.size, _POINT_BLOCK)])
+    return " ".join([_POINT % p for p in zip(xp.tolist(), yp.tolist())])
 
 
 def _m4(xp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
