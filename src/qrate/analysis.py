@@ -3,7 +3,10 @@ that verifies every provable inequality on a logged run.
 
 Each gain map is one method of :class:`GainFunctions`, a straight
 composition of closed-form pieces over scalars bound once per design; the
-search-stage maps, which need no certificate, sit in its base class.
+search-stage maps, which need no certificate, sit in its base class.  The
+maps that others compose (the diagonal capture and stage gains) remember
+their last few values per instance, as one ISS gain evaluates each of them
+several times at the same argument.
 
 :data:`CHECKS` names the checker's inequalities in report order: the
 protocol checks, which always run, then the checks that rest on the
@@ -18,6 +21,7 @@ with a pass/fail verdict at 1e-9 slack.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +49,7 @@ __all__ = [
 
 SLACK = 1e-9
 _DENSE_BLOCK = 8192  # dense records per intersample_envelope block
+_RECENT = 16  # values of the memoized gain maps each GainFunctions remembers
 
 # Every check, in report order.  The certificate checks need a contraction
 # factor below one; without it they are reported as "not_certified".
@@ -164,6 +169,33 @@ class _SearchMaps:
                 + (pw - 1.0) / (self._lam_hat - 1.0) * self._phi_d * self._delta)
 
 
+def _recent(method):
+    """``method`` memoized in its instance's cache of the last ``_RECENT``
+    values of the memoized maps.
+
+    Equal arguments give the same bits, save zeros of either sign and
+    numbers of different types (0.0 == -0.0, 1 == 1.0 == np.float64(1.0)):
+    the key holds the arguments' types (the maps take one or two), and
+    calls with a zero are not memoized.  A call that raises stores nothing.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def recent(self, *args):
+        if 0 in args:
+            return method(self, *args)
+        key = (name, args, type(args[0]), type(args[-1]))
+        cache = self._recent
+        value = cache.get(key)
+        if value is None:
+            cache[key] = value = method(self, *args)
+            if len(cache) > _RECENT:
+                del cache[next(iter(cache))]  # the oldest
+        return value
+
+    return recent
+
+
 class GainFunctions(_SearchMaps):
     """Evaluable gain maps, composed exactly as the certificate stacks them.
 
@@ -185,6 +217,7 @@ class GainFunctions(_SearchMaps):
         self._expo = g.kappa * (math.log(h) / math.log(g.nu)) + 1.0
         self._gamma_esc = g.escape_gain
         self._h_tilde = d.intersample_gain
+        self._recent: dict = {}  # see _recent
 
     def stab_state_gain(self, e: float, s: float) -> float:
         """Stabilizing-stage bound from the entry state."""
@@ -198,10 +231,12 @@ class GainFunctions(_SearchMaps):
         short_time = self._h_factor * self._phi_d * s**self._expo
         return max(long_time, short_time)
 
+    @_recent
     def capture0_gain(self, s: float) -> float:
         """initial_search_bound on the diagonal."""
         return self.initial_search_bound(s, s)
 
+    @_recent
     def capture_gain(self, s: float) -> float:
         """recapture_bound on the diagonal."""
         return self.recapture_bound(s, s)
@@ -212,14 +247,17 @@ class GainFunctions(_SearchMaps):
         return (self.stab_state_gain(e_cap, self.capture0_gain(s) + self.capture0_gain(r))
                 + self.stab_dist_gain(e_cap, r))
 
+    @_recent
     def first_stage_gain(self, e: float, s: float) -> float:
         """first_stage_bound on the diagonal."""
         return self.first_stage_bound(e, s, s)
 
+    @_recent
     def post_escape_gain(self, s: float) -> float:
         """Searching stages after an escape."""
         return self.capture_gain(self._gamma_esc * s) + self.capture_gain(s)
 
+    @_recent
     def post_recapture_gain(self, s: float) -> float:
         """Stabilizing stages after a recapture."""
         e_cap = self.recapture_radius(self._gamma_esc * s, s)

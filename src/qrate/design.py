@@ -8,6 +8,15 @@ solves the Lyapunov equation, and holds the only copy of each inequality;
 :func:`validate_design`, :func:`synthesize_design` and
 :func:`derive_constants` are arithmetic over it, and only the last adds the
 interval quadratures.
+
+The three share that derivation: it depends on the plant, ``floor_margin``
+and Q alone, so the validate, synthesize, validate, derive chain that the
+commands run on one plant computes it once.  A memo of one entry holds it,
+keyed by the plant's identity (a plant never changes), ``floor_margin`` and
+the bits of Q.  One entry suffices for that chain, and a sweep over many
+plants evicts it at the next plant, so the memo never grows with the
+number of designs.  Its arrays are read-only, as they are shared by every
+:class:`DerivedConstants` made from it.
 """
 from __future__ import annotations
 
@@ -34,6 +43,11 @@ __all__ = [
 # satisfied with half of the available slack.
 THETA_RHO = 0.5
 THETA_PHI = 0.5
+
+
+def _read_only(M: np.ndarray) -> np.ndarray:
+    M.flags.writeable = False
+    return M
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +84,8 @@ class PlantModel:
         if int(self.n_levels) != self.n_levels or self.n_levels < 2:
             raise ValueError("n_levels must be an integer >= 2")
         for name, M in (("A", A), ("B", B), ("D", D), ("K", K)):
-            M = M.copy()  # read-only: the simulation builds its dynamics once per plant
-            M.flags.writeable = False
-            object.__setattr__(self, name, M)
+            # read-only: the simulation and the design derivation are built once per plant
+            object.__setattr__(self, name, _read_only(M.copy()))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "n_levels", int(self.n_levels))
 
@@ -133,7 +146,7 @@ class DesignParams:
                 raise ValueError("Q is too large: (Q + Q^T)/2 overflows")
             if not matnum.is_positive_definite(sym):
                 raise ValueError("Q must be positive definite")
-            object.__setattr__(self, "Q", Q)
+            object.__setattr__(self, "Q", _read_only(Q.copy()))  # the derivation memo keys on it
 
     def resolved_q(self, n_x: int) -> np.ndarray:
         if self.Q is None:
@@ -199,12 +212,13 @@ class _Derivation:
     Without ``p`` only the transitions and the assumptions are set.  dlyap
     runs only for a stable closed loop; otherwise P and Q stay None and
     ``chi``, ``quant_gain`` (= (n-1)^2/n^2 chi) and ``contraction`` are nan.
+    Of ``p`` only ``floor_margin`` and Q are read (see :func:`_derivation`).
     """
 
     def __init__(self, m: PlantModel, p: DesignParams | None = None):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-            S = self.S_closed = matnum.expm(m.closed_loop(), m.dt)
-            self.S_open = matnum.expm(m.A, m.dt)
+            S = self.S_closed = _read_only(matnum.expm(m.closed_loop(), m.dt))
+            self.S_open = _read_only(matnum.expm(m.A, m.dt))
         for name, T in (("e^{(A+BK) dt}", S), ("e^{A dt}", self.S_open)):
             if not np.isfinite(T).all():
                 raise OverflowError(f"the one-period transition {name} leaves the float range")
@@ -217,8 +231,8 @@ class _Derivation:
         self.Q = self.P = None
         self.chi = self.contraction = math.nan
         if self.assumptions[0]:
-            self.Q = p.resolved_q(m.n_x)
-            self.P = matnum.dlyap(S, self.Q)
+            self.Q = _read_only(p.resolved_q(m.n_x))
+            self.P = _read_only(matnum.dlyap(S, self.Q))
             q_min, _ = matnum.sym_eig_extremes(self.Q)
             if q_min <= 0:
                 # eigvalsh can lose it for a badly scaled Q: 1 / |L^-1|_2^2, L = chol(Q)
@@ -247,6 +261,23 @@ class _Derivation:
         return self.nu_base(p.psi, p.rho) + (1.0 + 1.0 / p.psi) * p.phi * p.rho
 
 
+# (key, derivation) of the last _derivation call, read and replaced as one
+# tuple: threads that race at worst derive the same design twice.
+_last: tuple = (None, None)
+
+
+def _derivation(m: PlantModel, p: DesignParams) -> _Derivation:
+    """``_Derivation(m, p)``, computed anew only when the plant (by identity),
+    ``p.floor_margin`` or the bits of ``p.Q`` differ from the last call's."""
+    global _last
+    key = (m, p.floor_margin, None if p.Q is None else p.Q.tobytes())  # Q is square
+    last_key, c = _last
+    if key != last_key:
+        c = _Derivation(m, p)
+        _last = key, c
+    return c
+
+
 def check_assumptions(m: PlantModel) -> tuple[bool, bool]:
     """(closed loop stable, per-period growth below the grid count)."""
     return _Derivation(m).assumptions
@@ -254,7 +285,7 @@ def check_assumptions(m: PlantModel) -> tuple[bool, bool]:
 
 def derive_constants(m: PlantModel, p: DesignParams) -> DerivedConstants:
     """Compute every shared constant for the given plant and parameters."""
-    c = _Derivation(m, p)
+    c = _derivation(m, p)
     if c.P is None:
         raise ValueError("dlyap requires spectral radius of S below 1")
     sg = (1.0 + p.search_margin) * c.growth_eff
@@ -284,7 +315,7 @@ def derive_constants(m: PlantModel, p: DesignParams) -> DerivedConstants:
 
 def validate_design(m: PlantModel, p: DesignParams) -> CertificateReport:
     """Check the design inequalities; violations are data, not errors."""
-    c = _Derivation(m, p)
+    c = _derivation(m, p)
     a1, a2 = c.assumptions
     msgs: list[str] = []
     if not a1:
@@ -319,7 +350,7 @@ def synthesize_design(m: PlantModel, hints: DesignParams) -> DesignParams:
     rho and phi are then sized so each remaining inequality holds with a
     factor-of-two slack.  Every other field is copied from ``hints``.
     """
-    c = _Derivation(m, hints)
+    c = _derivation(m, hints)
     a1, a2 = c.assumptions
     if not a1:
         raise ValueError("cannot synthesize: closed loop is not stable")

@@ -91,7 +91,8 @@ def expm(M, t: float = 1.0) -> np.ndarray:
     return scipy.linalg.expm(A * float(t))
 
 
-def _grid_norms(A: np.ndarray, D: np.ndarray | None, tau: float, n: int) -> np.ndarray:
+def _grid_norms(A: np.ndarray, D: np.ndarray | None, tau: float, n: int,
+                exps: dict | None = None) -> np.ndarray:
     """Values of s -> ||e^{As} D|| (or ||e^{As}|| when D is None) on the
     uniform grid s_i = i*tau/n, i = 0..n.
 
@@ -110,11 +111,25 @@ def _grid_norms(A: np.ndarray, D: np.ndarray | None, tau: float, n: int) -> np.n
     products and the same reductions, only batched), which matters because
     the disturbance gain feeds the codec's radius and rounding differences
     grow with the plant.  Working memory stays at about
-    max(_GRID_BLOCK, n // _GRID_ANCHOR + 1) matrices whatever n is.
+    max(_GRID_BLOCK, n // _GRID_ANCHOR + 1) matrices whatever n is, and
+    ``exps`` grows by at most n // _GRID_ANCHOR + 1.
+
+    ``exps`` maps a time t to e^{At}: the step e^{Ah} and the anchors are
+    taken from it where it holds their time and added to it otherwise, so
+    the levels of one refinement share them (see :func:`phi_integral`).
+    A hit has the same time float, hence the same product A t and the same
+    exponential: the values do not depend on what ``exps`` holds.
     """
+    exps = {} if exps is None else exps
+
+    def exp_at(t):
+        if t not in exps:
+            exps[t] = scipy.linalg.expm(A * t)
+        return exps[t]
+
     a = _GRID_ANCHOR
     h = tau / n
-    T = scipy.linalg.expm(A * h)
+    T = exp_at(h)
     n_sub, last = divmod(n, a)
     n_sub += 1
     steps = min(a, n + 1)
@@ -122,7 +137,7 @@ def _grid_norms(A: np.ndarray, D: np.ndarray | None, tau: float, n: int) -> np.n
     stack = np.empty((R, n_sub) + A.shape)
     stack[0, 0] = np.eye(A.shape[0])
     for j, i in enumerate(range(a, n + 1, a), 1):
-        stack[0, j] = scipy.linalg.expm(A * (i * h))
+        stack[0, j] = exp_at(i * h)
     grid = np.empty((n_sub, a))
     for r0 in range(0, steps, R):
         r1 = min(r0 + R, steps)
@@ -152,6 +167,13 @@ def phi_integral(A, D, tau_s: float) -> float:
     Composite Simpson with doubling refinement, stopping when two
     successive refinements agree to 1e-10 relative; a level whose sum is
     not finite ends the refinement with the ArithmeticError at once.
+
+    The levels share one ``exps`` map (see ``_grid_norms``), so each
+    exponential is taken once, and they have many times in common: n is a
+    power of two, so h = tau/n halves exactly from one level to the next.
+    Level 2n's even anchors thus have bitwise the times of level n's
+    anchors, and the step of a level n <= N / _GRID_ANCHOR the time of one
+    of level N's anchors.
     """
     A = _square(A, "A")
     Dm = as_matrix(D, "D")
@@ -161,11 +183,12 @@ def phi_integral(A, D, tau_s: float) -> float:
         raise ValueError("tau_s must be positive")
     prev = None
     n = 4
+    exps: dict = {}
     # An overflowing sum ends in the ArithmeticError below; numpy's float
     # warnings would only repeat it on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         while n <= 1 << 17:
-            f = _grid_norms(A, Dm, tau_s, n)
+            f = _grid_norms(A, Dm, tau_s, n, exps)
             h = tau_s / n
             val = h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
             if not np.isfinite(val):
@@ -181,15 +204,17 @@ def max_norm_over_interval(M, tau_s: float) -> float:
     """max over s in [0, tau_s] of ||e^{Ms}||, by grid refinement.
 
     The grid is doubled until the observed maximum changes by less than
-    1e-8 relative.
+    1e-8 relative; the levels share their exponentials as in
+    :func:`phi_integral`.
     """
     A = _square(M, "M")
     if not tau_s > 0:
         raise ValueError("tau_s must be positive")
     prev = None
     n = 16
+    exps: dict = {}
     while n <= 1 << 15:
-        cur = float(np.max(_grid_norms(A, None, tau_s, n)))
+        cur = float(np.max(_grid_norms(A, None, tau_s, n, exps)))
         if prev is not None and abs(cur - prev) <= 1e-8 * max(abs(cur), 1e-30):
             return cur
         prev = cur

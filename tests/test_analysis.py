@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_oracle
@@ -12,8 +12,8 @@ from gain_oracle import constants_from, oracle_values
 from qrate import (PulseTrain, SeededUniform, Sinusoid, Zero, check_trajectory,
                    derive_constants, eta_functions, gain_constants, iss_gains,
                    run_closed_loop)
-from qrate.analysis import (CERTIFICATE_CHECKS, CHECKS, _DENSE_BLOCK, _Acc, _add_exp_decay,
-                            _SearchMaps)
+from qrate.analysis import (CERTIFICATE_CHECKS, CHECKS, _DENSE_BLOCK, _RECENT, _Acc,
+                            _add_exp_decay, _SearchMaps)
 from qrate.codec import quad_value
 
 
@@ -133,6 +133,29 @@ def test_gain_composition_matches_oracle(toy_gains, toy_derived, toy_params):
         for name, val in got.items():
             scale = max(1.0, abs(ref[name]), abs(val))
             assert abs(val - ref[name]) <= 1e-12 * scale, name
+
+
+# Radii, and arguments of either zero besides them: equal values of three
+# types and distinct values.  A map must not serve one of them another's bits.
+_GAIN_RADII = (1e-3, 0.5, np.float64(0.5), 2, 2.0, np.float64(2.0), 37.5)
+_GAIN_ARGS = (0.0, -0.0, 0) + _GAIN_RADII
+_GAIN_MAPS = ("capture0_gain", "capture_gain", "first_stage_gain", "post_escape_gain",
+              "post_recapture_gain", "stab_state_gain", "stab_dist_gain", "gamma1", "gamma2",
+              "gamma3")
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_GAIN_MAPS), st.sampled_from(_GAIN_RADII),
+                          st.sampled_from(_GAIN_ARGS)), min_size=1, max_size=40))
+def test_gain_maps_in_any_order_match_a_fresh_instance(cert_derived, cert_params, calls):
+    g = gain_constants(cert_derived, cert_params)
+    f = iss_gains(cert_derived, cert_params, g)
+    for name, e, s in calls:
+        args = (e, s) if name in ("first_stage_gain", "stab_state_gain", "stab_dist_gain") else (s,)
+        got = getattr(f, name)(*args)
+        want = getattr(iss_gains(cert_derived, cert_params, g), name)(*args)
+        assert (type(got), float(got).hex()) == (type(want), float(want).hex()), (name, args)
+    assert len(f._recent) <= _RECENT
 
 
 def _reference_log(ref_plant, cert_params, cert_derived, horizon=30.0, substeps=25):

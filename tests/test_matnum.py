@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,9 +91,9 @@ def test_phi_integral_stops_at_the_first_non_finite_level(monkeypatch):
     calls = []
     orig = mn._grid_norms
 
-    def counted(A, D, tau, n):
+    def counted(A, D, tau, n, exps=None):
         calls.append(n)
-        return orig(A, D, tau, n)
+        return orig(A, D, tau, n, exps)
 
     monkeypatch.setattr(mn, "_grid_norms", counted)
     # every level overflows: one grid walk, not all 16 levels
@@ -102,7 +103,7 @@ def test_phi_integral_stops_at_the_first_non_finite_level(monkeypatch):
     # a finite level followed by an overflowing one must not pass
     # inf <= 1e-10 * inf and return inf
     levels = iter([np.ones(5), np.full(9, np.inf)])
-    monkeypatch.setattr(mn, "_grid_norms", lambda A, D, tau, n: next(levels))
+    monkeypatch.setattr(mn, "_grid_norms", lambda A, D, tau, n, exps=None: next(levels))
     with pytest.raises(ArithmeticError):
         mn.phi_integral(np.zeros((1, 1)), np.ones((1, 1)), 1.0)
 
@@ -237,10 +238,10 @@ def test_deep_design_peaks_match_pinned_bits(monkeypatch):
     deepest = []
     orig = mn._grid_norms
 
-    def counted(A, D, tau, n):
+    def counted(A, D, tau, n, exps=None):
         if D is not None:
             deepest[-1] = max(deepest[-1], n)
-        return orig(A, D, tau, n)
+        return orig(A, D, tau, n, exps)
 
     monkeypatch.setattr(mn, "_grid_norms", counted)
     h = hashlib.sha256()
@@ -250,6 +251,23 @@ def test_deep_design_peaks_match_pinned_bits(monkeypatch):
         assert deepest[-1] == n, (n_x, seed)
         h.update(struct.pack("<3d", d.dist_gain, d.peak_closed, d.peak_open))
     assert h.hexdigest() == DEEP_PEAKS_SHA256
+
+
+def test_phi_integral_takes_each_exponential_once(monkeypatch):
+    # The refinement of DEEP_PLANTS' (5, 1) plant ends at n = 65536: its
+    # 256 anchor times include the step times of the levels n = 4..256, so
+    # the 15 levels need 256 + 8 distinct exponentials, each taken once.
+    taken = []
+    expm = scipy.linalg.expm
+
+    def counted(M):
+        taken.append(M.tobytes())
+        return expm(M)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    m = make_random_plant(np.random.default_rng(1), 5)
+    mn.phi_integral(m.A, m.D, m.dt)
+    assert len(set(taken)) == len(taken) == 65536 // mn._GRID_ANCHOR + 8
 
 
 def test_grid_norms_memory_is_bounded_by_the_block():
