@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, codec, design, plant
-from .config import ConfigError, ScenarioConfig, fmt_num, load_config, save_config
+from .config import _FLOAT_FORMAT, ConfigError, ScenarioConfig, fmt_num, load_config, save_config
 from .scenarios import BUNDLED_NAME, bundled_scenario
 from .signals import PulseTrain, SeededUniform
 from .svgplot import Series, render_svg
@@ -34,9 +34,9 @@ ENV_OUT = "QRATE_OUT"
 # objects alive at once
 _TABLE_BLOCK = 4096
 
-# a field's % conversion by its dtype kind: %d is str(int(k)), %.17g is
-# fmt_num, so a row reads as if each field went through them
-_CONVERSION = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+# a field's % conversion by its dtype kind: %d is str(int(k)) and floats
+# take fmt_num's conversion, so a row reads as if each field went through them
+_CONVERSION = {"i": "%d", "u": "%d", "f": _FLOAT_FORMAT, "U": "%s"}
 
 
 def _write_table(path: Path, header: list[str], columns) -> None:

@@ -140,18 +140,16 @@ def advance(state: CodecState, symbol: int, xhat: np.ndarray, value: float,
         center = d.S_closed @ xhat
         radius = d.growth_eff / n * E + math.sqrt(p.phi * value)
         stage = Stage.STABILIZING
-    elif state.stage is Stage.STABILIZING:
-        # Escape: reseed the radius from the pre-escape one so the growth
-        # starts from a disturbance-comparable level.
-        if state.radius_prev is None:
-            raise RuntimeError("escape cannot occur before the first sample")
-        seed = d.growth_eff / n * state.radius_prev + d.dist_gain * p.dist_level
+    else:
+        seed = E
+        if state.stage is Stage.STABILIZING:
+            # Escape: reseed the radius from the pre-escape one so the growth
+            # starts from a disturbance-comparable level.
+            if state.radius_prev is None:
+                raise RuntimeError("escape cannot occur before the first sample")
+            seed = d.growth_eff / n * state.radius_prev + d.dist_gain * p.dist_level
         center = d.S_open @ state.center
         radius = d.search_growth * seed + d.dist_gain * p.dist_level
-        stage = Stage.SEARCHING
-    else:
-        center = d.S_open @ state.center
-        radius = d.search_growth * E + d.dist_gain * p.dist_level
         stage = Stage.SEARCHING
     return CodecState(center=center, radius=float(radius), radius_prev=E, stage=stage)
 

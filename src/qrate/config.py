@@ -46,10 +46,14 @@ class ScenarioConfig:
     out_dir: str | None = None
 
 
+# the one float conversion of config files, reports and CSV tables
+_FLOAT_FORMAT = "%.17g"
+
+
 def fmt_num(x) -> str:
     """17 significant digits: every finite float reads back to the same
     bits (-0.0 included); infinities and nan print as inf, -inf, nan."""
-    return format(float(x), ".17g")
+    return _FLOAT_FORMAT % float(x)
 
 
 def _fmt_row(row) -> str:

@@ -94,25 +94,28 @@ def expm(M, t: float = 1.0) -> np.ndarray:
 def _grid_norms(A: np.ndarray, D: np.ndarray | None, tau: float, n: int,
                 exps: dict | None = None) -> np.ndarray:
     """Values of s -> ||e^{As} D|| (or ||e^{As}|| when D is None) on the
-    uniform grid s_i = i*tau/n, i = 0..n.
+    uniform grid s_i = i*tau/n, i = 0..n, for n a power of two from 4 to
+    2^17 (the grids of :func:`_refine`).
 
     Powers of e^{Ah} are accumulated by repeated multiplication and
     re-anchored with a fresh exponential every ``_GRID_ANCHOR`` steps to keep
-    roundoff drift far below the quadrature tolerances.  The grid is thus
-    n // _GRID_ANCHOR + 1 independent sub-chains: X_{aj} is the exponential
-    (the identity for j = 0) and X_{aj+r} = X_{aj+r-1} e^{Ah} for
-    r = 1..a-1, the last sub-chain stopping at i = n.
+    roundoff drift far below the quadrature tolerances.  For n below
+    ``_GRID_ANCHOR`` the grid is one chain of n + 1 points.  Otherwise it is
+    n / _GRID_ANCHOR sub-chains of a = _GRID_ANCHOR points each, X_{aj}
+    being the exponential (the identity for j = 0) and X_{aj+r} =
+    X_{aj+r-1} e^{Ah} for r = 1..a-1, and the last point X_n is the anchor
+    e^{A tau} alone.
 
-    All anchors are computed first; then step r advances every sub-chain that
-    reaches it with one batched product.  The steps run in blocks of as many
-    as fit in ``_GRID_BLOCK`` matrices (at least one), and the products with
-    D, the absolute row sums and the row maxima are taken once per block.
-    Every value is bitwise the one a point-by-point loop computes (the same
+    All anchors are computed first; then step r advances every sub-chain
+    with one batched product.  The steps run in blocks of as many as fit in
+    ``_GRID_BLOCK`` matrices (at least one), and the products with D, the
+    absolute row sums and the row maxima are taken once per block.  Every
+    value is bitwise the one a point-by-point loop computes (the same
     products and the same reductions, only batched), which matters because
     the disturbance gain feeds the codec's radius and rounding differences
     grow with the plant.  Working memory stays at about
-    max(_GRID_BLOCK, n // _GRID_ANCHOR + 1) matrices whatever n is, and
-    ``exps`` grows by at most n // _GRID_ANCHOR + 1.
+    max(_GRID_BLOCK, n / _GRID_ANCHOR) matrices besides the n + 1 values,
+    and ``exps`` grows by at most n / _GRID_ANCHOR + 1.
 
     ``exps`` maps a time t to e^{At}: the step e^{Ah} and the anchors are
     taken from it where it holds their time and added to it otherwise, so
@@ -130,29 +133,24 @@ def _grid_norms(A: np.ndarray, D: np.ndarray | None, tau: float, n: int,
     a = _GRID_ANCHOR
     h = tau / n
     T = exp_at(h)
-    n_sub, last = divmod(n, a)
-    n_sub += 1
+    n_sub = max(1, n // a)
     steps = min(a, n + 1)
     R = max(1, min(steps, _GRID_BLOCK // n_sub))
     stack = np.empty((R, n_sub) + A.shape)
     stack[0, 0] = np.eye(A.shape[0])
-    for j, i in enumerate(range(a, n + 1, a), 1):
-        stack[0, j] = exp_at(i * h)
-    grid = np.empty((n_sub, a))
+    for j in range(1, n_sub):
+        stack[0, j] = exp_at(j * a * h)
+    out = np.empty(n + 1)
+    grid = out[:n_sub * steps].reshape(n_sub, steps)
     for r0 in range(0, steps, R):
         r1 = min(r0 + R, steps)
+        # with R = 1 the product overwrites its input, which numpy buffers
         for r in range(max(r0, 1), r1):
-            # the last sub-chain reaches step r only while r <= last; with
-            # R = 1 the product overwrites its input, which numpy buffers
-            live = n_sub if r <= last else n_sub - 1
-            np.matmul(stack[(r - 1) % R, :live], T, out=stack[r % R, :live])
-        full = n_sub if r1 - 1 <= last else n_sub - 1
-        _norm_maxima(stack[:r1 - r0, :full], D, grid[:full, r0:r1].T)
-        if full < n_sub and r0 <= last:
-            # the last sub-chain ends inside this block: its later slots
-            # hold stale or uninitialized matrices, which must not be reduced
-            _norm_maxima(stack[:last + 1 - r0, full], D, grid[full, r0:last + 1])
-    return grid.reshape(-1)[:n + 1]
+            np.matmul(stack[(r - 1) % R], T, out=stack[r % R])
+        _norm_maxima(stack[:r1 - r0], D, grid[:, r0:r1].T)
+    if n >= a:
+        _norm_maxima(exp_at(n * h)[None], D, out[n:])
+    return out
 
 
 def _norm_maxima(X: np.ndarray, D: np.ndarray | None, out: np.ndarray) -> None:
@@ -161,19 +159,46 @@ def _norm_maxima(X: np.ndarray, D: np.ndarray | None, out: np.ndarray) -> None:
     np.max(np.sum(np.abs(Y), axis=-1), axis=-1, out=out)
 
 
+def _simpson(f: np.ndarray, h: float) -> float:
+    """Composite Simpson sum of the grid values f spaced h apart."""
+    return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+
+
+def _refine(A, D, tau: float, reduce, n: int, cap: int, rtol: float, name: str) -> float:
+    """Doubling refinement of ``reduce(_grid_norms(A, D, tau, n), tau / n)``
+    from n up to ``cap``, stopping when two successive levels agree to
+    ``rtol`` relative.
+
+    A level whose value is not finite ends the refinement with the
+    ArithmeticError at once, as does reaching ``cap``.  The levels share
+    one ``exps`` map (see ``_grid_norms``), so each exponential is taken
+    once, and they have many times in common: n is a power of two, so
+    h = tau/n halves exactly from one level to the next.  Level 2n's even
+    anchors thus have bitwise the times of level n's anchors, and the step
+    of a level n <= N / _GRID_ANCHOR the time of one of level N's anchors.
+    """
+    prev = None
+    exps: dict = {}
+    # An overflowing level ends in the ArithmeticError below; numpy's float
+    # warnings would only repeat it on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n <= cap:
+            val = reduce(_grid_norms(A, D, tau, n, exps), tau / n)
+            if not np.isfinite(val):
+                break
+            if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-30):
+                return float(val)
+            prev = val
+            n *= 2
+    raise ArithmeticError(f"{name} did not converge")
+
+
 def phi_integral(A, D, tau_s: float) -> float:
     """Integral of ||e^{As} D|| over [0, tau_s].
 
-    Composite Simpson with doubling refinement, stopping when two
-    successive refinements agree to 1e-10 relative; a level whose sum is
-    not finite ends the refinement with the ArithmeticError at once.
-
-    The levels share one ``exps`` map (see ``_grid_norms``), so each
-    exponential is taken once, and they have many times in common: n is a
-    power of two, so h = tau/n halves exactly from one level to the next.
-    Level 2n's even anchors thus have bitwise the times of level n's
-    anchors, and the step of a level n <= N / _GRID_ANCHOR the time of one
-    of level N's anchors.
+    Composite Simpson with doubling refinement (:func:`_refine`) from 4 to
+    2^17 intervals, stopping when two successive refinements agree to 1e-10
+    relative.
     """
     A = _square(A, "A")
     Dm = as_matrix(D, "D")
@@ -181,45 +206,19 @@ def phi_integral(A, D, tau_s: float) -> float:
         raise ValueError("D must have as many rows as A")
     if not tau_s > 0:
         raise ValueError("tau_s must be positive")
-    prev = None
-    n = 4
-    exps: dict = {}
-    # An overflowing sum ends in the ArithmeticError below; numpy's float
-    # warnings would only repeat it on stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while n <= 1 << 17:
-            f = _grid_norms(A, Dm, tau_s, n, exps)
-            h = tau_s / n
-            val = h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
-            if not np.isfinite(val):
-                break
-            if prev is not None and abs(val - prev) <= 1e-10 * max(abs(val), 1e-30):
-                return float(val)
-            prev = val
-            n *= 2
-    raise ArithmeticError("phi_integral quadrature did not converge")
+    return _refine(A, Dm, tau_s, _simpson, 4, 1 << 17, 1e-10, "phi_integral quadrature")
 
 
 def max_norm_over_interval(M, tau_s: float) -> float:
     """max over s in [0, tau_s] of ||e^{Ms}||, by grid refinement.
 
-    The grid is doubled until the observed maximum changes by less than
-    1e-8 relative; the levels share their exponentials as in
-    :func:`phi_integral`.
+    The grid is doubled (:func:`_refine`) from 16 to 2^15 intervals until the
+    observed maximum changes by less than 1e-8 relative.
     """
     A = _square(M, "M")
     if not tau_s > 0:
         raise ValueError("tau_s must be positive")
-    prev = None
-    n = 16
-    exps: dict = {}
-    while n <= 1 << 15:
-        cur = float(np.max(_grid_norms(A, None, tau_s, n, exps)))
-        if prev is not None and abs(cur - prev) <= 1e-8 * max(abs(cur), 1e-30):
-            return cur
-        prev = cur
-        n *= 2
-    raise ArithmeticError("max_norm_over_interval did not converge")
+    return _refine(A, None, tau_s, lambda f, _: f.max(), 16, 1 << 15, 1e-8, "max_norm_over_interval")
 
 
 def sym_eig_extremes(M) -> tuple[float, float]:

@@ -24,12 +24,14 @@ class Series:
         self.step = step
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".6g")
-
-
+# the one number conversion of the SVG: coordinates, sizes and tick labels
+_NUM_FORMAT = "%.6g"
 # one polyline point, each coordinate as _fmt writes it
-_POINT = "%.6g,%.6g"
+_POINT = f"{_NUM_FORMAT},{_NUM_FORMAT}"
+
+
+def _fmt(v: float) -> str:
+    return _NUM_FORMAT % v
 
 
 def _points(xp: np.ndarray, yp: np.ndarray) -> str:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -87,7 +88,21 @@ def test_phi_integral_diagonal_closed_forms():
     assert abs(v - exact) / exact < 1e-9
 
 
-def test_phi_integral_stops_at_the_first_non_finite_level(monkeypatch):
+# each quadrature as a function of (A, D, tau), and the n of its first level
+_QUADRATURES = {
+    "phi_integral": (mn.phi_integral, 4),
+    "max_norm_over_interval": (lambda A, D, tau: mn.max_norm_over_interval(A, tau), 16),
+}
+
+
+# every level overflows, in the products with D or in the chain of e^{800 h}
+@pytest.mark.parametrize("name, A, D", [
+    ("phi_integral", bundled_plant().A, [[1e308], [0.0]]),
+    ("phi_integral", [[800.0]], [[1.0]]),
+    ("max_norm_over_interval", [[800.0]], None),
+], ids=["phi_integral_huge_D", "phi_integral", "max_norm_over_interval"])
+def test_quadrature_stops_at_the_first_non_finite_level(monkeypatch, name, A, D):
+    quadrature, first_n = _QUADRATURES[name]
     calls = []
     orig = mn._grid_norms
 
@@ -96,16 +111,18 @@ def test_phi_integral_stops_at_the_first_non_finite_level(monkeypatch):
         return orig(A, D, tau, n, exps)
 
     monkeypatch.setattr(mn, "_grid_norms", counted)
-    # every level overflows: one grid walk, not all 16 levels
-    with pytest.raises(ArithmeticError):
-        mn.phi_integral(bundled_plant().A, np.array([[1e308], [0.0]]), 0.1)
-    assert calls == [4]
+    # one grid walk, not all of them, and no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            quadrature(np.array(A), D, 1.0)
+    assert calls == [first_n]
     # a finite level followed by an overflowing one must not pass
-    # inf <= 1e-10 * inf and return inf
-    levels = iter([np.ones(5), np.full(9, np.inf)])
+    # inf <= rtol * inf and return inf
+    levels = iter([np.ones(first_n + 1), np.full(2 * first_n + 1, np.inf)])
     monkeypatch.setattr(mn, "_grid_norms", lambda A, D, tau, n, exps=None: next(levels))
     with pytest.raises(ArithmeticError):
-        mn.phi_integral(np.zeros((1, 1)), np.ones((1, 1)), 1.0)
+        quadrature(np.zeros((1, 1)), np.ones((1, 1)), 1.0)
 
 
 def test_phi_integral_rejects_mismatch():
@@ -209,13 +226,12 @@ def test_linear_algebra_facts():
         assert plo * vnorm**2 - tol <= pquad <= n * phi * vnorm**2 + tol
 
 
-_B = mn._GRID_BLOCK
-
-
+# the grids the refinements pass: one chain below _GRID_ANCHOR points, then
+# one to sixteen whole sub-chains and the last anchor
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(1, 6), n_cols=st.integers(0, 3),
        tau=st.floats(0.01, 2.0, exclude_min=True, exclude_max=True),
-       n=st.sampled_from([4, 16, 255, 256, 257, _B - 1, _B, _B + 1, 2 * _B + 1, 2049]))
+       n=st.sampled_from([4, 16, 128, 256, 512, 1024, 2048, 4096]))
 def test_grid_norms_match_point_by_point_oracle(seed, n_x, n_cols, tau, n):
     rng = np.random.default_rng(seed)
     A = rng.uniform(-3.0, 3.0, (n_x, n_x))
@@ -282,5 +298,5 @@ def test_grid_norms_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     # the result alone is 1 MB; an unblocked stack of 6x6 matrices is 37 MB
     assert peak < 4 * 2**20
-    # 513 sub-chains, more than _GRID_BLOCK: each block holds a single step
+    # 512 sub-chains, as many as _GRID_BLOCK: each block holds a single step
     assert got.tobytes() == oracle_grid_norms(A, D, 0.1, 1 << 17).tobytes()
