@@ -12,7 +12,7 @@ several times at the same argument.
 protocol checks, which always run, then the checks that rest on the
 contraction certificate, which are reported as "not_certified" instead of
 being run when the design inequalities do not hold.  Each check is stated
-once, as array operations over the whole log (the dense envelope in blocks
+once, as array operations over the whole log (the dense envelopes in blocks
 of records, the decay envelope per stabilizing run); the escape and capture
 checks pair every escape with the event after it, its recapture.  The
 checker never clamps a margin, it reports the worst one found together
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 SLACK = 1e-9
-_DENSE_BLOCK = 8192  # dense records per intersample_envelope block
+_DENSE_BLOCK = 8192  # dense records per block of the dense envelope checks
 _RECENT = 16  # values of the memoized gain maps each GainFunctions remembers
 
 # Every check, in report order.  The certificate checks need a contraction
@@ -389,12 +389,14 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         center_err[ks_search + 1],
         d.growth_eff * center_err[ks_search] + d.dist_gain * dsup[ks_search + 1])
 
-    dense_norm = np.max(np.abs(log.dense_x), axis=1) if log.dense_x.size else np.empty(0)
     # Blocks of records keep the temporaries small whatever the horizon.
-    for lo in range(0, dense_norm.size, _DENSE_BLOCK):
-        dk = log.dense_k[lo:lo + _DENSE_BLOCK]
-        sups = sig.sup_norm(t[dk], log.dense_t[lo:lo + _DENSE_BLOCK])
-        acc["intersample_envelope"].add(dense_norm[lo:lo + dk.size],
+    dense_norm = np.empty(len(log.dense_x))
+    blocks = [slice(lo, lo + _DENSE_BLOCK) for lo in range(0, dense_norm.size, _DENSE_BLOCK)]
+    for blk in blocks:
+        np.max(np.abs(log.dense_x[blk]), axis=1, out=dense_norm[blk])
+        dk = log.dense_k[blk]
+        sups = sig.sup_norm(t[dk], log.dense_t[blk])
+        acc["intersample_envelope"].add(dense_norm[blk],
                                         d.intersample_gain * x_norm[dk] + d.dist_gain * sups)
 
     # Visibility toggles, so the events alternate: each one's episode ends
@@ -443,9 +445,10 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         _add_exp_decay(acc["exp_decay_envelope"], stab, x_norm, E, dsup, g.c_exp, d.nu,
                        d.dist_gain)
         gains = iss_gains(d, p, g)
-        acc["iss_envelope"].add(
-            dense_norm, gain_value("gamma1", gains.gamma1, x_norm[0])
-            + gain_value("gamma2", gains.gamma2, sig.sup_norm(0.0, t[last])))
+        iss_bound = (gain_value("gamma1", gains.gamma1, x_norm[0])
+                     + gain_value("gamma2", gains.gamma2, sig.sup_norm(0.0, t[last])))
+        for blk in blocks:
+            acc["iss_envelope"].add(dense_norm[blk], iss_bound)
 
     return CheckReport([acc[name].row() if name in acc
                         else CheckRow(name, 0, math.nan, "not_certified") for name in CHECKS],

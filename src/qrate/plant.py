@@ -12,8 +12,12 @@ call: the first midpoint when no breakpoint splits a constant input, else
 every segment midpoint, or every RK4 start, midpoint and end.  Each substep
 is a few numpy calls into preallocated buffers; matrix-vector products are
 ``ndarray.dot(v, out)``, the same BLAS gemv as ``@`` at half the call cost.
+An autonomous ZOH interval, whose input terms are +0.0 in every bit (each
+interval between the pulses of a pulse train), is one gemv per substep
+and a single +0.0 add over its records, the per-substep adds deferred.
 This is the arithmetic of stepping segment by segment with a fresh input,
-operation for operation, so the trajectory is the same to the bit.  It has
+operation for operation, save that deferral, which ``_zoh_steps`` shows to
+be exact; so the trajectory is the same to the bit.  It has
 to be: the bundled plant has an open-loop eigenvalue of +1, so any rounding
 difference grows like e^t until it flips a symbol.
 """
@@ -138,19 +142,28 @@ def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray
     w = _inputs(m, sig, np.concatenate([a + 0.5 * hs, ends, a[fresh]]))
     starts = np.where(fresh, 2 * n_seg + np.cumsum(fresh) - 1, n_seg + np.arange(n_seg) - 1)
     # h/2, h, h/6 and 2 as vectors: half the call cost of a scalar, same bits
-    coef = np.repeat(np.stack([0.5 * hs, hs, hs / 6.0], axis=1)[:, :, None], size, axis=2)
+    halves, fulls, sixths = (list(np.repeat(c[:, None], size, axis=1))
+                             for c in (0.5 * hs, hs, hs / 6.0))
+    w_rows = list(w)
     two = np.full(size, 2.0)
     k1, k2, k3, k4, arg = np.empty((5, size))
-    add, mul = np.add, np.multiply
-    for (half, h, sixth), z, dst, w_a, w_mid, w_b in zip(coef, rows, rows[1:], w[starts], w,
-                                                         w[n_seg:]):
-        M.dot(z, k1)
+    add, mul, dot = np.add, np.multiply, M.dot
+    for half, h, sixth, z, dst, w_a, w_mid, w_b in zip(halves, fulls, sixths, rows, rows[1:],
+                                                       list(w[starts]), w_rows, w_rows[n_seg:]):
+        dot(z, k1)
         add(k1, w_a, k1)
-        for k_in, c, k, w_k in ((k1, half, k2, w_mid), (k2, half, k3, w_mid), (k3, h, k4, w_b)):
-            mul(k_in, c, arg)
-            add(arg, z, arg)
-            M.dot(arg, k)
-            add(k, w_k, k)
+        mul(k1, half, arg)
+        add(arg, z, arg)
+        dot(arg, k2)
+        add(k2, w_mid, k2)
+        mul(k2, half, arg)
+        add(arg, z, arg)
+        dot(arg, k3)
+        add(k3, w_mid, k3)
+        mul(k3, h, arg)
+        add(arg, z, arg)
+        dot(arg, k4)
+        add(k4, w_b, k4)
         mul(k2, two, k2)
         add(k2, k1, k2)
         mul(k3, two, k3)
@@ -163,33 +176,57 @@ def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray
 def _zoh_lookup(cache: dict, M: np.ndarray, stage: Stage,
                 h: float) -> tuple[np.ndarray, np.ndarray]:
     key = (stage, h)
-    if key not in cache:
-        cache[key] = _zoh_pair(M, h)
-    return cache[key]
+    pair = cache.get(key)
+    if pair is None:
+        cache[key] = pair = _zoh_pair(M, h)
+    return pair
 
 
-def _zoh_steps(M: np.ndarray, stage: Stage, hs: list, rows: list, cache: dict,
+def _zoh_steps(M: np.ndarray, stage: Stage, hs: list, zs: np.ndarray, cache: dict,
                w: np.ndarray) -> None:
-    """ZOH substeps z <- Phi_h z + Psi_h w from ``rows[0]`` over segments of
-    widths ``hs``, each edge's state written into the next row.  ``w`` is the
-    input at each segment's midpoint, or one row for all, and then Psi_h w
-    is formed once per distinct width; the cache fills in order of first use."""
+    """ZOH substeps z <- Phi_h z + Psi_h w from ``zs[0]`` over segments of
+    widths ``hs``, each edge's state written into the next row of ``zs``.
+    ``w`` is the input at each segment's midpoint, or one row for all, and
+    then Psi_h w is formed once per distinct width; the cache fills in order
+    of first use.
+
+    An autonomous interval, whose constants Psi_h w are all +0.0 in every
+    bit, steps with the gemv alone and adds +0.0 to all its records once at
+    the end.  That is the per-substep chain to the bit.  Adding +0.0 keeps
+    every value, NaN and inf included, except -0, which it makes +0.  And
+    gemv inputs that differ only in the signs of zero entries give outputs
+    that differ only in the signs of zero entries: each product, and each
+    partial sum in BLAS's fixed order, is equal on both sides or zero on
+    both.  So each deferred record, once normalized, equals the record of
+    the chain that normalized after every substep.  A -0 constant would
+    keep a -0 that the one +0.0 add turns into +0, so the guard compares
+    bytes, not ``== 0``.
+    """
     if len(w) == 1:
         by_width = {}
         for h in dict.fromkeys(hs):  # distinct widths in order of first use
             Phi, Psi = _zoh_lookup(cache, M, stage, h)
             by_width[h] = (Phi.dot, Psi @ w[0])
+        consts = by_width.values()
         steps = map(by_width.__getitem__, hs)
     else:
         steps = []
         for h, w_seg in zip(hs, w):
             Phi, Psi = _zoh_lookup(cache, M, stage, h)
             steps.append((Phi.dot, Psi @ w_seg))
-    phi_z = np.empty(rows[0].size)
-    add = np.add
-    for (phi_dot, c), src, dst in zip(steps, rows, rows[1:]):
-        phi_dot(src, phi_z)
-        add(phi_z, c, dst)
+        consts = steps
+    rows = list(zs)
+    zero = bytes(zs[0].nbytes)  # +0.0 in every entry
+    if any(c.tobytes() != zero for _, c in consts):
+        phi_z = np.empty(zs.shape[1])
+        add = np.add
+        for (phi_dot, c), src, dst in zip(steps, rows, rows[1:]):
+            phi_dot(src, phi_z)
+            add(phi_z, c, dst)
+    else:
+        for (phi_dot, _), src, dst in zip(steps, rows, rows[1:]):
+            phi_dot(src, dst)
+        np.add(zs[1:], 0.0, out=zs[1:])
 
 
 def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
@@ -219,7 +256,7 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
     if sig.piecewise_constant:
         # Without a breakpoint the input is constant: the first midpoint's serves all.
         mids = 0.5 * (edges[:-1] + edges[1:]) if bps else 0.5 * (edges[:1] + edges[1:2])
-        _zoh_steps(M, stage, (edges[1:] - edges[:-1]).tolist(), list(zs),
+        _zoh_steps(M, stage, (edges[1:] - edges[:-1]).tolist(), zs,
                    zoh_cache if zoh_cache is not None else {}, _inputs(m, sig, mids))
     else:
         _rk4_steps(m, M, sig, edges, list(zs))

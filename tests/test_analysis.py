@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_oracle
+from qrate import analysis
 from gain_oracle import constants_from, oracle_values
 from qrate import (PulseTrain, SeededUniform, Sinusoid, Zero, check_trajectory,
                    derive_constants, eta_functions, gain_constants, iss_gains,
@@ -310,3 +311,21 @@ def test_check_trajectory_sup_norm_calls_scale_with_samples(monkeypatch, ref_pla
         assert sum(calls) >= log.dense_t.size
         blocks = -(-log.dense_t.size // _DENSE_BLOCK)
         assert len(calls) <= blocks + len(log.events) + 5
+
+
+def test_dense_checks_in_blocks_match_one_block(monkeypatch, ref_plant, cert_params,
+                                                cert_derived):
+    # Both dense envelopes run block by block; the last block is partial.
+    sig, log = _reference_log(ref_plant, cert_params, cert_derived, substeps=100)
+    assert log.dense_t.size > 2 * _DENSE_BLOCK and log.dense_t.size % _DENSE_BLOCK
+    g = gain_constants(cert_derived, cert_params)
+
+    def rows():
+        return [(r.name, r.n_checked, r.worst_margin.hex(), r.status)
+                for r in check_trajectory(log, cert_derived, cert_params, g, sig).rows]
+
+    blocked = rows()
+    monkeypatch.setattr(analysis, "_DENSE_BLOCK", log.dense_t.size)
+    assert blocked == rows()
+    assert {r[0] for r in blocked if r[1] == log.dense_t.size} == {"intersample_envelope",
+                                                                  "iss_envelope"}

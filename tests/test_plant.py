@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from collections import Counter
 
@@ -17,7 +18,7 @@ from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform
                    synthesize_design)
 from qrate.codec import Stage
 from qrate.matnum import expm
-from qrate.plant import _augmented, _DenseLog, _off_grid_count, _zoh_pair
+from qrate.plant import _augmented, _DenseLog, _off_grid_count, _zoh_pair, _zoh_steps
 
 # sha256 of run_closed_loop(...).x.tobytes() on the bundled certified
 # scenario, as integrated one substep at a time with a fresh input each.
@@ -385,6 +386,102 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), t_k
     assert list(fast_cache) == list(ref_cache)
 
+
+
+def _two_call_steps(cache, stage, hs, z0, w):
+    """The ZOH stepper's per-substep loop: z <- Phi_h z into a buffer, then
+    that plus Psi_h w into the next row, with ``w`` one row for all
+    segments or one per segment."""
+    zs = np.empty((len(hs) + 1, z0.size))
+    zs[0] = z0
+    phi_z = np.empty(z0.size)
+    for i, h in enumerate(hs):
+        Phi, Psi = cache[(stage, h)]
+        Phi.dot(zs[i], phi_z)
+        np.add(phi_z, Psi @ w[0 if len(w) == 1 else i], zs[i + 1])
+    return zs
+
+
+_SPARSE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _zoh_cases(draw):
+    """(M, stage, widths, z0, inputs) for one call of ``_zoh_steps``.
+
+    M is a drawn plant's block dynamics, with D <= 0 (its zeros -0), or a
+    bare square matrix of size 1 to 3: numpy's 1x1 ``dot`` returns -0 for
+    a zero product where BLAS returns +0, so its chains carry signed zeros.
+    The inputs are one row for the whole interval or one per segment; each
+    is zero (of either sign) or not, and a split interval may be all zero.
+    """
+    def mat(rows, cols):
+        return np.array(draw(st.lists(_SPARSE, min_size=rows * cols,
+                                      max_size=rows * cols))).reshape(rows, cols)
+
+    stage = draw(st.sampled_from(list(Stage)))
+    if draw(st.booleans()):
+        n, n_d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        m = PlantModel(A=mat(n, n), B=mat(n, 1), D=-np.abs(mat(n, n_d)), K=mat(1, n),
+                       dt=0.1, n_levels=3)
+        M, size = _augmented(m, stage), 2 * n
+
+        def input_row(kind):
+            d = {"+0": np.zeros(n_d), "-0": np.full(n_d, -0.0)}.get(kind)
+            w = np.zeros(size)
+            w[:n] = m.D @ (mat(n_d, 1)[:, 0] if d is None else d)
+            return w
+    else:
+        size = draw(st.integers(1, 3))
+        M = mat(size, size)
+
+        def input_row(kind):
+            return {"+0": np.zeros(size), "-0": np.full(size, -0.0)}.get(kind, mat(1, size)[0])
+
+    hs = draw(st.lists(st.sampled_from([1e-3, 2.5e-3, 0.1 / 3]), min_size=1, max_size=30))
+    kinds = st.sampled_from(["+0", "-0"] if draw(st.booleans()) else ["+0", "-0", "value"])
+    n_rows = len(hs) if draw(st.booleans()) else 1
+    w = np.array([input_row(k) for k in draw(st.lists(kinds, min_size=n_rows,
+                                                      max_size=n_rows))])
+    z0 = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, math.inf, math.nan]),
+                                          st.floats(-5.0, 5.0)),
+                                min_size=size, max_size=size)))
+    return M, stage, hs, z0, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zoh_cases())
+def test_zoh_steps_match_the_two_call_loop_bitwise(case):
+    # An autonomous interval steps with the gemv alone and adds +0.0 once;
+    # every record, signed zeros and non-finite entries included, must be
+    # the per-substep loop's.
+    M, stage, hs, z0, w = case
+    cache = {}
+    zs = np.empty((len(hs) + 1, z0.size))
+    zs[0] = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _zoh_steps(M, stage, hs, zs, cache, w)
+        want = _two_call_steps(cache, stage, hs, z0, w)
+    assert zs.tobytes() == want.tobytes()
+    assert list(cache) == [(stage, h) for h in dict.fromkeys(hs)]
+
+
+def test_zero_input_interval_adds_once_not_per_substep(monkeypatch, ref_plant):
+    # Each substep of an interval with an input is one gemv and one add; an
+    # interval without one is 100 gemvs and a single add over its records.
+    shapes = []
+    add = np.add
+
+    def counted(*args, **kwargs):
+        shapes.append(np.shape(args[0]))
+        return add(*args, **kwargs)
+
+    monkeypatch.setattr(np, "add", counted)
+    x = np.array([0.5, -0.2])
+    for sig, want in ((Zero(dim=1), [(100, 4)]), (Constant([0.3]), [(4,)] * 100)):
+        shapes.clear()
+        step_interval(ref_plant, x, x.copy(), Stage.STABILIZING, sig, 0.0, substeps=100)
+        assert shapes == want, sig
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_ndarray_dot_and_matmul_round_alike(n):
