@@ -342,15 +342,16 @@ class _Acc:
             return
         margin = rhs - lhs
         self.n += lhs.size if n_checked is None else n_checked
-        self.worst = min(self.worst, float(margin.min()))
+        self.worst = float(np.min(margin, initial=self.worst))  # a NaN margin sticks
         tol = SLACK * np.maximum(1.0, np.abs(rhs))
-        self.violations += int(np.count_nonzero(lhs > rhs + tol))
+        self.violations += int(np.count_nonzero(~(lhs <= rhs + tol)))  # NaN fails
 
     def row(self) -> CheckRow:
         worst = self.worst if self.n else math.inf
         return CheckRow(self.name, self.n, worst, "fail" if self.violations else "pass")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite entry fails its rows instead
 def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
                      g: GainConstants, sig: Disturbance) -> CheckReport:
     """Verify every applicable inequality on a logged run, one row per
@@ -371,16 +372,17 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
     t, E, V, sym, dsup = log.t, log.radius, log.value, log.symbol, log.d_sup_prev
     x_norm = np.max(np.abs(log.x), axis=1)
     center_err = np.max(np.abs(log.x - log.center), axis=1)
-    stab = log.stage == 1
+    # A visible symbol stabilizes the next interval, so this one mask is both.
+    stab = sym >= 1
     ks_stab = np.flatnonzero(stab[:last])  # visible samples with a successor
     ks_search = np.flatnonzero(~stab[:last])
     maps = _SearchMaps(d, p)
     acc = {name: _Acc(name) for name in (CHECKS if g.valid else PROTOCOL_CHECKS)}
 
     # A cell symbol bounds the decoded error, the near-origin symbol the state.
-    cells, visible = sym >= 2, sym >= 1
+    cells = sym >= 2
     xhat_err = np.max(np.abs(log.x - log.xhat), axis=1)
-    acc["quantization_cell"].add(np.where(cells, xhat_err, x_norm)[visible], E[visible] / n)
+    acc["quantization_cell"].add(np.where(cells, xhat_err, x_norm)[stab], E[stab] / n)
     acc["quantization_center"].add(np.max(np.abs(log.xhat - log.center), axis=1)[cells],
                                    (n - 1) / n * E[cells])
     acc["error_recursion_stabilizing"].add(
@@ -399,9 +401,9 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         acc["intersample_envelope"].add(dense_norm[blk],
                                         d.intersample_gain * x_norm[dk] + d.dist_gain * sups)
 
-    # Visibility toggles, so the events alternate: each one's episode ends
-    # at the next event, or at the last sample while it is still open.
-    ev_k = np.array([ev.k for ev in log.events], dtype=np.int64)
+    # The events are the visibility toggles, so they alternate: each one's
+    # episode ends at the next event, or at the last sample while it is open.
+    ev_k = np.flatnonzero(stab[1:] != stab[:-1]) + 1
     ev_end = np.append(ev_k, last)[1:]
     lost_at_start = sym[0] == 0
     escapes = slice(int(lost_at_start), None, 2)

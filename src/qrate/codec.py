@@ -19,7 +19,6 @@ from enum import Enum
 import numpy as np
 
 from .design import DerivedConstants, DesignParams
-from .matnum import as_vector
 
 __all__ = [
     "Stage",
@@ -59,8 +58,8 @@ class CodecState:
     stage: Stage | None = None
 
     def __post_init__(self):
-        if not self.radius > 0:  # NaN too
-            raise ValueError("radius must stay positive")
+        if not 0 < self.radius < math.inf:  # NaN too
+            raise ValueError("radius must stay positive and finite")
 
 
 def symbol_count(n_levels: int, n_x: int) -> int:
@@ -78,14 +77,16 @@ def encode(state: CodecState, x, n_levels: int) -> int:
 
     Visibility is tested first, then the near-origin cell; otherwise the
     hypercube is split into n_levels half-open cells per dimension (the
-    upper face is clamped into the last cell).
+    upper face is clamped into the last cell).  An empty or wrong-size
+    sample fails the shape check, and a non-finite sample or center the
+    deviation check.
     """
-    x = as_vector(x)
+    x = np.asarray(x, dtype=float)
     if x.shape != state.center.shape:
         raise ValueError("state dimension mismatch")
     E = state.radius
     deviation = float(np.abs(x - state.center).max())
-    if not math.isfinite(deviation):  # x is finite, so the center overflowed
+    if not math.isfinite(deviation):
         raise ValueError("vector must have finite entries")
     if deviation > E:
         return OVERFLOW
@@ -155,8 +156,9 @@ def advance(state: CodecState, symbol: int, xhat: np.ndarray, value: float,
 
 
 def controller_input(stage: Stage, K: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-    """Control input for the current stage: feedback on the auxiliary state
-    while stabilizing, zero while searching."""
+    """Control input for the current stage, for one auxiliary state or a
+    stack of them (one per row): feedback ``xhat @ K.T`` while stabilizing,
+    zero while searching."""
     if stage is Stage.STABILIZING:
-        return K @ xhat
-    return np.zeros(K.shape[0])
+        return xhat @ K.T
+    return np.zeros(xhat.shape[:-1] + K.shape[:1])

@@ -262,7 +262,7 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
         _rk4_steps(m, M, sig, edges, list(zs))
 
     xs, xhats = zs[:, :n], zs[:, n:]
-    us = xhats @ m.K.T if stage is Stage.STABILIZING else np.zeros((edges.size, m.n_u))
+    us = codec.controller_input(stage, m.K, xhats)
     return zs[-1, :n].copy(), zs[-1, n:].copy(), (edges, xs, xhats, us)
 
 
@@ -322,8 +322,9 @@ def _left_float_range(dense: _DenseLog) -> str:
 def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
                     sig: Disturbance, x0, horizon: float,
                     substeps: int = DEFAULT_SUBSTEPS) -> TrajectoryLog:
-    """Run the full sampled protocol: encode, decode, reset, integrate and
-    advance the codec state, logging everything.
+    """Run the full sampled protocol: encode, decode, reset and advance the
+    codec state, then integrate the interval in the stage that ``advance``
+    decided, logging everything.
 
     Both endpoints compute the codec state from the symbols alone, so the run
     holds one copy.  Each change of ``stage`` (``symbol >= 1``) is an event.
@@ -354,22 +355,16 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
                 if np.isfinite(x).all():
                     raise
                 raise ValueError(_left_float_range(dense)) from None
-            if sym >= 1:
-                xhat = codec.decode_center(state, sym, m.n_levels)
-                stage = Stage.STABILIZING
-            else:
-                xhat = state.center
-                stage = Stage.SEARCHING
-
+            xhat = codec.decode_center(state, sym, m.n_levels) if sym >= 1 else state.center
             v = codec.quad_value(state.center, state.radius, d.P, p.rho)
             samples.append((x, xhat, sym, state.radius, state.center, v))
 
             if k == n_steps:
                 break
 
-            x, _, records = step_interval(m, x, xhat, stage, sig, k * m.dt, substeps, cache)
-            dense.append(k, *records)
             state = codec.advance(state, sym, xhat, v, d, p)
+            x, _, records = step_interval(m, x, xhat, state.stage, sig, k * m.dt, substeps, cache)
+            dense.append(k, *records)
 
     t = np.arange(n_steps + 1) * m.dt
     x, xhat, symbol, radius, center, value = (np.asarray(col) for col in zip(*samples))

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from qrate import (PulseTrain, SeededUniform, Sinusoid, Zero, check_trajectory,
 from qrate.analysis import (CERTIFICATE_CHECKS, CHECKS, _DENSE_BLOCK, _RECENT, _Acc,
                             _add_exp_decay, _SearchMaps)
 from qrate.codec import quad_value
+from qrate.plant import TrajectoryEvent
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +190,32 @@ def test_check_trajectory_corruption_detected(ref_plant, cert_params, cert_deriv
     g = gain_constants(cert_derived, cert_params)
     rep = check_trajectory(log, cert_derived, cert_params, g, sig)
     assert not rep.all_pass
+
+
+def test_check_trajectory_fails_the_rows_that_read_a_nan(ref_plant, cert_params, cert_derived):
+    sig, log = _reference_log(ref_plant, cert_params, cert_derived, substeps=10)
+    log.dense_x[100, 0] = math.nan
+    log.x[50, 0] = math.nan
+    g = gain_constants(cert_derived, cert_params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_trajectory(log, cert_derived, cert_params, g, sig)
+    failed = [r for r in rep.rows if r.status == "fail"]
+    assert [r.name for r in failed] == [
+        "quantization_cell", "error_recursion_stabilizing", "intersample_envelope",
+        "value_bound_c1", "state_bound_c2", "next_state_bound_c3", "exp_decay_envelope",
+        "iss_envelope"]
+    assert all(math.isnan(r.worst_margin) for r in failed)
+
+
+def test_check_trajectory_reads_stages_and_events_off_the_symbols(ref_plant, cert_params,
+                                                                   cert_derived):
+    sig, log = _reference_log(ref_plant, cert_params, cert_derived)
+    g = gain_constants(cert_derived, cert_params)
+    rows = [_row(r) for r in check_trajectory(log, cert_derived, cert_params, g, sig).rows]
+    log.stage = np.random.default_rng(0).integers(-3, 3, log.stage.size)
+    log.events = [TrajectoryEvent("captured", 7, -1.0)] * 5
+    assert [_row(r) for r in check_trajectory(log, cert_derived, cert_params, g, sig).rows] == rows
 
 
 def test_check_trajectory_uncertified_design(ref_plant, raw_params):

@@ -404,6 +404,19 @@ def test_an_eta_counter_that_leaves_the_float_range_exits_2_naming_it(
         f"error: gain eta_dist({argument}) leaves the float range"]
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("key, value", [
+    ("design.radius0", "1e200"), ("design.radius0", "1e308"), ("design.dist_level", "1e200")])
+def test_a_radius_that_leaves_the_float_range_exits_2_with_one_line(key, value, command,
+                                                                    cert_cfg_path, tmp_path,
+                                                                    capsys):
+    # the search stage grows the radius past the float range within a few samples
+    path = _with_value(cert_cfg_path, key, value)
+    assert _main_without_warnings("error", command, "--config", str(path), "--substeps", "3",
+                                  "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: radius must stay positive and finite"]
+
+
 _CAPPED_MAIN = (
     "import resource, sys\n"
     "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"

@@ -227,10 +227,11 @@ def test_quantization_soundness_on_cell_boundaries(n, radius, data):
         assert np.max(np.abs(c - center)) <= (n - 1) / n * radius + ulp
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
 def test_codec_state_rejects_a_radius_that_is_not_positive(radius):
-    # a NaN radius would reach encode's cell index (math.floor raises there)
-    with pytest.raises(ValueError, match="radius must stay positive"):
+    # a NaN or infinite radius would reach encode's cell index (math.floor
+    # raises there)
+    with pytest.raises(ValueError, match="^radius must stay positive and finite$"):
         CodecState(center=np.zeros(2), radius=radius)
 
 
@@ -270,6 +271,7 @@ def test_encode_and_decode_match_the_numpy_index_oracle(n_x, n, radius, data):
     ([0.0, 0.0], [np.nan, 0.1]),                # x not finite
     ([0.0, 0.0], [0.1, np.inf]),
     ([0.0, 0.0], [0.1, 0.2, 0.3]),              # x of the wrong shape
+    ([0.0, 0.0], []),                           # x empty
     ([np.inf, 0.0], [0.1, 0.2]),                # the center has overflowed
     ([np.nan, 0.0], [0.1, 0.2]),
     ([1e308, 0.0], [-1e308, 0.2]),              # finite, but x - center is not
@@ -289,3 +291,26 @@ def test_controller_input_stages():
     assert abs(u[0] + 1.4) < 1e-15
     assert np.array_equal(codec.controller_input(Stage.STABILIZING, K, np.zeros(2)),
                           np.zeros(1))
+
+
+_ENTRY = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.sampled_from(list(Stage)),
+       st.data())
+def test_controller_input_is_the_feedback_law_on_one_state_or_a_stack(n_x, n_u, rows, stage,
+                                                                      data):
+    K = np.array(data.draw(st.lists(st.lists(_ENTRY, min_size=n_x, max_size=n_x),
+                                    min_size=n_u, max_size=n_u)))
+    # the stack as the integrator passes it: the xhat half of its (x, xhat) records
+    zs = np.array(data.draw(st.lists(st.lists(_ENTRY, min_size=2 * n_x, max_size=2 * n_x),
+                                     min_size=rows, max_size=rows)))
+    xhats = zs[:, n_x:]
+    stabilizing = stage is Stage.STABILIZING
+    us = codec.controller_input(stage, K, xhats)
+    want = xhats @ K.T if stabilizing else np.zeros((rows, n_u))
+    assert us.shape == (rows, n_u) and us.tobytes() == want.tobytes()
+    for xhat in xhats:
+        want = K @ xhat if stabilizing else np.zeros(n_u)
+        assert codec.controller_input(stage, K, xhat).tobytes() == want.tobytes()

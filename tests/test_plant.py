@@ -176,6 +176,26 @@ def test_run_decodes_and_values_each_sample_once(monkeypatch, ref_plant, cert_pa
                      "quad_value": log.symbol.size}
 
 
+def test_each_interval_runs_in_the_stage_advance_decided(monkeypatch, ref_plant, cert_params,
+                                                         cert_derived):
+    decided, stepped, fed_back = [], [], []
+    for module, name, record in (
+            (codec, "advance", lambda args, out: decided.append(out.stage)),
+            (plant_mod, "step_interval", lambda args, out: stepped.append(args[3])),
+            (codec, "controller_input", lambda args, out: fed_back.append(args[0]))):
+        def recorded(*args, _fn=getattr(module, name), _record=record):
+            out = _fn(*args)
+            _record(args, out)
+            return out
+        monkeypatch.setattr(module, name, recorded)
+    log = run_closed_loop(ref_plant, cert_params, cert_derived, _reference_pulses(),
+                          np.array([1.0, 1.0]), 30.0, substeps=1)
+    # one stage per interval, decided once by the codec from the symbol alone
+    assert len(stepped) == log.symbol.size - 1 and stepped == decided == fed_back
+    assert stepped == [Stage.STABILIZING if s >= 1 else Stage.SEARCHING
+                       for s in log.symbol[:-1].tolist()]
+
+
 def test_run_keeps_the_call_contract_the_benchmark_tracer_counts(monkeypatch, ref_plant,
                                                                   cert_params, cert_derived):
     # The benchmark's tracer wraps these functions by module attribute, so a
