@@ -85,12 +85,14 @@ def encode(state: CodecState, x, n_levels: int) -> int:
     if x.shape != state.center.shape:
         raise ValueError("state dimension mismatch")
     E = state.radius
-    deviation = float(np.abs(x - state.center).max())
+    size = float(np.abs(x).max())
+    # x is tested first: x - center warns on an inf entry against an inf center
+    deviation = float(np.abs(x - state.center).max()) if math.isfinite(size) else math.inf
     if not math.isfinite(deviation):
         raise ValueError("vector must have finite entries")
     if deviation > E:
         return OVERFLOW
-    if float(np.abs(x).max()) <= E / n_levels:
+    if size <= E / n_levels:
         return NEAR_ORIGIN
     offset = 0  # row-major, each axis's cell clamped into range
     for xi, ci in zip(x.tolist(), state.center.tolist()):

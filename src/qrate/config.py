@@ -246,6 +246,9 @@ def parse_config(text: str) -> ScenarioConfig:
     sim = read(_SIM, plant)
     if sim["horizon"] < plant.dt:
         raise ConfigError(f"{where('sim.horizon')}: must cover at least one sampling period")
+    if not math.isfinite(sim["horizon"] / plant.dt):
+        raise ConfigError(f"{where('sim.horizon')}: horizon / plant.dt overflows, so the "
+                          "sampling periods cannot be counted")
     if sim["substeps"] < 1:
         raise ConfigError(f"{where('sim.substeps')}: must be a positive integer")
 
@@ -260,6 +263,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if takes_dim:
         values["dim"] = plant.n_d
     disturbance = build("disturbance", cls, keys, values)
+    if isinstance(disturbance, Sinusoid) and not math.isfinite(
+            2.0 * math.pi * disturbance.freq_hz * (sim["horizon"] + plant.dt) + disturbance.phase):
+        raise ConfigError(f"{where('disturbance.freq_hz')}: the sine's argument "
+                          "2 pi freq_hz t + phase leaves the float range within the horizon")
     return ScenarioConfig(plant, design, disturbance=disturbance, **sim, **read(_OUTPUTS))
 
 

@@ -133,6 +133,10 @@ class DesignParams:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number")
+            # the derivation takes log(1 + margin) and squares growth factors of 1 + margin
+            grow = 1.0 + float(v)
+            if name.endswith("_margin") and not 1.0 < grow * grow < math.inf:
+                raise ValueError(f"{name} must keep 1 < (1 + {name})^2 < inf, got {v!r}")
             object.__setattr__(self, name, float(v))
         if self.Q is not None:
             Q = matnum.as_matrix(self.Q, "Q")

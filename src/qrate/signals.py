@@ -199,6 +199,8 @@ class SeededUniform(Disturbance):
             raise ValueError("hold interval must be positive and finite")
         if not (math.isfinite(bound) and bound >= 0):
             raise ValueError("bound must be nonnegative and finite")
+        if not math.isfinite(2.0 * float(bound)):
+            raise ValueError(f"bound {bound!r} is too large: the draw range 2 * bound overflows")
         self.bound = float(bound)
         self.seed = self.check_seed(seed)
         self.hold = float(hold)

@@ -1,8 +1,10 @@
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qrate import (DesignParams, PlantModel, bundled_params, bundled_plant,
                    derive_constants, synthesize_design)
@@ -20,6 +22,13 @@ with warnings.catch_warnings():
         import libcst  # noqa: F401
     except ImportError:  # hypothesis then reports without it
         pass
+
+
+# The CSV formatter's property test runs under the hypothesis profile that
+# HYPOTHESIS_PROFILE names (CI's tier-1 step sets "ci"); every other test
+# keeps its own settings.
+settings.register_profile("ci", max_examples=5000, deadline=None)
+FORMATTER_PROFILE = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -208,6 +208,41 @@ def test_check_trajectory_fails_the_rows_that_read_a_nan(ref_plant, cert_params,
     assert all(math.isnan(r.worst_margin) for r in failed)
 
 
+def _zero_disturbance_rows(ref_plant, cert_params, cert_derived, damage):
+    """Check rows of a 10 s undisturbed run (101 samples, captured at k = 4
+    and never lost) after ``damage`` rewrites its symbols."""
+    sig = Zero(1)
+    log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array([1.0, 1.0]),
+                          10.0, substeps=2)
+    damage(log.symbol)
+    g = gain_constants(cert_derived, cert_params)
+    return {r.name: r for r in check_trajectory(log, cert_derived, cert_params, g, sig).rows}
+
+
+def test_recapture_index_checks_an_open_search_past_its_bound(ref_plant, cert_params,
+                                                               cert_derived):
+    # an escape at k = 40 still open at the last sample, k = 100; without a
+    # disturbance its recapture bound is 40 + 1
+    def lost_from_40(symbol):
+        symbol[40:] = 0
+    row = _zero_disturbance_rows(ref_plant, cert_params, cert_derived, lost_from_40)[
+        "recapture_index"]
+    assert (row.n_checked, row.worst_margin, row.status) == (1, 41.0 - 100.0, "fail")
+
+
+def test_capture_initial_index_checks_a_search_never_captured_past_its_bound(
+        ref_plant, cert_params, cert_derived):
+    def never_captured(symbol):
+        symbol[:] = 0
+    rows = _zero_disturbance_rows(ref_plant, cert_params, cert_derived, never_captured)
+    row = rows["capture_initial_index"]
+    assert (row.n_checked, row.status) == (1, "fail") and row.worst_margin < -90.0
+    # the same run as logged is captured at k = 4, within that bound
+    row = _zero_disturbance_rows(ref_plant, cert_params, cert_derived, lambda symbol: None)[
+        "capture_initial_index"]
+    assert (row.n_checked, row.status) == (1, "pass")
+
+
 def test_check_trajectory_reads_stages_and_events_off_the_symbols(ref_plant, cert_params,
                                                                    cert_derived):
     sig, log = _reference_log(ref_plant, cert_params, cert_derived)

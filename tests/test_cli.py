@@ -14,11 +14,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import csv_oracle
 import qrate
+from conftest import FORMATTER_PROFILE
 from qrate import (Constant, ConfigError, DesignParams, PlantModel, PulseTrain,
                    ScenarioConfig, SeededUniform, Sinusoid, Zero, parse_config,
                    serialize_config)
-from qrate import svgplot
+from qrate import _fields, cli, design, plant, svgplot
 from qrate.config import fmt_num
 from qrate.cli import _write_table, main
 from qrate.scenarios import bundled_scenario
@@ -79,6 +81,8 @@ def test_config_round_trip_all_signal_kinds(tmp_path):
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# a margin whose 1 + margin is above 1 and squares to a finite number
+_margin = st.floats(min_value=math.nextafter(2.0**-53, 1.0), max_value=1e154)
 
 
 @st.composite
@@ -94,8 +98,9 @@ def _scenarios(draw):
     # a positive diagonal Q, however badly scaled, whose (Q + Q^T)/2 is finite
     Q = draw(st.none() | st.lists(st.floats(0.0, 1e307, exclude_min=True), min_size=n_x,
                                   max_size=n_x).map(np.diag))
-    params = DesignParams(*(draw(_positive) for _ in range(6)), Q=Q,
-                          floor_margin=draw(_positive))
+    radius0, dist_level, psi, rho, phi = (draw(_positive) for _ in range(5))
+    params = DesignParams(radius0, draw(_margin), dist_level, psi, rho, phi, Q=Q,
+                          floor_margin=draw(_margin))
     kind = draw(st.sampled_from(["zero", "constant", "pulses", "sinusoid", "uniform"]))
     if kind == "zero":
         sig = Zero(dim=n_d)
@@ -108,7 +113,7 @@ def _scenarios(draw):
     elif kind == "sinusoid":
         sig = Sinusoid(vector(n_d), draw(_finite), draw(_finite))
     else:
-        sig = SeededUniform(draw(st.floats(min_value=0.0, allow_infinity=False)),
+        sig = SeededUniform(draw(st.floats(min_value=0.0, max_value=sys.float_info.max / 2)),
                             draw(st.integers(0, 2**128 - 1)), draw(_positive), dim=n_d)
     return ScenarioConfig(plant, params, vector(n_x),
                           draw(st.floats(min_value=plant.dt, allow_infinity=False)), sig,
@@ -125,6 +130,13 @@ def test_serialized_config_reads_back_to_the_same_text(cfg):
         # only an outputs.dir that one config line cannot carry is refused
         assert cfg.out_dir is not None
         serialize_config(dataclasses.replace(cfg, out_dir=None))
+        return
+    # a run whose period count or sine argument overflows is refused at parse time
+    sig, dt = cfg.disturbance, cfg.plant.dt
+    if not math.isfinite(cfg.horizon / dt) or (isinstance(sig, Sinusoid) and not math.isfinite(
+            2.0 * math.pi * sig.freq_hz * (cfg.horizon + dt) + sig.phase)):
+        with pytest.raises(ConfigError, match=r"^line \d+, (sim\.horizon|disturbance\.freq_hz): "):
+            parse_config(text)
         return
     parsed = parse_config(text)
     assert serialize_config(parsed) == text
@@ -320,6 +332,37 @@ def test_unallocatable_horizon_exits_2_with_one_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("lines, key", [
+    (["sim.horizon = 1e308"], "sim.horizon"),
+    (["design.floor_margin = 1e308"], "design.floor_margin"),
+    (["design.search_margin = 5e-324"], "design.search_margin"),
+    (["disturbance.kind = uniform", "disturbance.bound = 1e308"], "disturbance.bound"),
+    (["disturbance.kind = sinusoid", "disturbance.amplitude = 0.05",
+      "disturbance.freq_hz = 1e308"], "disturbance.freq_hz"),
+], ids=["horizon", "floor_margin", "search_margin", "uniform_bound", "sinusoid_freq"])
+def test_values_that_overflow_the_run_fail_at_parse_time_naming_the_key(lines, key, cert_cfg_path,
+                                                                         tmp_path, capsys):
+    # each value would overflow deep in the run (int(inf), an overflowing
+    # power, a division by log(1) = 0, numpy's uniform range, math.sin(inf)),
+    # with a message that names neither the key nor the cause
+    keys = {line.partition(" = ")[0] for line in lines}
+    text = [line for line in cert_cfg_path.read_text(encoding="utf-8").splitlines()
+            if line.partition(" = ")[0] not in keys
+            and not (lines[0].startswith("disturbance.") and line.startswith("disturbance."))]
+    text += lines
+    cert_cfg_path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    lineno = len(text) - len(lines) + 1 + [k.partition(" = ")[0] for k in lines].index(key)
+    with pytest.raises(ConfigError, match=f"^line {lineno}, {key}: "):
+        parse_config(cert_cfg_path.read_text(encoding="utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", "--config", str(cert_cfg_path), "--substeps", "3",
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith(f"config error: line {lineno}, {key}: ")
+
+
 def _with_value(cert_cfg_path, key: str, value: str):
     """The certified scenario with the value of ``key`` replaced."""
     lines = [f"{key} = {value}" if line.startswith(key + " ") else line
@@ -498,6 +541,84 @@ def test_row_templates_agree_with_the_number_formatters(tmp_path_factory, x, y, 
     row = path.read_text(encoding="utf-8").splitlines()[1]
     assert row == ",".join([str(int(k[0])), fmt_num(x), fmt_num(y), "searching"])
     assert svgplot._POINT % (x, y) == f"{svgplot._fmt(x)},{svgplot._fmt(y)}"
+
+
+def _both_writers(tmp_path, header, columns) -> tuple[bytes, bytes]:
+    """The bytes the block formatter and the old %-template writer write."""
+    _write_table(tmp_path / "new.csv", header, columns)
+    csv_oracle.write_table(tmp_path / "old.csv", header, columns)
+    return (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
+
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+                max_size=12)
+
+
+@FORMATTER_PROFILE
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.integers(-2**63, 2**63 - 1), _TEXT),
+                min_size=1, max_size=6))
+@example([(math.nan, -0.0, 0, ""), (math.inf, -math.inf, -2**63, "searching")])
+@example([(0.0, 5e-324, 2**63 - 1, "ü"), (sys.float_info.max, -sys.float_info.max, -1, "x")])
+@example([(-5e-324, 2.2250738585072014e-308, 1, "stabilizing")])
+def test_block_formatter_writes_the_bytes_of_the_percent_templates(tmp_path_factory, rows):
+    x, y, k, text = zip(*rows)
+    columns = [np.array(k, dtype=np.int64), np.array([x, y]).T, list(text), list(x)]
+    new, old = _both_writers(tmp_path_factory.getbasetemp(), ["k", "x", "y", "s", "x"], columns)
+    assert new == old
+
+
+def _hand_picked_floats() -> list[float]:
+    values = []
+    for q in range(-20, 21):  # each power of ten and both float neighbours
+        v = float(f"1e{q}")
+        values += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    # the fixed/exponent switches of %g at exponent -5/-4 and 16/17
+    values += [9.99999999999999e-5, 1.0000000000000001e-4, 9.999999999999999e-6,
+               9999999999999998.0, 99999999999999984.0, 1.0000000000000002e17]
+    # exact ties at the 18th significant digit, which % rounds half to even
+    values += [123456789012345.125, 123456789012345.375, 1234567890123456.25,
+               1234567890123456.75, 131073 / 2**18, 131075 / 2**18, 131073 / 2**17]
+    # the ends of the float range and the domain of the exact path
+    values += [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-280,
+               math.nextafter(1e-280, 0.0), 1e300, math.nextafter(1e300, 0.0),
+               sys.float_info.max, 0.0, math.nan, math.inf, 9.9999999999999998e-121]
+    return values + [-v for v in values]
+
+
+def test_block_formatter_matches_the_percent_templates_on_hand_picked_values(tmp_path):
+    floats = np.array(_hand_picked_floats())
+    ints = np.array([-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1], dtype=np.int64)
+    unsigned = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    # tiled past two blocks, in rows of 3 floats, 1 int64, 1 uint64 and 1 text field
+    n = 2 * cli._TABLE_BLOCK + 7
+    columns = [np.resize(floats, (n, 3)), np.resize(ints, n), np.resize(unsigned, n),
+               np.resize(np.array(["captured", "escaped", "", "ß"]), n)]
+    new, old = _both_writers(tmp_path, ["a", "b", "c", "k", "u", "s"], columns)
+    assert new == old
+
+
+def test_the_ties_round_half_to_even():
+    # each of these has 18 significant digits, the last a 5
+    ties = [123456789012345.125, 1234567890123456.75, 131073 / 2**18]
+    assert [fmt_num(v) for v in ties] == [
+        "123456789012345.12", "1234567890123456.8", "0.50000381469726562"]
+    _, _, exact = _fields.decimal17(np.array(ties))
+    assert not exact.any()  # ties go to %, which rounds them
+
+
+def test_the_bundled_dense_log_needs_no_fallback():
+    # every float of the certified run's dense.csv takes the exact path, so
+    # a fallback to % on every field would fail here, not only run slower
+    cfg = bundled_scenario(certified=True)
+    params, _, _ = cli._certified_design(cfg)
+    d = design.derive_constants(cfg.plant, params)
+    log = plant.run_closed_loop(cfg.plant, params, d, cfg.disturbance, cfg.x0, cfg.horizon,
+                                cfg.substeps)
+    floats = np.concatenate([log.dense_t, log.dense_x.ravel(), log.dense_xhat.ravel(),
+                             log.dense_u.ravel()])
+    assert floats.size == 6 * 30300  # six float fields in each of 30,300 rows
+    _, _, exact = _fields.decimal17(floats)
+    assert exact.all()
 
 
 def test_fmt_num_non_finite():

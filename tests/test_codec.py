@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,30 @@ def test_encode_rejects_what_the_oracle_rejects(center, x):
     for encode in (codec.encode, codec_oracle.encode):
         with pytest.raises(ValueError), np.errstate(over="ignore"):
             encode(state, np.array(x), 5)
+
+
+@pytest.mark.parametrize("center, x", [([np.inf, 0.0], [np.inf, 0.0]),
+                                       ([0.0, -np.inf], [0.2, -np.inf])])
+def test_encode_rejects_an_inf_sample_against_an_inf_center_without_a_warning(center, x):
+    # inf - inf would warn "invalid value encountered in subtract", which
+    # python -W error turns into the error in place of the ValueError
+    state = CodecState(center=np.array(center), radius=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^vector must have finite entries$"):
+            codec.encode(state, np.array(x), 5)
+
+
+def test_encode_clamps_a_cell_index_that_rounds_below_the_range():
+    # |x - c| rounds to at most E, but x - (c - E) rounds below 0, so the
+    # cell index floors to -1: the clamp puts x in cell 0 (symbol 2), where
+    # the index alone would give 2 - 1, the near-origin symbol
+    state = CodecState(center=np.array([3.031859454455258]), radius=3.9457295221662108)
+    x = np.array([-0.9138700677109528])
+    c, E = state.center[0], state.radius
+    assert abs(x[0] - c) <= E and abs(x[0]) > E / 5
+    assert math.floor((x[0] - (c - E)) * 5 / (2.0 * E)) == -1
+    assert codec.encode(state, x, 5) == codec_oracle.encode(state, x, 5) == 2
 
 
 def test_controller_input_stages():
