@@ -845,6 +845,23 @@ COMMAND_SHA256 = {
         "report.txt": "3d8e651ad2252705c553f818c87db593992ed0d8561c9530a3483fe0e3222f6e",
         "samples.csv": "acff155089af66587a7afe51cf6c09eb7e83900b931e5b6f793fc7150f42cba1",
         "x1_aux.svg": "c50eba7dc48367aa49d10f73c0d169c5146baf0c03de36292e25a122818ffd82"}),
+    # the pulse (ZOH) path at substep widths other than reproduce-paper's
+    ("check", "certified", ("--substeps", "1")): (0, {
+        "checks.csv": "f5405ef1fe2af9fe1a9f49494769938a9549e02dc1dec6473f34439461264ea1",
+        "dense.csv": "12b0e802323782b87643758af4ad268944b51afa4e06bb1f816ade11c600f90e",
+        "err_E.svg": "3f0f3ae25eaf51e68b5dde830d9bf5d72cceb81d0f345866d1c9b04a99d8a8ac",
+        "events.csv": "eab9b10d9f734c008b887ab55bd5da732a9b7ec636e348d01a12543e45aaa087",
+        "report.txt": "03c7a4308fbb7080dac1b6d6a7669111426e8fff9e0310718fad9180e8e1ce51",
+        "samples.csv": "c9baa7258262c5045a09befca0b2e3da50b1d9c703fcd80ccbdab53f4821980e",
+        "x1_aux.svg": "aed89fd4d7c92e6bd9f4c1818664d8334cbeee5d62cebcdeee5ee81d967520cb"}),
+    ("check", "certified", ("--substeps", "7")): (0, {
+        "checks.csv": "7fb589b735131cdd48554d14c78a24294ad744fdce82b2b1ea99a38666fee92e",
+        "dense.csv": "22cc02f147ae2227f4b0913d935399ec2d1ebb6b05e583a2c282a1a02968b901",
+        "err_E.svg": "002593919871ed27106527d133342b70686bc1f528be474eafd228af8cfd8b25",
+        "events.csv": "eab9b10d9f734c008b887ab55bd5da732a9b7ec636e348d01a12543e45aaa087",
+        "report.txt": "03c7a4308fbb7080dac1b6d6a7669111426e8fff9e0310718fad9180e8e1ce51",
+        "samples.csv": "522c1878e25e105a6083b68bc6aa42a05e8fb43292dfd31b0e227b5333c2846a",
+        "x1_aux.svg": "675d84b0ba7f70f7858ddd1d11a8135775eda3f2db5e5da66c28b12b499bae86"}),
 }
 
 
@@ -859,7 +876,8 @@ _CI_DISTURBANCES = {
 
 @pytest.mark.parametrize("command, label, flags", list(COMMAND_SHA256),
                          ids=["validate_raw", "validate_certified", "gains", "gains_s_grid",
-                              "check_sinusoid", "check_sinusoid_substeps_10", "check_uniform"])
+                              "check_sinusoid", "check_sinusoid_substeps_10", "check_uniform",
+                              "check_certified_substeps_1", "check_certified_substeps_7"])
 def test_validate_and_gains_files_match_pinned_bytes(command, label, flags, raw_cfg_path,
                                                      cert_cfg_path, tmp_path):
     path = {"raw": raw_cfg_path, "certified": cert_cfg_path}.get(label)
