@@ -6,6 +6,11 @@ where the disturbance is constant, split at its discontinuities, and
 fixed-step RK4 otherwise.  Each stage's block matrix is built once per
 plant and the substep grid once per (dt, substeps); a run computes the ZOH
 pair of each (stage, substep width) once, and sizes its dense log once.
+A run also builds the substep plan of each breakpoint-free ZOH interval
+once per (stage, substep widths), and replays it: each substep's
+``Phi.dot``, its width slot, and each distinct width's Psi, so an interval
+forms only its Psi w constants and steps in the run's one scratch buffer,
+whose row views are built once; one copy moves the records out.
 Each sampling interval then encodes, decodes, values and advances the codec
 state once, and evaluates its inputs in one broadcast ``Disturbance.value``
 call: the first midpoint when no breakpoint splits a constant input, else
@@ -182,51 +187,104 @@ def _zoh_lookup(cache: dict, M: np.ndarray, stage: Stage,
     return pair
 
 
-def _zoh_steps(M: np.ndarray, stage: Stage, hs: list, zs: np.ndarray, cache: dict,
+def _zoh_plan(cache: dict, M: np.ndarray, stage: Stage, hs: list) -> tuple[list, list, list]:
+    """The substep program for segments of widths ``hs``: each substep's
+    ``Phi.dot`` (one bound method per distinct width, shared by its
+    substeps), each substep's slot among the distinct widths, and the Psi
+    of each distinct width.  The distinct widths are looked up in order of
+    first use, so the cache fills in that order."""
+    slot: dict = {}
+    for h in hs:
+        slot.setdefault(h, len(slot))
+    pairs = [_zoh_lookup(cache, M, stage, h) for h in slot]
+    slots = [slot[h] for h in hs]
+    dots = [Phi.dot for Phi, _ in pairs]
+    return [dots[i] for i in slots], slots, [Psi for _, Psi in pairs]
+
+
+class _Scratch:
+    """State rows to step in, with their row views built once: ``rows[i]``
+    is row i and ``dsts[i]`` row i + 1.  ``fit`` rebuilds them only when a
+    call needs more rows or another row size."""
+
+    def __init__(self):
+        self.buf = np.empty((0, 0))
+
+    def fit(self, n_rows: int, size: int) -> _Scratch:
+        if self.buf.shape[0] < n_rows or self.buf.shape[1] != size:
+            self.buf = np.empty((n_rows, size))
+            self.rows, self.dsts = list(self.buf), list(self.buf[1:])
+            self.phi_z = np.empty(size)
+            self.zero = bytes(self.phi_z.nbytes)  # +0.0 in every entry
+        return self
+
+
+class _ZohCache(dict):
+    """The ZOH pairs of one run, keyed (stage, substep width) in order of
+    first use, as any ``zoh_cache``.  Beside them it holds the run's
+    ``plans``, keyed by (stage, a breakpoint-free interval's substep widths
+    as bytes), and the one ``scratch`` that every interval steps in."""
+
+    def __init__(self):
+        super().__init__()
+        self.plans: dict = {}
+        self.scratch = _Scratch()
+
+
+def _zoh_steps(M: np.ndarray, stage: Stage, widths: np.ndarray, zs: np.ndarray, cache: dict,
                w: np.ndarray) -> None:
     """ZOH substeps z <- Phi_h z + Psi_h w from ``zs[0]`` over segments of
-    widths ``hs``, each edge's state written into the next row of ``zs``.
+    ``widths``, each edge's state written into the next row of ``zs``.
     ``w`` is the input at each segment's midpoint, or one row for all, and
-    then Psi_h w is formed once per distinct width; the cache fills in order
-    of first use.
+    then Psi_h w is formed once per distinct width.
+
+    A ``_ZohCache`` keeps the plan of each one-row interval's widths and
+    replays it, and lends its scratch; a split interval builds a one-off
+    plan, and a plain-dict cache a one-off plan and scratch.  The cache
+    fills in order of first use either way.  The substeps run in the
+    scratch rows, copied out to ``zs`` once.
 
     An autonomous interval, whose constants Psi_h w are all +0.0 in every
     bit, steps with the gemv alone and adds +0.0 to all its records once at
-    the end.  That is the per-substep chain to the bit.  Adding +0.0 keeps
-    every value, NaN and inf included, except -0, which it makes +0.  And
-    gemv inputs that differ only in the signs of zero entries give outputs
-    that differ only in the signs of zero entries: each product, and each
-    partial sum in BLAS's fixed order, is equal on both sides or zero on
-    both.  So each deferred record, once normalized, equals the record of
-    the chain that normalized after every substep.  A -0 constant would
-    keep a -0 that the one +0.0 add turns into +0, so the guard compares
-    bytes, not ``== 0``.
+    the end, in the copy.  That is the per-substep chain to the bit.  Adding
+    +0.0 keeps every value, NaN and inf included, except -0, which it makes
+    +0.  And gemv inputs that differ only in the signs of zero entries give
+    outputs that differ only in the signs of zero entries: each product,
+    and each partial sum in BLAS's fixed order, is equal on both sides or
+    zero on both.  So each deferred record, once normalized, equals the
+    record of the chain that normalized after every substep.  A -0 constant
+    would keep a -0 that the one +0.0 add turns into +0, so the guard
+    compares bytes, not ``== 0``.
     """
-    if len(w) == 1:
-        by_width = {}
-        for h in dict.fromkeys(hs):  # distinct widths in order of first use
-            Phi, Psi = _zoh_lookup(cache, M, stage, h)
-            by_width[h] = (Phi.dot, Psi @ w[0])
-        consts = by_width.values()
-        steps = map(by_width.__getitem__, hs)
+    memo = isinstance(cache, _ZohCache)
+    if memo and len(w) == 1:
+        key = (stage, widths.tobytes())
+        plan = cache.plans.get(key)
+        if plan is None:
+            cache.plans[key] = plan = _zoh_plan(cache, M, stage, widths.tolist())
     else:
-        steps = []
-        for h, w_seg in zip(hs, w):
-            Phi, Psi = _zoh_lookup(cache, M, stage, h)
-            steps.append((Phi.dot, Psi @ w_seg))
-        consts = steps
-    rows = list(zs)
-    zero = bytes(zs[0].nbytes)  # +0.0 in every entry
-    if any(c.tobytes() != zero for _, c in consts):
-        phi_z = np.empty(zs.shape[1])
+        plan = _zoh_plan(cache, M, stage, widths.tolist())
+    dots, slots, psis = plan
+    if len(w) == 1:
+        consts = [Psi @ w[0] for Psi in psis]
+        steps = map(consts.__getitem__, slots)
+    else:
+        steps = consts = [psis[i] @ w_seg for i, w_seg in zip(slots, w)]
+    n_rows = len(zs)
+    s = (cache.scratch if memo else _Scratch()).fit(n_rows, zs.shape[1])
+    rows, dsts = s.rows, s.dsts
+    rows[0][...] = zs[0]
+    if any(c.tobytes() != s.zero for c in consts):
+        phi_z = s.phi_z
         add = np.add
-        for (phi_dot, c), src, dst in zip(steps, rows, rows[1:]):
+        for phi_dot, c, src, dst in zip(dots, steps, rows, dsts):
             phi_dot(src, phi_z)
             add(phi_z, c, dst)
+        zs[1:] = s.buf[1:n_rows]
     else:
-        for (phi_dot, _), src, dst in zip(steps, rows, rows[1:]):
+        for phi_dot, src, dst in zip(dots, rows, dsts):
             phi_dot(src, dst)
-        np.add(zs[1:], 0.0, out=zs[1:])
+        np.add(s.buf[1:n_rows], 0.0, out=zs[1:])
 
 
 def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
@@ -256,7 +314,7 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
     if sig.piecewise_constant:
         # Without a breakpoint the input is constant: the first midpoint's serves all.
         mids = 0.5 * (edges[:-1] + edges[1:]) if bps else 0.5 * (edges[:1] + edges[1:2])
-        _zoh_steps(M, stage, (edges[1:] - edges[:-1]).tolist(), zs,
+        _zoh_steps(M, stage, edges[1:] - edges[:-1], zs,
                    zoh_cache if zoh_cache is not None else {}, _inputs(m, sig, mids))
     else:
         _rk4_steps(m, M, sig, edges, list(zs))
@@ -343,7 +401,7 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
     # Each interval has substeps + 1 edges and one more per breakpoint off them.
     n_off = _off_grid_count(np.array(sig.breakpoints(0.0, n_steps * m.dt)), m.dt, substeps)
     dense = _DenseLog(n_steps * (substeps + 1) + n_off, m.n_x, m.n_u)
-    cache: dict = {}
+    cache = _ZohCache()
 
     # A state that leaves the float range is reported by the next encode,
     # not by a numpy warning from each product on the way there.

@@ -173,13 +173,28 @@ class Sinusoid(Disturbance):
         self.phase = float(phase)
         self.dim = self.amplitude.size
 
+    def _theta(self, *ts: np.ndarray) -> list[np.ndarray]:
+        """The phase 2*pi*freq_hz*t + phase at each time of each array; a
+        non-finite one, which has no sine, raises a ValueError naming the
+        earliest time that has one."""
+        w = 2.0 * math.pi * self.freq_hz
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            ths = [w * t + self.phase for t in ts]
+        if not all(np.isfinite(th).all() for th in ths):
+            bad = np.concatenate([np.stack([t, th])[:, ~np.isfinite(th)]
+                                  for t, th in zip(ts, ths)], axis=1)
+            t0, th0 = bad[:, np.argsort(bad[0])[0]].tolist()  # NaN times sort last
+            raise ValueError(f"sinusoid phase 2*pi*freq_hz*t + phase is {th0!r}, not finite, "
+                             f"at t = {t0!r} (freq_hz = {self.freq_hz!r}, "
+                             f"phase = {self.phase!r})")
+        return ths
+
     def _value(self, t: np.ndarray) -> np.ndarray:
-        return _sin((2.0 * math.pi * self.freq_hz) * t + self.phase)[:, None] * self.amplitude
+        return _sin(self._theta(t)[0])[:, None] * self.amplitude
 
     def _sup(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         amp = float(np.max(np.abs(self.amplitude)))
-        w = 2.0 * math.pi * self.freq_hz
-        th_a, th_b = w * a + self.phase, w * b + self.phase
+        th_a, th_b = self._theta(a, b)
         lo, hi = np.minimum(th_a, th_b), np.maximum(th_a, th_b)
         # |sin| peaks at pi/2 + k*pi; without a peak inside, the max sits at
         # an endpoint.

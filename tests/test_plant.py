@@ -18,7 +18,8 @@ from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform
                    synthesize_design)
 from qrate.codec import Stage
 from qrate.matnum import expm
-from qrate.plant import _augmented, _DenseLog, _off_grid_count, _zoh_pair, _zoh_steps
+from qrate.plant import (_augmented, _DenseLog, _off_grid_count, _zoh_pair, _zoh_steps,
+                         _ZohCache)
 
 # sha256 of run_closed_loop(...).x.tobytes() on the bundled certified
 # scenario, as integrated one substep at a time with a fresh input each.
@@ -239,6 +240,32 @@ def test_run_keeps_the_call_contract_the_benchmark_tracer_counts(monkeypatch, re
     assert len({id(M) for M in blocks}) == 2 and len(blocks) == len(cache)
 
 
+def test_run_keeps_one_plan_per_stage_and_width_pattern(monkeypatch, ref_plant, cert_params,
+                                                        cert_derived):
+    # The plans of a 300 s pulses run are those of its breakpoint-free
+    # intervals' distinct (stage, substep widths), and the pairs beside them
+    # are the ones the contract test above lists, in its order.
+    steps = []
+    orig = plant_mod.step_interval
+
+    def recorded(*args):
+        out = orig(*args)
+        steps.append((args, out[2][0]))
+        return out
+
+    monkeypatch.setattr(plant_mod, "step_interval", recorded)
+    sig = PulseTrain([(t, t + 0.2, [1.5]) for t in (10.0, 25.0, 40.0, 55.0, 70.0, 85.0)], dim=1)
+    run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array([1.0, -0.5]), 300.0)
+    cache = steps[0][0][7]
+    assert len(steps) == 3000 and all(args[7] is cache for args, _ in steps)
+    plain = [(args[3], np.diff(ts).tobytes()) for args, ts in steps
+             if not sig.breakpoints(args[5], args[5] + ref_plant.dt)]
+    assert set(cache.plans) == set(plain) and len(cache.plans) < 40 < len(plain)
+    first_use = dict.fromkeys((args[3], h) for args, ts in steps for h in np.diff(ts).tolist())
+    assert list(cache) == list(first_use)
+    assert cache.scratch.buf.shape == (101, 4)
+
+
 @st.composite
 def _any_disturbance(draw):
     kind = draw(st.sampled_from(["zero", "constant", "pulses", "sinusoid", "uniform"]))
@@ -407,6 +434,34 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
     assert list(fast_cache) == list(ref_cache)
 
 
+def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
+    # One run's cache across a sequence of intervals, twice over, the stages
+    # alternating and swapped in the second pass; plain intervals of equal
+    # substep widths and stage replay one plan.  The inputs are +0.0, a -0.0 pulse, a
+    # 1.5 pulse and a -0.7 pulse.  Interval 11 ends just past the 1.5
+    # pulse's end and takes the split path with no extra edge; the -0.7
+    # pulse starts off the grid in interval 14, whose extra edge grows the
+    # scratch that the plain intervals 13 and 15 step in.
+    m = ref_plant
+    sig = PulseTrain([(0.5, 0.8, [-0.0]), (0.8, 1.2, [1.5]), (1.40337, 1.6, [-0.7])], dim=1)
+    rng = np.random.default_rng(11)
+    cache, ref_cache, plain = _ZohCache(), {}, []
+    for swap in (0, 1):
+        for k in range(20):
+            stage = Stage.STABILIZING if (k + swap) % 2 else Stage.SEARCHING
+            x, xhat = ((np.array([0.0, -0.0]), np.array([-0.0, 0.0])) if k % 5 == 0
+                       else (rng.standard_normal(2), rng.standard_normal(2)))
+            args = (m, x, xhat, stage, sig, k * m.dt, 100)
+            got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
+            for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (swap, k)
+            if not sig.breakpoints(k * m.dt, (k + 1) * m.dt):
+                plain.append((stage, np.diff(got[2][0]).tobytes()))
+    assert [k for k in range(20) if sig.breakpoints(k * m.dt, (k + 1) * m.dt)] == [11, 14]
+    assert cache.scratch.buf.shape == (102, 4)
+    assert list(cache) == list(ref_cache)
+    assert set(cache.plans) == set(plain) and len(cache.plans) < len(plain) == 2 * 18
+
 
 def _two_call_steps(cache, stage, hs, z0, w):
     """The ZOH stepper's per-substep loop: z <- Phi_h z into a buffer, then
@@ -474,16 +529,18 @@ def _zoh_cases(draw):
 def test_zoh_steps_match_the_two_call_loop_bitwise(case):
     # An autonomous interval steps with the gemv alone and adds +0.0 once;
     # every record, signed zeros and non-finite entries included, must be
-    # the per-substep loop's.
+    # the per-substep loop's.  A run's cache builds the plan of a one-row
+    # interval on the first call and replays it on the second.
     M, stage, hs, z0, w = case
-    cache = {}
-    zs = np.empty((len(hs) + 1, z0.size))
-    zs[0] = z0
-    with np.errstate(over="ignore", invalid="ignore"):
-        _zoh_steps(M, stage, hs, zs, cache, w)
-        want = _two_call_steps(cache, stage, hs, z0, w)
-    assert zs.tobytes() == want.tobytes()
-    assert list(cache) == [(stage, h) for h in dict.fromkeys(hs)]
+    for cache, calls in (({}, 1), (_ZohCache(), 2)):
+        for _ in range(calls):
+            zs = np.empty((len(hs) + 1, z0.size))
+            zs[0] = z0
+            with np.errstate(over="ignore", invalid="ignore"):
+                _zoh_steps(M, stage, np.array(hs), zs, cache, w)
+                want = _two_call_steps(cache, stage, hs, z0, w)
+            assert zs.tobytes() == want.tobytes()
+        assert list(cache) == [(stage, h) for h in dict.fromkeys(hs)]
 
 
 def test_zero_input_interval_adds_once_not_per_substep(monkeypatch, ref_plant):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import signal_oracle
+from qrate import run_closed_loop
 from qrate.signals import Constant, PulseTrain, SeededUniform, Sinusoid, Zero
 
 
@@ -61,6 +62,32 @@ def test_sinusoid_sup_endpoints_only():
     a, b = 0.45, 0.55
     expected = max(abs(math.sin(2 * math.pi * a)), abs(math.sin(2 * math.pi * b)))
     assert abs(sig.sup_norm(a, b) - expected) < 1e-15
+
+
+def test_sinusoid_names_a_non_finite_phase_and_its_first_time(ref_plant, cert_params,
+                                                               cert_derived):
+    # 2*pi*1e308 overflows, so the phase is NaN at t = 0 and inf after it:
+    # the run stops at its first input evaluation, naming the earliest t.
+    msg = "sinusoid phase 2*pi*freq_hz*t + phase is {}, not finite, at t = {} ({})"
+    with pytest.raises(ValueError, match=re.escape(msg.format(
+            "nan", "0.0", "freq_hz = 1e+308, phase = 0.0"))):
+        run_closed_loop(ref_plant, cert_params, cert_derived, Sinusoid([0.05], 1e308),
+                        np.array([1.0, -0.5]), 1.0, 2)
+    sig = Sinusoid([1.0], 1.0, 0.5)
+    with pytest.raises(ValueError, match=re.escape(msg.format(
+            "inf", "1e+308", "freq_hz = 1.0, phase = 0.5"))):
+        sig.value([3.0, 1e308, np.nan, 2e308])
+    # a NaN time is named only when no other time has a non-finite phase
+    with pytest.raises(ValueError, match=re.escape(msg.format(
+            "nan", "nan", "freq_hz = 1.0, phase = 0.5"))):
+        sig.sup_norm([0.0, 1.0], [np.nan, 2.0])
+    with pytest.raises(ValueError, match=re.escape(msg.format(
+            "inf", "2.0", "freq_hz = 1.0, phase = inf"))):
+        Sinusoid([1.0], 1.0, math.inf).sup_norm([3.0, 2.0], [4.0, 5.0])
+    # finite phases keep their sines
+    t = np.array([0.0, 0.3, 1e300])
+    want = np.array([math.sin(2.0 * math.pi * x + 0.5) for x in t.tolist()])
+    assert sig.value(t)[:, 0].tobytes() == want.tobytes()
 
 
 def test_seeded_uniform_reproducible():
