@@ -483,7 +483,10 @@ def _tightest_earlier(base: np.ndarray, q: float) -> np.ndarray:
 
     Runs the recurrence r_k = q * min(r_{k-1}, base_{k-1}) and keeps the
     index of the minimum, so the caller can evaluate the bound at that l
-    exactly as the full pair grid would.
+    exactly as the full pair grid would.  An exact tie keeps the later l:
+    both give the same bound in exact arithmetic and differ only in the
+    rounding of the caller's q^(k-l) * base[l], so the rule is a choice,
+    pinned by a test, not a correctness condition.
     """
     ls = np.empty(base.size - 1, dtype=np.int64)
     r, arg = math.inf, 0

@@ -172,11 +172,11 @@ def cmd_synthesize(args) -> int:
     return 0 if report.certified else 1
 
 
-def _run(cfg: ScenarioConfig, out: Path, check: bool, corrupt: bool = False):
+def _run(cfg: ScenarioConfig, out: Path, check: bool):
     """Run the scenario, check it when asked, and write every output file.
 
     Returns (log, check report or None, whether a synthesized triple was
-    used); ``corrupt`` damages the log first so the checker must flag it.
+    used).
     """
     params, report, synthesized = _certified_design(cfg)
     d = design.derive_constants(cfg.plant, params)
@@ -184,8 +184,6 @@ def _run(cfg: ScenarioConfig, out: Path, check: bool, corrupt: bool = False):
                                 cfg.x0, cfg.horizon, cfg.substeps)
     result = None
     if check:
-        if corrupt:
-            _corrupt(log, d, params)
         g = analysis.gain_constants(d, params)
         result = analysis.check_trajectory(log, d, params, g, cfg.disturbance)
         _write_table(out / "checks.csv", ["name", "checked", "worst_margin", "verdict"],
@@ -253,7 +251,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     cfg, out = _load(args)
-    _, check, _ = _run(cfg, out, check=True, corrupt=args.corrupt_log)
+    _, check, _ = _run(cfg, out, check=True)
     for r in check.rows:
         print(f"{r.status.upper():>14}  {r.name}  (n={r.n_checked}, "
               f"worst margin={fmt_num(r.worst_margin)})")
@@ -263,7 +261,10 @@ def cmd_check(args) -> int:
 
 
 def _corrupt(log, d, params) -> None:
-    """Debug hook: damage the log so the checker must flag it."""
+    """Damage the log so the checker must flag it: halve the radius at the
+    middle sample and recompute its value.  No command calls it; the
+    benchmark harness's tests (``perfbench/tests/test_perfbench.py``) and
+    ``tests/test_analysis.py`` do."""
     k = log.n_samples // 2
     log.radius[k] *= 0.5
     log.value[k] = codec.quad_value(log.center[k], log.radius[k], d.P, params.rho)
@@ -348,10 +349,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="synthesize an admissible parameter triple").set_defaults(fn=cmd_synthesize)
     sub.add_parser("simulate", parents=scenario,
                    help="run the closed loop and write logs/plots").set_defaults(fn=cmd_simulate)
-    p = sub.add_parser("check", parents=scenario,
-                       help="simulate, then verify every certificate inequality")
-    p.add_argument("--corrupt-log", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_check)
+    sub.add_parser("check", parents=scenario, help="simulate, then verify every "
+                   "certificate inequality").set_defaults(fn=cmd_check)
     p = sub.add_parser("gains", parents=scenario,
                        help="tabulate the ISS gain functions")
     p.add_argument("--s-grid", type=_s_grid, default=None,

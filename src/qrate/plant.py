@@ -9,8 +9,9 @@ pair of each (stage, substep width) once, and sizes its dense log once.
 A run also builds the substep plan of each breakpoint-free ZOH interval
 once per (stage, substep widths), and replays it: each substep's
 ``Phi.dot``, its width slot, and each distinct width's Psi, so an interval
-forms only its Psi w constants and steps in the run's one scratch buffer,
-whose row views are built once; one copy moves the records out.
+forms only its Psi w constants.  The pairs, the plans and the state rows
+that every interval, ZOH or RK4, steps in, with their row views built
+once, are one object per run; one copy moves an interval's records out.
 Each sampling interval then encodes, decodes, values and advances the codec
 state once, and evaluates its inputs in one broadcast ``Disturbance.value``
 call: the first midpoint when no breakpoint splits a constant input, else
@@ -132,16 +133,68 @@ def _inputs(m: PlantModel, sig: Disturbance, ts: np.ndarray) -> np.ndarray:
     return w
 
 
+class _ZohCache(dict):
+    """The stepping state of one run.  Its items are the ZOH pairs, keyed
+    (stage, substep width) in order of first use.  Beside them it keeps the
+    ``plans`` of the breakpoint-free ZOH intervals, keyed (stage, substep
+    widths as bytes), and the state rows that every interval steps in:
+    ``buf``, with its row views built once (``rows[i]`` is row i and
+    ``dsts[i]`` row i + 1), the gemv output ``phi_z`` and ``zero``, the
+    bytes of +0.0 in every entry of a row."""
+
+    def __init__(self):
+        super().__init__()
+        self.plans: dict = {}
+        self.buf = np.empty((0, 0))
+
+    def load(self, zs: np.ndarray) -> None:
+        """Copy ``zs[0]`` into row 0, first rebuilding the rows when ``zs``
+        has more rows than they do or another row size."""
+        n_rows, size = zs.shape
+        if self.buf.shape[0] < n_rows or self.buf.shape[1] != size:
+            self.buf = np.empty((n_rows, size))
+            self.rows, self.dsts = list(self.buf), list(self.buf[1:])
+            self.phi_z = np.empty(size)
+            self.zero = bytes(self.phi_z.nbytes)
+        self.rows[0][...] = zs[0]
+
+    def plan(self, M: np.ndarray, stage: Stage, widths: np.ndarray,
+             keep: bool) -> tuple[list, list, list]:
+        """The substep program for segments of ``widths``: each substep's
+        ``Phi.dot`` (one bound method per distinct width, shared by its
+        substeps), each substep's slot among the distinct widths, and the
+        Psi of each distinct width.  With ``keep`` the plan is kept in
+        ``plans`` and replayed by every later interval of the same stage and
+        widths.  The pairs of the distinct widths are looked up in order of
+        first use, so the run's pairs fill in that order."""
+        key = (stage, widths.tobytes())
+        plan = self.plans.get(key) if keep else None
+        if plan is None:
+            hs = widths.tolist()
+            slot = {h: i for i, h in enumerate(dict.fromkeys(hs))}
+            for h in slot:
+                if (stage, h) not in self:
+                    self[(stage, h)] = _zoh_pair(M, h)
+            pairs = [self[(stage, h)] for h in slot]
+            slots = [slot[h] for h in hs]
+            dots = [Phi.dot for Phi, _ in pairs]
+            plan = [dots[i] for i in slots], slots, [Psi for _, Psi in pairs]
+            if keep:
+                self.plans[key] = plan
+        return plan
+
+
 def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray,
-               rows: list) -> None:
-    """Classical RK4 from ``rows[0]`` over the segments [a, a + h] of
-    ``edges``, each edge's state written into the next row.  Per step, in
+               zs: np.ndarray, cache: _ZohCache) -> None:
+    """Classical RK4 from ``zs[0]`` over the segments [a, a + h] of
+    ``edges``, each edge's state written into the next row of ``zs``.  The
+    steps run in ``cache``'s rows, copied out to ``zs`` once.  Per step, in
     this order and association: k1 = M z + w_a, k2 = M (z + (h/2) k1) + w_mid,
     k3 = M (z + (h/2) k2) + w_mid, k4 = M (z + h k3) + w_b and
     z + (h/6) (((k1 + 2 k2) + 2 k3) + k4); a start a equal to the previous
     end reuses that end's input."""
     a, hs = edges[:-1], np.diff(edges)
-    n_seg, ends, size = hs.size, a + hs, rows[0].size
+    n_seg, ends, size = hs.size, a + hs, zs.shape[1]
     fresh = np.concatenate([[True], a[1:] != ends[:-1]])
     # rows of w: the midpoints, the ends, then the fresh starts
     w = _inputs(m, sig, np.concatenate([a + 0.5 * hs, ends, a[fresh]]))
@@ -153,8 +206,9 @@ def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray
     two = np.full(size, 2.0)
     k1, k2, k3, k4, arg = np.empty((5, size))
     add, mul, dot = np.add, np.multiply, M.dot
-    for half, h, sixth, z, dst, w_a, w_mid, w_b in zip(halves, fulls, sixths, rows, rows[1:],
-                                                       list(w[starts]), w_rows, w_rows[n_seg:]):
+    cache.load(zs)
+    for half, h, sixth, z, dst, w_a, w_mid, w_b in zip(
+            halves, fulls, sixths, cache.rows, cache.dsts, list(w[starts]), w_rows, w_rows[n_seg:]):
         dot(z, k1)
         add(k1, w_a, k1)
         mul(k1, half, arg)
@@ -176,73 +230,20 @@ def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray
         add(k2, k4, k2)
         mul(k2, sixth, k2)
         add(z, k2, dst)
+    zs[1:] = cache.buf[1:len(zs)]
 
 
-def _zoh_lookup(cache: dict, M: np.ndarray, stage: Stage,
-                h: float) -> tuple[np.ndarray, np.ndarray]:
-    key = (stage, h)
-    pair = cache.get(key)
-    if pair is None:
-        cache[key] = pair = _zoh_pair(M, h)
-    return pair
-
-
-def _zoh_plan(cache: dict, M: np.ndarray, stage: Stage, hs: list) -> tuple[list, list, list]:
-    """The substep program for segments of widths ``hs``: each substep's
-    ``Phi.dot`` (one bound method per distinct width, shared by its
-    substeps), each substep's slot among the distinct widths, and the Psi
-    of each distinct width.  The distinct widths are looked up in order of
-    first use, so the cache fills in that order."""
-    slot: dict = {}
-    for h in hs:
-        slot.setdefault(h, len(slot))
-    pairs = [_zoh_lookup(cache, M, stage, h) for h in slot]
-    slots = [slot[h] for h in hs]
-    dots = [Phi.dot for Phi, _ in pairs]
-    return [dots[i] for i in slots], slots, [Psi for _, Psi in pairs]
-
-
-class _Scratch:
-    """State rows to step in, with their row views built once: ``rows[i]``
-    is row i and ``dsts[i]`` row i + 1.  ``fit`` rebuilds them only when a
-    call needs more rows or another row size."""
-
-    def __init__(self):
-        self.buf = np.empty((0, 0))
-
-    def fit(self, n_rows: int, size: int) -> _Scratch:
-        if self.buf.shape[0] < n_rows or self.buf.shape[1] != size:
-            self.buf = np.empty((n_rows, size))
-            self.rows, self.dsts = list(self.buf), list(self.buf[1:])
-            self.phi_z = np.empty(size)
-            self.zero = bytes(self.phi_z.nbytes)  # +0.0 in every entry
-        return self
-
-
-class _ZohCache(dict):
-    """The ZOH pairs of one run, keyed (stage, substep width) in order of
-    first use, as any ``zoh_cache``.  Beside them it holds the run's
-    ``plans``, keyed by (stage, a breakpoint-free interval's substep widths
-    as bytes), and the one ``scratch`` that every interval steps in."""
-
-    def __init__(self):
-        super().__init__()
-        self.plans: dict = {}
-        self.scratch = _Scratch()
-
-
-def _zoh_steps(M: np.ndarray, stage: Stage, widths: np.ndarray, zs: np.ndarray, cache: dict,
-               w: np.ndarray) -> None:
+def _zoh_steps(M: np.ndarray, stage: Stage, widths: np.ndarray, zs: np.ndarray,
+               cache: _ZohCache, w: np.ndarray) -> None:
     """ZOH substeps z <- Phi_h z + Psi_h w from ``zs[0]`` over segments of
     ``widths``, each edge's state written into the next row of ``zs``.
     ``w`` is the input at each segment's midpoint, or one row for all, and
     then Psi_h w is formed once per distinct width.
 
-    A ``_ZohCache`` keeps the plan of each one-row interval's widths and
-    replays it, and lends its scratch; a split interval builds a one-off
-    plan, and a plain-dict cache a one-off plan and scratch.  The cache
-    fills in order of first use either way.  The substeps run in the
-    scratch rows, copied out to ``zs`` once.
+    ``cache`` keeps the plan of each one-row interval's widths and replays
+    it; a split interval builds an unkept plan.  The run's pairs fill in
+    order of first use either way.  The substeps run in ``cache``'s rows,
+    copied out to ``zs`` once.
 
     An autonomous interval, whose constants Psi_h w are all +0.0 in every
     bit, steps with the gemv alone and adds +0.0 to all its records once at
@@ -256,47 +257,39 @@ def _zoh_steps(M: np.ndarray, stage: Stage, widths: np.ndarray, zs: np.ndarray, 
     would keep a -0 that the one +0.0 add turns into +0, so the guard
     compares bytes, not ``== 0``.
     """
-    memo = isinstance(cache, _ZohCache)
-    if memo and len(w) == 1:
-        key = (stage, widths.tobytes())
-        plan = cache.plans.get(key)
-        if plan is None:
-            cache.plans[key] = plan = _zoh_plan(cache, M, stage, widths.tolist())
-    else:
-        plan = _zoh_plan(cache, M, stage, widths.tolist())
-    dots, slots, psis = plan
+    dots, slots, psis = cache.plan(M, stage, widths, keep=len(w) == 1)
     if len(w) == 1:
         consts = [Psi @ w[0] for Psi in psis]
         steps = map(consts.__getitem__, slots)
     else:
         steps = consts = [psis[i] @ w_seg for i, w_seg in zip(slots, w)]
-    n_rows = len(zs)
-    s = (cache.scratch if memo else _Scratch()).fit(n_rows, zs.shape[1])
-    rows, dsts = s.rows, s.dsts
-    rows[0][...] = zs[0]
-    if any(c.tobytes() != s.zero for c in consts):
-        phi_z = s.phi_z
-        add = np.add
-        for phi_dot, c, src, dst in zip(dots, steps, rows, dsts):
+    cache.load(zs)
+    if any(c.tobytes() != cache.zero for c in consts):
+        phi_z, add = cache.phi_z, np.add
+        for phi_dot, c, src, dst in zip(dots, steps, cache.rows, cache.dsts):
             phi_dot(src, phi_z)
             add(phi_z, c, dst)
-        zs[1:] = s.buf[1:n_rows]
+        zs[1:] = cache.buf[1:len(zs)]
     else:
-        for phi_dot, src, dst in zip(dots, rows, dsts):
+        for phi_dot, src, dst in zip(dots, cache.rows, cache.dsts):
             phi_dot(src, dst)
-        np.add(s.buf[1:n_rows], 0.0, out=zs[1:])
+        np.add(cache.buf[1:len(zs)], 0.0, out=zs[1:])
 
 
 def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
                   sig: Disturbance, t_k: float, substeps: int = DEFAULT_SUBSTEPS,
-                  zoh_cache: dict | None = None):
+                  zoh_cache: _ZohCache | None = None):
     """Integrate one sampling period from t_k.
 
     Returns (x at the end of the period, xhat at the end of the period,
     dense records (t, x, xhat, u) at substep resolution).  ``xhat`` must
-    already be reset for the interval.  ``zoh_cache`` maps (stage, substep
-    width) to the ZOH pair and may be shared across calls.
+    already be reset for the interval.  ``zoh_cache`` is the stepping state
+    of a run, shared by all its intervals, or None for a fresh one.
     """
+    if zoh_cache is None:
+        zoh_cache = _ZohCache()
+    elif not isinstance(zoh_cache, _ZohCache):
+        raise TypeError(f"zoh_cache must be None or a _ZohCache, not {type(zoh_cache).__name__}")
     n = m.n_x
     z = np.concatenate([as_vector(x, "x"), as_vector(xhat, "xhat")])
     M = _augmented(m, stage)
@@ -314,10 +307,9 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
     if sig.piecewise_constant:
         # Without a breakpoint the input is constant: the first midpoint's serves all.
         mids = 0.5 * (edges[:-1] + edges[1:]) if bps else 0.5 * (edges[:1] + edges[1:2])
-        _zoh_steps(M, stage, edges[1:] - edges[:-1], zs,
-                   zoh_cache if zoh_cache is not None else {}, _inputs(m, sig, mids))
+        _zoh_steps(M, stage, edges[1:] - edges[:-1], zs, zoh_cache, _inputs(m, sig, mids))
     else:
-        _rk4_steps(m, M, sig, edges, list(zs))
+        _rk4_steps(m, M, sig, edges, zs, zoh_cache)
 
     xs, xhats = zs[:, :n], zs[:, n:]
     us = codec.controller_input(stage, m.K, xhats)

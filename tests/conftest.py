@@ -24,11 +24,13 @@ with warnings.catch_warnings():
         pass
 
 
-# The CSV formatter's property test runs under the hypothesis profile that
-# HYPOTHESIS_PROFILE names (CI's tier-1 step sets "ci"); every other test
-# keeps its own settings.
+# Two property tests run under the hypothesis profile that
+# HYPOTHESIS_PROFILE names (CI's tier-1 step sets "ci"): the CSV formatter's
+# against the %-templates, and the ZOH stepper's against its per-substep
+# loop, which keeps at least its own 300 examples.  Every other test keeps
+# its own settings.
 settings.register_profile("ci", max_examples=5000, deadline=None)
-FORMATTER_PROFILE = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+PROPERTY_PROFILE = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

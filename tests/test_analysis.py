@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_oracle
-from qrate import analysis
+from qrate import analysis, cli
 from gain_oracle import constants_from, oracle_values
 from qrate import (PulseTrain, SeededUniform, Sinusoid, Zero, check_trajectory,
                    derive_constants, eta_functions, gain_constants, iss_gains,
                    run_closed_loop)
 from qrate.analysis import (CERTIFICATE_CHECKS, CHECKS, _DENSE_BLOCK, _RECENT, _Acc,
-                            _add_exp_decay, _SearchMaps)
-from qrate.codec import quad_value
+                            _add_exp_decay, _SearchMaps, _tightest_earlier)
 from qrate.plant import TrajectoryEvent
 
 
@@ -183,10 +182,8 @@ def test_check_trajectory_reference_all_pass(ref_plant, cert_params, cert_derive
 
 def test_check_trajectory_corruption_detected(ref_plant, cert_params, cert_derived):
     sig, log = _reference_log(ref_plant, cert_params, cert_derived, horizon=8.0)
-    k = 40  # deep inside a stabilizing stage
-    log.radius[k] *= 0.5
-    log.value[k] = quad_value(log.center[k], log.radius[k], cert_derived.P,
-                              cert_params.rho)
+    assert log.n_samples // 2 == 40 and log.stage[35:46].all()  # inside a stabilizing stage
+    cli._corrupt(log, cert_derived, cert_params)
     g = gain_constants(cert_derived, cert_params)
     rep = check_trajectory(log, cert_derived, cert_params, g, sig)
     assert not rep.all_pass
@@ -350,6 +347,13 @@ def test_exp_decay_envelope_matches_pair_grid(inject, samples, nu, c_exp, dist_g
     # exactly as the grid does; only a near tie between two l (a few ulps)
     # could pick a neighbour with a marginally different rounding.
     assert abs(got[3] - want[3]) <= 1e-12 * max(1.0, abs(want[3])) or got[3] == want[3]
+
+
+def test_tightest_earlier_keeps_the_later_l_on_an_exact_tie():
+    # At k = 2, l = 0 and l = 1 both give 0.25 = 0.5^2 * 1.0 = 0.5 * 0.5,
+    # with no rounding; the tie goes to l = 1.  The last entry is never read.
+    assert _tightest_earlier(np.array([1.0, 0.5, 9.0]), 0.5).tolist() == [0, 1]
+    assert _tightest_earlier(np.array([1.0, 0.5, 0.25, 9.0]), 0.5).tolist() == [0, 1, 2]
 
 
 def test_check_trajectory_sup_norm_calls_scale_with_samples(monkeypatch, ref_plant,

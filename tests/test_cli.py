@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import csv_oracle
 import qrate
-from conftest import FORMATTER_PROFILE
+from conftest import PROPERTY_PROFILE
 from qrate import (Constant, ConfigError, DesignParams, PlantModel, PulseTrain,
                    ScenarioConfig, SeededUniform, Sinusoid, Zero, parse_config,
                    serialize_config)
@@ -554,7 +554,7 @@ _TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x
                 max_size=12)
 
 
-@FORMATTER_PROFILE
+@PROPERTY_PROFILE
 @given(st.lists(st.tuples(st.floats(), st.floats(), st.integers(-2**63, 2**63 - 1), _TEXT),
                 min_size=1, max_size=6))
 @example([(math.nan, -0.0, 0, ""), (math.inf, -math.inf, -2**63, "searching")])
@@ -715,9 +715,14 @@ def test_check_raw_reports_not_certified(raw_cfg_path, tmp_path):
     assert "not_certified" in verdicts and "fail" not in verdicts
 
 
-def test_check_corrupt_log_fails(cert_cfg_path, tmp_path):
-    assert main(["check", "--config", str(cert_cfg_path), "--out",
-                 str(tmp_path / "bad"), "--substeps", "20", "--corrupt-log"]) == 1
+def test_check_has_no_corrupt_log_flag(cert_cfg_path, tmp_path, capsys):
+    # The log-damaging hook is cli._corrupt, for tests only; no flag reaches it.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--config", str(cert_cfg_path), "--out", str(tmp_path / "bad"),
+              "--corrupt-log"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --corrupt-log" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_gains_refuses_uncertified(raw_cfg_path, tmp_path):

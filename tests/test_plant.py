@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import check_oracle
 import signal_oracle
-from conftest import make_random_plant
+from conftest import PROPERTY_PROFILE, make_random_plant
 from qrate import codec
 from qrate import plant as plant_mod
 from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform, Sinusoid,
@@ -263,7 +263,7 @@ def test_run_keeps_one_plan_per_stage_and_width_pattern(monkeypatch, ref_plant, 
     assert set(cache.plans) == set(plain) and len(cache.plans) < 40 < len(plain)
     first_use = dict.fromkeys((args[3], h) for args, ts in steps for h in np.diff(ts).tolist())
     assert list(cache) == list(first_use)
-    assert cache.scratch.buf.shape == (101, 4)
+    assert cache.buf.shape == (101, 4)
 
 
 @st.composite
@@ -422,7 +422,7 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
         m, rng = _plant_3x2(), np.random.default_rng(3)
         starts = [(rng.standard_normal(3), rng.standard_normal(3), k % 2, k * m.dt)
                   for k in range(80)]
-    fast_cache, ref_cache = {}, {}
+    fast_cache, ref_cache = _ZohCache(), {}
     for x, xhat, stabilizing, t_k in starts:
         stage = Stage.STABILIZING if stabilizing else Stage.SEARCHING
         args = (m, x, xhat, stage, sig, t_k, 50)
@@ -441,7 +441,7 @@ def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
     # 1.5 pulse and a -0.7 pulse.  Interval 11 ends just past the 1.5
     # pulse's end and takes the split path with no extra edge; the -0.7
     # pulse starts off the grid in interval 14, whose extra edge grows the
-    # scratch that the plain intervals 13 and 15 step in.
+    # rows that the plain intervals 13 and 15 step in.
     m = ref_plant
     sig = PulseTrain([(0.5, 0.8, [-0.0]), (0.8, 1.2, [1.5]), (1.40337, 1.6, [-0.7])], dim=1)
     rng = np.random.default_rng(11)
@@ -458,9 +458,38 @@ def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
             if not sig.breakpoints(k * m.dt, (k + 1) * m.dt):
                 plain.append((stage, np.diff(got[2][0]).tobytes()))
     assert [k for k in range(20) if sig.breakpoints(k * m.dt, (k + 1) * m.dt)] == [11, 14]
-    assert cache.scratch.buf.shape == (102, 4)
+    assert cache.buf.shape == (102, 4)
     assert list(cache) == list(ref_cache)
     assert set(cache.plans) == set(plain) and len(cache.plans) < len(plain) == 2 * 18
+
+
+def test_one_run_state_carries_rk4_split_and_plain_intervals_bitwise(ref_plant):
+    # One cache in turn through an RK4 interval, a pulse interval whose
+    # off-grid edge grows the rows to 102, an RK4 interval in the grown
+    # rows, and a plain ZOH interval; each is the per-segment loop's, and
+    # only the plain interval keeps a plan.
+    m = ref_plant
+    sine = Sinusoid([0.05], freq_hz=0.5, phase=0.3)
+    pulse = PulseTrain([(0.40337, 0.9, [1.5])], dim=1)
+    rng = np.random.default_rng(23)
+    cache, ref_cache = _ZohCache(), {}
+    for k, sig, stage, n_rows in ((3, sine, Stage.STABILIZING, 101),
+                                  (4, pulse, Stage.SEARCHING, 102),
+                                  (5, sine, Stage.SEARCHING, 101),
+                                  (6, pulse, Stage.STABILIZING, 101)):
+        args = (m, rng.standard_normal(2), rng.standard_normal(2), stage, sig, k * m.dt, 100)
+        got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
+        for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+        assert got[2][0].size == n_rows and cache.buf.shape == (101 if k == 3 else 102, 4)
+    assert list(cache) == list(ref_cache) and len(ref_cache) > 2
+    assert [stage for stage, _ in cache.plans] == [Stage.STABILIZING]
+
+
+def test_step_interval_takes_a_run_state_or_none_as_its_cache(ref_plant):
+    x = np.array([0.5, -0.2])
+    with pytest.raises(TypeError, match="^zoh_cache must be None or a _ZohCache, not dict$"):
+        step_interval(ref_plant, x, x, Stage.SEARCHING, Zero(dim=1), 0.0, 10, {})
 
 
 def _two_call_steps(cache, stage, hs, z0, w):
@@ -524,7 +553,8 @@ def _zoh_cases(draw):
     return M, stage, hs, z0, w
 
 
-@settings(max_examples=300, deadline=None)
+@settings(PROPERTY_PROFILE, max_examples=max(300, PROPERTY_PROFILE.max_examples),
+          deadline=None)
 @given(_zoh_cases())
 def test_zoh_steps_match_the_two_call_loop_bitwise(case):
     # An autonomous interval steps with the gemv alone and adds +0.0 once;
@@ -532,15 +562,16 @@ def test_zoh_steps_match_the_two_call_loop_bitwise(case):
     # the per-substep loop's.  A run's cache builds the plan of a one-row
     # interval on the first call and replays it on the second.
     M, stage, hs, z0, w = case
-    for cache, calls in (({}, 1), (_ZohCache(), 2)):
-        for _ in range(calls):
-            zs = np.empty((len(hs) + 1, z0.size))
-            zs[0] = z0
-            with np.errstate(over="ignore", invalid="ignore"):
-                _zoh_steps(M, stage, np.array(hs), zs, cache, w)
-                want = _two_call_steps(cache, stage, hs, z0, w)
-            assert zs.tobytes() == want.tobytes()
-        assert list(cache) == [(stage, h) for h in dict.fromkeys(hs)]
+    cache = _ZohCache()
+    for _ in range(2):
+        zs = np.empty((len(hs) + 1, z0.size))
+        zs[0] = z0
+        with np.errstate(over="ignore", invalid="ignore"):
+            _zoh_steps(M, stage, np.array(hs), zs, cache, w)
+            want = _two_call_steps(cache, stage, hs, z0, w)
+        assert zs.tobytes() == want.tobytes()
+    assert list(cache) == [(stage, h) for h in dict.fromkeys(hs)]
+    assert len(cache.plans) == (len(w) == 1)
 
 
 def test_zero_input_interval_adds_once_not_per_substep(monkeypatch, ref_plant):
