@@ -842,6 +842,23 @@ COMMAND_SHA256 = {
         "report.txt": "baa140b55cc07307bbb59df1839c70383b59a6dd940a540976262f21b041420b",
         "samples.csv": "8d392977f0ad02ceeb4c4bb2aa207f040162d4eb7dab144263c857616ce16443",
         "x1_aux.svg": "06a02b525d5dfdd565511eec1e217bcc93d837d15156700ee8152e44b6e37e1c"}),
+    # the RK4 path at substep widths that neither 100 nor 10 substeps build
+    ("check", "sinusoid", ("--substeps", "1")): (0, {
+        "checks.csv": "1c34390ccaddd3c896a5134b020c7f57dcfac4013809d8dac1193e9ba74c3e6c",
+        "dense.csv": "af039fef5422bf67b4ade05109d68809aa006876c265453035bbf9222bd27d23",
+        "err_E.svg": "76d1c876934fba94d31869165fe95488657b571ea59a079c5b3fd3042f41b3e0",
+        "events.csv": "6e918e2d713d01c1029cbc7fe770afda94d556f261d1c980e2e40bf42f8ba58f",
+        "report.txt": "4ba0d9c7763d4a36d5bb603b8f44b44c125d8439125e2b31ae4092472f68dd98",
+        "samples.csv": "f0c6aed7f85df57cc6def3da6011df26868d2330b0e11926899a9ab29f6c7b08",
+        "x1_aux.svg": "d78931e222b09ca6c1b53c743031c640f51bb271196a4160bd79525c58dd0086"}),
+    ("check", "sinusoid", ("--substeps", "7")): (0, {
+        "checks.csv": "ca1664504e1abaedc98cc3f24541147f91bbfd0bc39af578c27402dba359ed36",
+        "dense.csv": "3193861397f6578e9dd5325628360551ae61dbf65d5e8f77f6b0477537ef41cd",
+        "err_E.svg": "83bb6b91e8faddb99f964fca91763107014f75f3d098cadcca936902d0f436ce",
+        "events.csv": "e72c1c3fd0d2d3ad9a4bb50fde79ac2b3665f6e3f57765af1d32708e99406f53",
+        "report.txt": "48805bdf3f1452c691d90926f49fec698219a0954a9985ab0037f8426a4b4331",
+        "samples.csv": "3fb30c7397232c875318a636235add0413083468b59322af4eca5213f0467cd4",
+        "x1_aux.svg": "2652eeb7fefea222a2e0a02987ca3f978f6e47e190aacacf6f05e2540d23d91f"}),
     ("check", "uniform", ()): (0, {
         "checks.csv": "6021609cde339596d23ac340410b212455ab4d39040be2fc5d7ad35006d74dad",
         "dense.csv": "66bf875f9194cb89fe2f2f85781cb8c9608e0b2ab7897357205e99e8bc46ce76",
@@ -881,7 +898,9 @@ _CI_DISTURBANCES = {
 
 @pytest.mark.parametrize("command, label, flags", list(COMMAND_SHA256),
                          ids=["validate_raw", "validate_certified", "gains", "gains_s_grid",
-                              "check_sinusoid", "check_sinusoid_substeps_10", "check_uniform",
+                              "check_sinusoid", "check_sinusoid_substeps_10",
+                              "check_sinusoid_substeps_1", "check_sinusoid_substeps_7",
+                              "check_uniform",
                               "check_certified_substeps_1", "check_certified_substeps_7"])
 def test_validate_and_gains_files_match_pinned_bytes(command, label, flags, raw_cfg_path,
                                                      cert_cfg_path, tmp_path):

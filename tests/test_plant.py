@@ -13,8 +13,8 @@ import signal_oracle
 from conftest import PROPERTY_PROFILE, make_random_plant
 from qrate import codec
 from qrate import plant as plant_mod
-from qrate import (Constant, DesignParams, PlantModel, PulseTrain, SeededUniform, Sinusoid,
-                   Zero, bundled_scenario, derive_constants, run_closed_loop, step_interval,
+from qrate import (Constant, DesignParams, Disturbance, PlantModel, PulseTrain, SeededUniform,
+                   Sinusoid, Zero, bundled_scenario, derive_constants, run_closed_loop, step_interval,
                    synthesize_design)
 from qrate.codec import Stage
 from qrate.matnum import expm
@@ -395,21 +395,45 @@ def _plant_3x2():
     return PlantModel(A=m.A, B=m.B, D=D, K=m.K, dt=m.dt, n_levels=m.n_levels)
 
 
+class _SineAndPulses(Disturbance):
+    """A sinusoid plus a pulse train: not piecewise constant, so every
+    interval takes the RK4 path, and split at the pulses' edges."""
+
+    def __init__(self, sine: Sinusoid, pulses: PulseTrain):
+        self.sine, self.pulses, self.dim = sine, pulses, sine.dim
+
+    def _value(self, t):
+        return self.sine.value(t) + self.pulses.value(t)
+
+    def _sup(self, a, b):
+        # an upper bound, not the exact sup: only the run's log reads it
+        return self.sine.sup_norm(a, b) + self.pulses.sup_norm(a, b)
+
+    def breakpoints(self, a, b):
+        return self.pulses.breakpoints(a, b)
+
+
 @pytest.mark.parametrize("plant, sig", [
     ("bundled", _reference_pulses()),
     ("bundled", SeededUniform(bound=0.05, seed=3, hold=0.37)),
     ("bundled", SeededUniform(bound=0.08, seed=5, hold=0.1)),
     ("bundled", Sinusoid([0.05], freq_hz=0.5, phase=0.3)),
+    ("bundled", _SineAndPulses(Sinusoid([0.05], freq_hz=0.5, phase=0.3),
+                               PulseTrain([(10.50337, 10.70001, [1.5])], dim=1))),
     ("3x2", Sinusoid([0.05, -0.03], freq_hz=0.7, phase=0.3)),
+    ("3x2", _SineAndPulses(Sinusoid([0.05, -0.03], freq_hz=0.7, phase=0.3),
+                           PulseTrain([(0.0337, 1.2113, [1.5, -0.4]),
+                                       (1.2113, 2.35001, [-0.2, 0.9])], dim=2))),
     # edges off the substep grid, and two pulses sharing an edge
     ("3x2", PulseTrain([(0.0337, 1.2113, [1.5, -0.4]), (1.2113, 2.35001, [-0.2, 0.9]),
                         (5.00007, 6.1, [0.3, 0.3])], dim=2)),
-], ids=["pulses", "uniform", "uniform_hold_dt", "sinusoid_rk4", "3x2_sinusoid_rk4",
-        "3x2_pulses_off_grid"])
+], ids=["pulses", "uniform", "uniform_hold_dt", "sinusoid_rk4", "sine_and_pulse_rk4_split",
+        "3x2_sinusoid_rk4", "3x2_sine_and_pulses_rk4_split", "3x2_pulses_off_grid"])
 def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, cert_params,
                                                         cert_derived):
     # Breakpoint-free intervals of a piecewise-constant signal take the
-    # constant-input fast path, the others the segment loop.
+    # constant-input fast path, the others the segment loop; a sinusoid
+    # plus pulses takes RK4, split at the pulse edges off the substep grid.
     if plant == "bundled":
         # every interval of a logged run, restarted from its logged state
         m = ref_plant
@@ -422,7 +446,7 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
         m, rng = _plant_3x2(), np.random.default_rng(3)
         starts = [(rng.standard_normal(3), rng.standard_normal(3), k % 2, k * m.dt)
                   for k in range(80)]
-    fast_cache, ref_cache = _ZohCache(), {}
+    fast_cache, ref_cache, split = _ZohCache(), {}, 0
     for x, xhat, stabilizing, t_k in starts:
         stage = Stage.STABILIZING if stabilizing else Stage.SEARCHING
         args = (m, x, xhat, stage, sig, t_k, 50)
@@ -431,7 +455,9 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
         assert np.array_equal(x_end, ref_x) and np.array_equal(xhat_end, ref_xhat), t_k
         for got, want in zip(dense, ref_dense):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), t_k
+        split += dense[0].size > 51
     assert list(fast_cache) == list(ref_cache)
+    assert split > 0 or not isinstance(sig, _SineAndPulses)
 
 
 def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
