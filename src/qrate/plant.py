@@ -9,15 +9,20 @@ pair of each (stage, substep width) once, and sizes its dense log once.
 A run also builds the substep plan of each breakpoint-free ZOH interval
 once per (stage, substep widths), and replays it: each substep's
 ``Phi.dot``, its width slot, and each distinct width's Psi, so an interval
-forms only its Psi w constants.  The pairs, the plans and the state rows
-that every interval, ZOH or RK4, steps in, with their row views built
-once, are one object per run; one copy moves an interval's records out.
+forms only its Psi w constants.  Each breakpoint-free RK4 interval likewise
+replays a plan kept per (substep widths, fresh starts): each substep's
+(h/2, h, h/6) row vectors, one set per distinct width, and the row its start
+input sits in.  The pairs, the plans and the rows that every interval steps
+in and reads its inputs from, with their row views built once, are one
+object per run; one copy moves an interval's records out.
 Each sampling interval then encodes, decodes, values and advances the codec
 state once, and evaluates its inputs in one broadcast ``Disturbance.value``
 call: the first midpoint when no breakpoint splits a constant input, else
 every segment midpoint, or every RK4 start, midpoint and end.  Each substep
 is a few numpy calls into preallocated buffers; matrix-vector products are
-``ndarray.dot(v, out)``, the same BLAS gemv as ``@`` at half the call cost.
+``ndarray.dot(v, out)``, the same BLAS gemv as ``@`` at half the call cost,
+and RK4 doubles k2 and k3 with one multiply on their two stacked rows, which
+is still one elementwise multiply per entry.
 An autonomous ZOH interval, whose input terms are +0.0 in every bit (each
 interval between the pulses of a pulse train), is one gemv per substep
 and a single +0.0 add over its records, the per-substep adds deferred.
@@ -124,12 +129,15 @@ def _zoh_pair(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(E[:n, :n]), E[:n, n:]
 
 
-def _inputs(m: PlantModel, sig: Disturbance, ts: np.ndarray) -> np.ndarray:
+def _inputs(m: PlantModel, sig: Disturbance, ts: np.ndarray, w: np.ndarray | None = None
+            ) -> np.ndarray:
     """The block input (D d(t), 0) at each time of ``ts``, one row each, from
-    one ``value`` call.  The stacked product is one gemv per row, so each row
-    has the bits of ``m.D @ sig.value(t)``."""
-    w = np.zeros((ts.size, 2 * m.n_x))
-    w[:, :m.n_x] = np.matmul(m.D, sig.value(ts)[:, :, None])[:, :, 0]
+    one ``value`` call, written into the first rows of ``w`` (whose other
+    columns must be 0) or of a fresh array.  The stacked product is one gemv
+    per row, so each row has the bits of ``m.D @ sig.value(t)``."""
+    if w is None:
+        w = np.zeros((ts.size, 2 * m.n_x))
+    w[:ts.size, :m.n_x] = np.matmul(m.D, sig.value(ts)[:, :, None])[:, :, 0]
     return w
 
 
@@ -140,12 +148,20 @@ class _ZohCache(dict):
     widths as bytes), and the state rows that every interval steps in:
     ``buf``, with its row views built once (``rows[i]`` is row i and
     ``dsts[i]`` row i + 1), the gemv output ``phi_z`` and ``zero``, the
-    bytes of +0.0 in every entry of a row."""
+    bytes of +0.0 in every entry of a row.
+
+    For RK4 it keeps, also as attributes, so that ``len`` stays the pair
+    count: the input rows ``w`` with their views ``w_rows``; the
+    (h/2, h, h/6) row vectors of each substep width in ``hvecs``; the
+    ``rk4_plans`` of the breakpoint-free RK4 intervals, keyed (substep
+    widths, fresh starts) as bytes, each two lists of references into
+    ``hvecs`` and ``w_rows``; and the scratch ``ks``: k1..k4, the argument
+    row, the stacked k2, k3 and a stack of 2.0."""
 
     def __init__(self):
         super().__init__()
         self.plans: dict = {}
-        self.buf = np.empty((0, 0))
+        self.buf = self.w = np.empty((0, 0))
 
     def load(self, zs: np.ndarray) -> None:
         """Copy ``zs[0]`` into row 0, first rebuilding the rows when ``zs``
@@ -183,32 +199,65 @@ class _ZohCache(dict):
                 self.plans[key] = plan
         return plan
 
+    def rk4_plan(self, hs: np.ndarray, fresh: np.ndarray, keep: bool) -> tuple[list, list]:
+        """The substep program of an RK4 interval of widths ``hs`` whose
+        segments take a fresh start input where ``fresh`` is set: each
+        substep's (h/2, h, h/6) row vectors, one tuple per distinct width,
+        and its start input's row of ``w``.  With ``keep`` the plan is kept
+        and replayed by every later interval of the same widths and mask.
+        Call it after ``load``: it first rebuilds ``w`` and ``ks`` when they
+        have another row size than ``buf`` or ``w`` too few rows for this
+        interval, and drops the plans and vectors built for the old ones."""
+        n_seg, size = hs.size, self.buf.shape[1]
+        n_rows = 2 * n_seg + np.count_nonzero(fresh)
+        if self.w.shape[0] < n_rows or self.w.shape[1] != size:
+            self.w = np.zeros((n_rows, size))
+            self.w_rows, self.rk4_plans, self.hvecs = list(self.w), {}, {}
+            k = np.empty((5, size))
+            self.ks = (*k, k[1:3], np.full((2, size), 2.0))
+        key = (hs.tobytes(), fresh.tobytes())
+        plan = self.rk4_plans.get(key) if keep else None
+        if plan is None:
+            widths = hs.tolist()
+            # h/2, h, h/6 (and 2 in ks) as vectors: half a scalar's call cost, same bits
+            for h in dict.fromkeys(widths):
+                if h not in self.hvecs:
+                    self.hvecs[h] = tuple(np.repeat([[0.5 * h], [h], [h / 6.0]], size, axis=1))
+            # the rows of w: the midpoints, the ends, then the fresh starts
+            starts = np.where(fresh, 2 * n_seg + np.cumsum(fresh) - 1,
+                              n_seg + np.arange(n_seg) - 1)
+            plan = ([self.hvecs[h] for h in widths],
+                    [self.w_rows[i] for i in starts.tolist()])
+            if keep:
+                self.rk4_plans[key] = plan
+        return plan
+
 
 def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray,
-               zs: np.ndarray, cache: _ZohCache) -> None:
+               zs: np.ndarray, cache: _ZohCache, keep: bool) -> None:
     """Classical RK4 from ``zs[0]`` over the segments [a, a + h] of
     ``edges``, each edge's state written into the next row of ``zs``.  The
     steps run in ``cache``'s rows, copied out to ``zs`` once.  Per step, in
     this order and association: k1 = M z + w_a, k2 = M (z + (h/2) k1) + w_mid,
     k3 = M (z + (h/2) k2) + w_mid, k4 = M (z + h k3) + w_b and
     z + (h/6) (((k1 + 2 k2) + 2 k3) + k4); a start a equal to the previous
-    end reuses that end's input."""
+    end reuses that end's input.
+
+    One ``value`` call writes the inputs into ``cache``'s input rows, and
+    the substeps replay the cache's plan of these widths and fresh starts,
+    kept with ``keep``.  k2 and k3 are adjacent rows, doubled by one
+    multiply: that is still one elementwise 2 * k per entry, so the bits
+    are those of two multiplies."""
     a, hs = edges[:-1], np.diff(edges)
-    n_seg, ends, size = hs.size, a + hs, zs.shape[1]
+    n_seg, ends = hs.size, a + hs
     fresh = np.concatenate([[True], a[1:] != ends[:-1]])
-    # rows of w: the midpoints, the ends, then the fresh starts
-    w = _inputs(m, sig, np.concatenate([a + 0.5 * hs, ends, a[fresh]]))
-    starts = np.where(fresh, 2 * n_seg + np.cumsum(fresh) - 1, n_seg + np.arange(n_seg) - 1)
-    # h/2, h, h/6 and 2 as vectors: half the call cost of a scalar, same bits
-    halves, fulls, sixths = (list(np.repeat(c[:, None], size, axis=1))
-                             for c in (0.5 * hs, hs, hs / 6.0))
-    w_rows = list(w)
-    two = np.full(size, 2.0)
-    k1, k2, k3, k4, arg = np.empty((5, size))
-    add, mul, dot = np.add, np.multiply, M.dot
     cache.load(zs)
-    for half, h, sixth, z, dst, w_a, w_mid, w_b in zip(
-            halves, fulls, sixths, cache.rows, cache.dsts, list(w[starts]), w_rows, w_rows[n_seg:]):
+    steps, w_starts = cache.rk4_plan(hs, fresh, keep)
+    _inputs(m, sig, np.concatenate([a + 0.5 * hs, ends, a[fresh]]), cache.w)
+    k1, k2, k3, k4, arg, k23, two = cache.ks
+    add, mul, dot, w_rows = np.add, np.multiply, M.dot, cache.w_rows
+    for (half, h, sixth), z, dst, w_a, w_mid, w_b in zip(
+            steps, cache.rows, cache.dsts, w_starts, w_rows, w_rows[n_seg:]):
         dot(z, k1)
         add(k1, w_a, k1)
         mul(k1, half, arg)
@@ -223,9 +272,8 @@ def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray
         add(arg, z, arg)
         dot(arg, k4)
         add(k4, w_b, k4)
-        mul(k2, two, k2)
+        mul(k23, two, k23)
         add(k2, k1, k2)
-        mul(k3, two, k3)
         add(k2, k3, k2)
         add(k2, k4, k2)
         mul(k2, sixth, k2)
@@ -309,7 +357,7 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
         mids = 0.5 * (edges[:-1] + edges[1:]) if bps else 0.5 * (edges[:1] + edges[1:2])
         _zoh_steps(M, stage, edges[1:] - edges[:-1], zs, zoh_cache, _inputs(m, sig, mids))
     else:
-        _rk4_steps(m, M, sig, edges, zs, zoh_cache)
+        _rk4_steps(m, M, sig, edges, zs, zoh_cache, keep=not bps)
 
     xs, xhats = zs[:, :n], zs[:, n:]
     us = codec.controller_input(stage, m.K, xhats)

@@ -489,6 +489,58 @@ def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
     assert set(cache.plans) == set(plain) and len(cache.plans) < len(plain) == 2 * 18
 
 
+def test_rk4_intervals_replay_a_runs_plans_bitwise(ref_plant):
+    # The RK4 mirror of the test above: one run's state across a sequence
+    # of intervals, twice over, the stages alternating and swapped in the
+    # second pass.  RK4 plans do not depend on the stage, so plain intervals
+    # of equal substep widths replay one plan in either stage.  A pulse
+    # starts off the grid in interval 14, whose extra edge grows the state
+    # rows to 102 and the input rows to 203; the plain intervals after it
+    # step in the grown rows, with plans built for them.
+    m = ref_plant
+    sig = _SineAndPulses(Sinusoid([0.05], freq_hz=0.5, phase=0.3),
+                         PulseTrain([(1.40337, 1.6, [-0.7])], dim=1))
+    rng = np.random.default_rng(29)
+    cache, ref_cache, plain = _ZohCache(), {}, []
+    for swap in (0, 1):
+        for k in range(20):
+            stage = Stage.STABILIZING if (k + swap) % 2 else Stage.SEARCHING
+            args = (m, rng.standard_normal(2), rng.standard_normal(2), stage, sig, k * m.dt, 100)
+            got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
+            for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (swap, k)
+            if k != 14:
+                plain.append(np.diff(got[2][0]).tobytes())
+            assert cache.w.shape == ((201, 4) if (swap, k) < (0, 14) else (203, 4)), (swap, k)
+    assert [k for k in range(20) if sig.breakpoints(k * m.dt, (k + 1) * m.dt)] == [14]
+    assert cache.buf.shape == (102, 4) and len(cache) == 0 and not cache.plans
+    assert {widths for widths, _ in cache.rk4_plans} == set(plain)
+    assert len(cache.rk4_plans) < len(plain) == 2 * 19
+
+
+def test_rk4_takes_a_fresh_input_where_a_segment_end_rounds_off_the_next_start(ref_plant):
+    # At 10 substeps of 0.1 s, a pulse edge at 0.001 splits the first
+    # substep, and that segment's end 0.001 + (0.01 - 0.001) rounds off the
+    # next edge 0.01: the next segment takes its start input fresh, from
+    # the last input row, where the 500 Hz sine differs from the end's.
+    # From the zero state, that difference reaches the records.  Twice
+    # through one state; a split interval's plan is not kept.
+    m = ref_plant
+    sine = Sinusoid([1.0], freq_hz=500.0, phase=0.3)
+    sig = _SineAndPulses(sine, PulseTrain([(0.001, 0.0213, [0.4])], dim=1))
+    cache, ref_cache = _ZohCache(), {}
+    for stage in (Stage.SEARCHING, Stage.STABILIZING):
+        args = (m, np.zeros(2), np.zeros(2), stage, sig, 0.0, 10)
+        got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
+        for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), stage
+    starts, widths = got[2][0][:-1], np.diff(got[2][0])
+    ends = starts + widths
+    assert np.flatnonzero(starts[1:] != ends[:-1]).tolist() == [1] and starts.size == 12
+    assert not np.array_equal(sine.value(starts[2]), sine.value(ends[1]))
+    assert cache.w.shape == (2 * 12 + 2, 4) and not cache.rk4_plans
+
+
 def test_one_run_state_carries_rk4_split_and_plain_intervals_bitwise(ref_plant):
     # One cache in turn through an RK4 interval, a pulse interval whose
     # off-grid edge grows the rows to 102, an RK4 interval in the grown
