@@ -220,7 +220,7 @@ class _ZohCache(dict):
         if plan is None:
             widths = hs.tolist()
             # h/2, h, h/6 (and 2 in ks) as vectors: half a scalar's call cost, same bits
-            for h in dict.fromkeys(widths):
+            for h in widths:
                 if h not in self.hvecs:
                     self.hvecs[h] = tuple(np.repeat([[0.5 * h], [h], [h / 6.0]], size, axis=1))
             # the rows of w: the midpoints, the ends, then the fresh starts
