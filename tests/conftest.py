@@ -24,11 +24,11 @@ with warnings.catch_warnings():
         pass
 
 
-# Two property tests run under the hypothesis profile that
+# Three property tests run under the hypothesis profile that
 # HYPOTHESIS_PROFILE names (CI's tier-1 step sets "ci"): the CSV formatter's
-# against the %-templates, and the ZOH stepper's against its per-substep
-# loop, which keeps at least its own 300 examples.  Every other test keeps
-# its own settings.
+# against the %-templates, the ZOH stepper's against its per-substep loop,
+# which keeps at least its own 300 examples, and RK4 intervals' against the
+# per-segment loop.  Every other test keeps its own settings.
 settings.register_profile("ci", max_examples=5000, deadline=None)
 PROPERTY_PROFILE = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

@@ -867,6 +867,16 @@ COMMAND_SHA256 = {
         "report.txt": "3d8e651ad2252705c553f818c87db593992ed0d8561c9530a3483fe0e3222f6e",
         "samples.csv": "acff155089af66587a7afe51cf6c09eb7e83900b931e5b6f793fc7150f42cba1",
         "x1_aux.svg": "c50eba7dc48367aa49d10f73c0d169c5146baf0c03de36292e25a122818ffd82"}),
+    # noise held for 0.001 s at 10 substeps: every interval split into 100
+    # ZOH segments, each with its own midpoint input
+    ("check", "uniform_fine", ("--substeps", "10")): (0, {
+        "checks.csv": "fd4d00d0d4cd4cb81063262d4b4f4074fccb6f3b8d4619cd4a555cb42428be22",
+        "dense.csv": "851b28c516ef582e399272990589beedfb79d03d899c72e5ab6788233dda54d8",
+        "err_E.svg": "e3c0064802e18342315d9b7c36c96590b3d4b58ff16cfcd2e4f5d15b5128cd24",
+        "events.csv": "e3af9035c4cc108d67b12d44cdaa33002669c5266a58bed7eda31cae079da3e3",
+        "report.txt": "53dde39b2d009754c54b8e3851acf421f5df3e92a98727fbe28afca93090278c",
+        "samples.csv": "de1c71c4c8ae7ae5a3956781f987dbed8e9d48e8fe379e4fbba4e342e03580c0",
+        "x1_aux.svg": "4fdf6d1f3969e38ed4b29e2b5dcbd4589e511cfba0499fb6dc0bd68e675ad2f5"}),
     # the pulse (ZOH) path at substep widths other than reproduce-paper's
     ("check", "certified", ("--substeps", "1")): (0, {
         "checks.csv": "f5405ef1fe2af9fe1a9f49494769938a9549e02dc1dec6473f34439461264ea1",
@@ -893,6 +903,8 @@ _CI_DISTURBANCES = {
                  "disturbance.freq_hz = 0.5"],
     "uniform": ["disturbance.kind = uniform", "disturbance.bound = 0.05",
                 "disturbance.seed = 3", "disturbance.hold = 0.37"],
+    "uniform_fine": ["disturbance.kind = uniform", "disturbance.bound = 0.05",
+                     "disturbance.seed = 3", "disturbance.hold = 0.001"],
 }
 
 
@@ -900,7 +912,7 @@ _CI_DISTURBANCES = {
                          ids=["validate_raw", "validate_certified", "gains", "gains_s_grid",
                               "check_sinusoid", "check_sinusoid_substeps_10",
                               "check_sinusoid_substeps_1", "check_sinusoid_substeps_7",
-                              "check_uniform",
+                              "check_uniform", "check_uniform_fine_substeps_10",
                               "check_certified_substeps_1", "check_certified_substeps_7"])
 def test_validate_and_gains_files_match_pinned_bytes(command, label, flags, raw_cfg_path,
                                                      cert_cfg_path, tmp_path):

@@ -564,6 +564,44 @@ def test_one_run_state_carries_rk4_split_and_plain_intervals_bitwise(ref_plant):
     assert [stage for stage, _ in cache.plans] == [Stage.STABILIZING]
 
 
+@st.composite
+def _rk4_cases(draw):
+    """(plant, substeps, t_k, disturbance, x, xhat) for RK4 intervals: a
+    plant of 1 to 3 states, and a sinusoid of 0.1 to 600 Hz plus pulses
+    with 0 to 3 edges inside [t_k, t_k + dt].  A segment's end a + (b - a)
+    can round off b only where a and b differ by more than a factor of 2
+    (Sterbenz), so one draw in three is an interval that ends at or
+    crosses 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = make_random_plant(rng, draw(st.integers(1, 3)))
+    substeps = draw(st.integers(1, 12))
+    t_k = draw(st.one_of(st.sampled_from([0.0, -0.1, 1e-300]), st.floats(-50.0, 50.0),
+                         st.floats(-m.dt, 0.0)))
+    offsets = draw(st.lists(st.floats(0.0, m.dt, exclude_min=True, exclude_max=True),
+                            max_size=3))
+    edges = sorted({t_k + off for off in offsets} - {t_k, t_k + m.dt})
+    ends = edges[1::2] + ([edges[-1] + 1.0] if len(edges) % 2 else [])
+    pulses = PulseTrain([(a, b, [draw(st.floats(-2.0, 2.0))])
+                         for a, b in zip(edges[0::2], ends)], dim=1)
+    sine = Sinusoid([draw(st.floats(-2.0, 2.0))], freq_hz=draw(st.floats(0.1, 600.0)),
+                    phase=draw(st.floats(0.0, 6.3)))
+    return m, substeps, t_k, _SineAndPulses(sine, pulses), *rng.standard_normal((2, m.n_x))
+
+
+@settings(PROPERTY_PROFILE, deadline=None)
+@given(_rk4_cases())
+def test_rk4_intervals_match_the_per_segment_loop_bitwise(case):
+    # Both stages through one run state, each interval the per-segment
+    # loop's to the bit, whatever the plant, the widths and the start.
+    m, substeps, t_k, sig, x, xhat = case
+    cache, ref_cache = _ZohCache(), {}
+    for stage in Stage:
+        args = (m, x, xhat, stage, sig, t_k, substeps)
+        got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
+        for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), stage
+
+
 def test_step_interval_takes_a_run_state_or_none_as_its_cache(ref_plant):
     x = np.array([0.5, -0.2])
     with pytest.raises(TypeError, match="^zoh_cache must be None or a _ZohCache, not dict$"):
