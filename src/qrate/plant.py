@@ -9,12 +9,11 @@ pair of each (stage, substep width) once, and sizes its dense log once.
 A run also builds the substep plan of each breakpoint-free ZOH interval
 once per (stage, substep widths), and replays it: each substep's
 ``Phi.dot``, its width slot, and each distinct width's Psi, so an interval
-forms only its Psi w constants.  Each breakpoint-free RK4 interval likewise
-replays a plan kept per (substep widths, fresh starts): each substep's
-(h/2, h, h/6) row vectors, one set per distinct width, and the row its start
-input sits in.  The pairs, the plans and the rows that every interval steps
-in and reads its inputs from, with their row views built once, are one
-object per run; one copy moves an interval's records out.
+forms only its Psi w constants.  RK4 substeps look up their (h/2, h, h/6)
+row vectors, built once per distinct width.  The pairs, the plans, the
+vectors and every buffer an interval steps in and reads its inputs from,
+with their row views built once, are one object per run; one copy moves
+an interval's records out.
 Each sampling interval then encodes, decodes, values and advances the codec
 state once, and evaluates its inputs in one broadcast ``Disturbance.value``
 call: the first midpoint when no breakpoint splits a constant input, else
@@ -36,6 +35,8 @@ difference grows like e^t until it flips a symbol.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +111,12 @@ def _augmented(m: PlantModel, stage: Stage) -> np.ndarray:
     return M
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def _substep_grid(dt: float, substeps: int) -> np.ndarray:
-    """Offsets of an interval's substep edges from its start, read-only."""
+    """Offsets of an interval's substep edges from its start, read-only;
+    typed, so that a float ``substeps`` never reads an int's grid."""
+    if not (isinstance(substeps, numbers.Integral) and substeps >= 1):
+        raise ValueError(f"substeps must be a positive integer, not {substeps!r}")
     grid = (dt / substeps) * np.arange(substeps + 1)
     grid.flags.writeable = False
     return grid
@@ -129,33 +133,17 @@ def _zoh_pair(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(E[:n, :n]), E[:n, n:]
 
 
-def _inputs(m: PlantModel, sig: Disturbance, ts: np.ndarray, w: np.ndarray | None = None
-            ) -> np.ndarray:
-    """The block input (D d(t), 0) at each time of ``ts``, one row each, from
-    one ``value`` call, written into the first rows of ``w`` (whose other
-    columns must be 0) or of a fresh array.  The stacked product is one gemv
-    per row, so each row has the bits of ``m.D @ sig.value(t)``."""
-    if w is None:
-        w = np.zeros((ts.size, 2 * m.n_x))
-    w[:ts.size, :m.n_x] = np.matmul(m.D, sig.value(ts)[:, :, None])[:, :, 0]
-    return w
-
-
 class _ZohCache(dict):
     """The stepping state of one run.  Its items are the ZOH pairs, keyed
-    (stage, substep width) in order of first use.  Beside them it keeps the
-    ``plans`` of the breakpoint-free ZOH intervals, keyed (stage, substep
-    widths as bytes), and the state rows that every interval steps in:
-    ``buf``, with its row views built once (``rows[i]`` is row i and
-    ``dsts[i]`` row i + 1), the gemv output ``phi_z`` and ``zero``, the
-    bytes of +0.0 in every entry of a row.
-
-    For RK4 it keeps, also as attributes, so that ``len`` stays the pair
-    count: the input rows ``w`` with their views ``w_rows``; the
-    (h/2, h, h/6) row vectors of each substep width in ``hvecs``; the
-    ``rk4_plans`` of the breakpoint-free RK4 intervals, keyed (substep
-    widths, fresh starts) as bytes, each two lists of references into
-    ``hvecs`` and ``w_rows``; and the scratch ``ks``: k1..k4, the argument
+    (stage, substep width) in order of first use.  Beside them, as
+    attributes so that ``len`` stays the pair count, it keeps the ``plans``
+    of the breakpoint-free ZOH intervals, keyed (stage, substep widths as
+    bytes), the (h/2, h, h/6) row vectors of each RK4 substep width in
+    ``hvecs``, and every buffer an interval steps in: the state rows
+    ``buf``, with their views built once (``rows[i]`` is row i and
+    ``dsts[i]`` row i + 1); the input rows ``w`` and their views
+    ``w_rows``; the gemv output ``phi_z`` and ``zero``, the bytes of +0.0
+    in every entry of a row; and RK4's scratch ``ks``: k1..k4, the argument
     row, the stacked k2, k3 and a stack of 2.0."""
 
     def __init__(self):
@@ -163,16 +151,34 @@ class _ZohCache(dict):
         self.plans: dict = {}
         self.buf = self.w = np.empty((0, 0))
 
-    def load(self, zs: np.ndarray) -> None:
-        """Copy ``zs[0]`` into row 0, first rebuilding the rows when ``zs``
-        has more rows than they do or another row size."""
-        n_rows, size = zs.shape
+    def load(self, z: np.ndarray, n_rows: int) -> None:
+        """Copy the start ``z`` into row 0, first rebuilding the rows when an
+        interval of ``n_rows`` edges needs more than there are; a new row
+        size also refits ``phi_z``, ``zero``, ``ks`` and ``hvecs``."""
+        size = z.size
         if self.buf.shape[0] < n_rows or self.buf.shape[1] != size:
+            if self.buf.shape[1] != size:
+                self.phi_z = np.empty(size)
+                self.zero = bytes(self.phi_z.nbytes)
+                k = np.empty((5, size))
+                self.ks = (*k, k[1:3], np.full((2, size), 2.0))
+                self.hvecs = {}
             self.buf = np.empty((n_rows, size))
             self.rows, self.dsts = list(self.buf), list(self.buf[1:])
-            self.phi_z = np.empty(size)
-            self.zero = bytes(self.phi_z.nbytes)
-        self.rows[0][...] = zs[0]
+        self.rows[0][...] = z
+
+    def inputs(self, m: PlantModel, sig: Disturbance, ts: np.ndarray) -> list:
+        """The block input (D d(t), 0) at each time of ``ts`` from one
+        ``value`` call, written into the first rows of ``w``, whose other
+        columns stay 0; ``w`` is rebuilt when it has too few rows or another
+        row size.  Returns the views of those rows.  The stacked product is
+        one gemv per row, so each row has the bits of ``m.D @ sig.value(t)``."""
+        n = m.n_x
+        if self.w.shape[0] < ts.size or self.w.shape[1] != 2 * n:
+            self.w = np.zeros((ts.size, 2 * n))
+            self.w_rows = list(self.w)
+        self.w[:ts.size, :n] = np.matmul(m.D, sig.value(ts)[:, :, None])[:, :, 0]
+        return self.w_rows[:ts.size]
 
     def plan(self, M: np.ndarray, stage: Stage, widths: np.ndarray,
              keep: bool) -> tuple[list, list, list]:
@@ -199,65 +205,34 @@ class _ZohCache(dict):
                 self.plans[key] = plan
         return plan
 
-    def rk4_plan(self, hs: np.ndarray, fresh: np.ndarray, keep: bool) -> tuple[list, list]:
-        """The substep program of an RK4 interval of widths ``hs`` whose
-        segments take a fresh start input where ``fresh`` is set: each
-        substep's (h/2, h, h/6) row vectors, one tuple per distinct width,
-        and its start input's row of ``w``.  With ``keep`` the plan is kept
-        and replayed by every later interval of the same widths and mask.
-        Call it after ``load``: it first rebuilds ``w`` and ``ks`` when they
-        have another row size than ``buf`` or ``w`` too few rows for this
-        interval, and drops the plans and vectors built for the old ones."""
-        n_seg, size = hs.size, self.buf.shape[1]
-        n_rows = 2 * n_seg + np.count_nonzero(fresh)
-        if self.w.shape[0] < n_rows or self.w.shape[1] != size:
-            self.w = np.zeros((n_rows, size))
-            self.w_rows, self.rk4_plans, self.hvecs = list(self.w), {}, {}
-            k = np.empty((5, size))
-            self.ks = (*k, k[1:3], np.full((2, size), 2.0))
-        key = (hs.tobytes(), fresh.tobytes())
-        plan = self.rk4_plans.get(key) if keep else None
-        if plan is None:
-            widths = hs.tolist()
-            # h/2, h, h/6 (and 2 in ks) as vectors: half a scalar's call cost, same bits
-            for h in widths:
-                if h not in self.hvecs:
-                    self.hvecs[h] = tuple(np.repeat([[0.5 * h], [h], [h / 6.0]], size, axis=1))
-            # the rows of w: the midpoints, the ends, then the fresh starts
-            starts = np.where(fresh, 2 * n_seg + np.cumsum(fresh) - 1,
-                              n_seg + np.arange(n_seg) - 1)
-            plan = ([self.hvecs[h] for h in widths],
-                    [self.w_rows[i] for i in starts.tolist()])
-            if keep:
-                self.rk4_plans[key] = plan
-        return plan
-
 
 def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray,
-               zs: np.ndarray, cache: _ZohCache, keep: bool) -> None:
-    """Classical RK4 from ``zs[0]`` over the segments [a, a + h] of
-    ``edges``, each edge's state written into the next row of ``zs``.  The
-    steps run in ``cache``'s rows, copied out to ``zs`` once.  Per step, in
+               cache: _ZohCache) -> None:
+    """Classical RK4 from ``cache``'s row 0 over the segments [a, a + h] of
+    ``edges``, each edge's state written into the next row.  Per step, in
     this order and association: k1 = M z + w_a, k2 = M (z + (h/2) k1) + w_mid,
     k3 = M (z + (h/2) k2) + w_mid, k4 = M (z + h k3) + w_b and
-    z + (h/6) (((k1 + 2 k2) + 2 k3) + k4); a start a equal to the previous
-    end reuses that end's input.
+    z + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
 
-    One ``value`` call writes the inputs into ``cache``'s input rows, and
-    the substeps replay the cache's plan of these widths and fresh starts,
-    kept with ``keep``.  k2 and k3 are adjacent rows, doubled by one
-    multiply: that is still one elementwise 2 * k per entry, so the bits
-    are those of two multiplies."""
+    One ``value`` call writes every segment's start, midpoint and end input
+    into ``cache``'s input rows.  Each start is read at its own time a:
+    where a equals the previous end a' + h' it is the same float, so
+    ``value`` gives it the same bits as that end, and where a' + h' rounds
+    off a (as it can where a' and a differ by more than a factor of 2) the
+    per-segment loop reads d(a) too.  Each substep looks up its width's
+    (h/2, h, h/6) row vectors in ``hvecs``: as vectors they cost half a
+    scalar's call and give the same bits.  k2 and k3 are adjacent rows,
+    doubled by one multiply: that is still one elementwise 2 * k per entry,
+    so the bits are those of two multiplies."""
     a, hs = edges[:-1], np.diff(edges)
-    n_seg, ends = hs.size, a + hs
-    fresh = np.concatenate([[True], a[1:] != ends[:-1]])
-    cache.load(zs)
-    steps, w_starts = cache.rk4_plan(hs, fresh, keep)
-    _inputs(m, sig, np.concatenate([a + 0.5 * hs, ends, a[fresh]]), cache.w)
+    n_seg, widths, hvecs = hs.size, hs.tolist(), cache.hvecs
+    w = cache.inputs(m, sig, np.concatenate([a, a + 0.5 * hs, a + hs]))
+    for h in set(widths) - hvecs.keys():
+        hvecs[h] = tuple(np.repeat([[0.5 * h], [h], [h / 6.0]], cache.buf.shape[1], axis=1))
     k1, k2, k3, k4, arg, k23, two = cache.ks
-    add, mul, dot, w_rows = np.add, np.multiply, M.dot, cache.w_rows
+    add, mul, dot = np.add, np.multiply, M.dot
     for (half, h, sixth), z, dst, w_a, w_mid, w_b in zip(
-            steps, cache.rows, cache.dsts, w_starts, w_rows, w_rows[n_seg:]):
+            map(hvecs.__getitem__, widths), cache.rows, cache.dsts, w, w[n_seg:], w[2 * n_seg:]):
         dot(z, k1)
         add(k1, w_a, k1)
         mul(k1, half, arg)
@@ -278,24 +253,22 @@ def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray
         add(k2, k4, k2)
         mul(k2, sixth, k2)
         add(z, k2, dst)
-    zs[1:] = cache.buf[1:len(zs)]
 
 
-def _zoh_steps(M: np.ndarray, stage: Stage, widths: np.ndarray, zs: np.ndarray,
-               cache: _ZohCache, w: np.ndarray) -> None:
-    """ZOH substeps z <- Phi_h z + Psi_h w from ``zs[0]`` over segments of
-    ``widths``, each edge's state written into the next row of ``zs``.
-    ``w`` is the input at each segment's midpoint, or one row for all, and
-    then Psi_h w is formed once per distinct width.
+def _zoh_steps(M: np.ndarray, stage: Stage, widths: np.ndarray, cache: _ZohCache,
+               w: list) -> None:
+    """ZOH substeps z <- Phi_h z + Psi_h w from ``cache``'s row 0 over
+    segments of ``widths``, each edge's state written into the next row.
+    ``w`` is the input rows at each segment's midpoint, or one row for all,
+    and then Psi_h w is formed once per distinct width.
 
     ``cache`` keeps the plan of each one-row interval's widths and replays
     it; a split interval builds an unkept plan.  The run's pairs fill in
-    order of first use either way.  The substeps run in ``cache``'s rows,
-    copied out to ``zs`` once.
+    order of first use either way.
 
     An autonomous interval, whose constants Psi_h w are all +0.0 in every
     bit, steps with the gemv alone and adds +0.0 to all its records once at
-    the end, in the copy.  That is the per-substep chain to the bit.  Adding
+    the end, in place.  That is the per-substep chain to the bit.  Adding
     +0.0 keeps every value, NaN and inf included, except -0, which it makes
     +0.  And gemv inputs that differ only in the signs of zero entries give
     outputs that differ only in the signs of zero entries: each product,
@@ -311,17 +284,16 @@ def _zoh_steps(M: np.ndarray, stage: Stage, widths: np.ndarray, zs: np.ndarray,
         steps = map(consts.__getitem__, slots)
     else:
         steps = consts = [psis[i] @ w_seg for i, w_seg in zip(slots, w)]
-    cache.load(zs)
     if any(c.tobytes() != cache.zero for c in consts):
         phi_z, add = cache.phi_z, np.add
         for phi_dot, c, src, dst in zip(dots, steps, cache.rows, cache.dsts):
             phi_dot(src, phi_z)
             add(phi_z, c, dst)
-        zs[1:] = cache.buf[1:len(zs)]
     else:
         for phi_dot, src, dst in zip(dots, cache.rows, cache.dsts):
             phi_dot(src, dst)
-        np.add(cache.buf[1:len(zs)], 0.0, out=zs[1:])
+        records = cache.buf[1:len(slots) + 1]
+        np.add(records, 0.0, out=records)
 
 
 def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
@@ -350,15 +322,15 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
         keep = np.concatenate([[True], np.diff(merged) > 1e-12 * m.dt])
         edges = merged[keep]
         edges[-1] = t_k + m.dt
-    zs = np.empty((edges.size, z.size))
-    zs[0] = z
+    zoh_cache.load(z, edges.size)
     if sig.piecewise_constant:
         # Without a breakpoint the input is constant: the first midpoint's serves all.
         mids = 0.5 * (edges[:-1] + edges[1:]) if bps else 0.5 * (edges[:1] + edges[1:2])
-        _zoh_steps(M, stage, edges[1:] - edges[:-1], zs, zoh_cache, _inputs(m, sig, mids))
+        _zoh_steps(M, stage, edges[1:] - edges[:-1], zoh_cache, zoh_cache.inputs(m, sig, mids))
     else:
-        _rk4_steps(m, M, sig, edges, zs, zoh_cache, keep=not bps)
+        _rk4_steps(m, M, sig, edges, zoh_cache)
 
+    zs = zoh_cache.buf[:edges.size].copy()
     xs, xhats = zs[:, :n], zs[:, n:]
     us = codec.controller_input(stage, m.K, xhats)
     return zs[-1, :n].copy(), zs[-1, n:].copy(), (edges, xs, xhats, us)
@@ -432,9 +404,11 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         raise ValueError("x0 dimension mismatch")
     if sig.dim != m.n_d:
         raise ValueError("disturbance dimension mismatch")
-    if horizon < m.dt:
-        raise ValueError("horizon must cover at least one sampling period")
+    if not (horizon >= m.dt and math.isfinite(horizon / m.dt)):
+        raise ValueError(f"horizon must cover a finite number of sampling periods, at least "
+                         f"one, not {horizon!r}")
     n_steps = int(np.floor(horizon / m.dt + 1e-9))
+    _substep_grid(m.dt, substeps)  # rejects a bad substeps before the log is sized
 
     state = codec.initial_state(p.radius0, m.n_x)
     samples = []  # (x, xhat, symbol, radius, center, V) at each sample

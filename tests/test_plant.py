@@ -342,6 +342,20 @@ def test_run_rejects_bad_inputs(ref_plant, cert_params, cert_derived):
     with pytest.raises(ValueError):
         run_closed_loop(ref_plant, cert_params, cert_derived, Zero(dim=1),
                         np.zeros(2), 0.05)
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^horizon must cover a finite number of sampling "
+                                             f"periods, at least one, not {horizon}$"):
+            run_closed_loop(ref_plant, cert_params, cert_derived, Zero(dim=1), np.zeros(2),
+                            horizon)
+    for substeps in (2.5, 0, -1, 10.0):
+        with pytest.raises(ValueError, match=f"^substeps must be a positive integer, "
+                                             f"not {substeps}$"):
+            run_closed_loop(ref_plant, cert_params, cert_derived, Zero(dim=1), np.zeros(2),
+                            5.0, substeps)
+    # not the edges [0, 0.04, 0.08, 0.12], past the 0.1 s period
+    with pytest.raises(ValueError, match="^substeps must be a positive integer, not 2.5$"):
+        step_interval(ref_plant, np.zeros(2), np.zeros(2), Stage.SEARCHING, Zero(dim=1), 0.0,
+                      2.5)
 
 
 def _step_interval_per_segment(m, x, xhat, stage, sig, t_k, substeps, cache):
@@ -492,16 +506,16 @@ def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
 def test_rk4_intervals_replay_a_runs_plans_bitwise(ref_plant):
     # The RK4 mirror of the test above: one run's state across a sequence
     # of intervals, twice over, the stages alternating and swapped in the
-    # second pass.  RK4 plans do not depend on the stage, so plain intervals
-    # of equal substep widths replay one plan in either stage.  A pulse
-    # starts off the grid in interval 14, whose extra edge grows the state
-    # rows to 102 and the input rows to 203; the plain intervals after it
-    # step in the grown rows, with plans built for them.
+    # second pass.  The (h/2, h, h/6) vectors do not depend on the stage, so
+    # plain intervals of equal substep widths share them in either stage.
+    # A pulse starts off the grid in interval 14, whose extra edge grows the
+    # state rows to 102 and the input rows to 3 * 101 = 303, three per
+    # segment; the plain intervals after it step in the grown rows.
     m = ref_plant
     sig = _SineAndPulses(Sinusoid([0.05], freq_hz=0.5, phase=0.3),
                          PulseTrain([(1.40337, 1.6, [-0.7])], dim=1))
     rng = np.random.default_rng(29)
-    cache, ref_cache, plain = _ZohCache(), {}, []
+    cache, ref_cache, widths = _ZohCache(), {}, set()
     for swap in (0, 1):
         for k in range(20):
             stage = Stage.STABILIZING if (k + swap) % 2 else Stage.SEARCHING
@@ -509,22 +523,21 @@ def test_rk4_intervals_replay_a_runs_plans_bitwise(ref_plant):
             got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
             for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (swap, k)
-            if k != 14:
-                plain.append(np.diff(got[2][0]).tobytes())
-            assert cache.w.shape == ((201, 4) if (swap, k) < (0, 14) else (203, 4)), (swap, k)
+            widths.update(np.diff(got[2][0]).tolist())
+            assert cache.w.shape == ((300, 4) if (swap, k) < (0, 14) else (303, 4)), (swap, k)
     assert [k for k in range(20) if sig.breakpoints(k * m.dt, (k + 1) * m.dt)] == [14]
     assert cache.buf.shape == (102, 4) and len(cache) == 0 and not cache.plans
-    assert {widths for widths, _ in cache.rk4_plans} == set(plain)
-    assert len(cache.rk4_plans) < len(plain) == 2 * 19
+    assert set(cache.hvecs) == widths
+    for h, vecs in cache.hvecs.items():
+        assert np.array(vecs).tobytes() == np.repeat([[0.5 * h], [h], [h / 6.0]], 4, 1).tobytes()
 
 
 def test_rk4_takes_a_fresh_input_where_a_segment_end_rounds_off_the_next_start(ref_plant):
     # At 10 substeps of 0.1 s, a pulse edge at 0.001 splits the first
     # substep, and that segment's end 0.001 + (0.01 - 0.001) rounds off the
-    # next edge 0.01: the next segment takes its start input fresh, from
-    # the last input row, where the 500 Hz sine differs from the end's.
-    # From the zero state, that difference reaches the records.  Twice
-    # through one state; a split interval's plan is not kept.
+    # next edge 0.01: the next segment reads its start input at 0.01, where
+    # the 500 Hz sine differs from the previous end's.  From the zero state,
+    # that difference reaches the records.  Twice through one state.
     m = ref_plant
     sine = Sinusoid([1.0], freq_hz=500.0, phase=0.3)
     sig = _SineAndPulses(sine, PulseTrain([(0.001, 0.0213, [0.4])], dim=1))
@@ -538,7 +551,7 @@ def test_rk4_takes_a_fresh_input_where_a_segment_end_rounds_off_the_next_start(r
     ends = starts + widths
     assert np.flatnonzero(starts[1:] != ends[:-1]).tolist() == [1] and starts.size == 12
     assert not np.array_equal(sine.value(starts[2]), sine.value(ends[1]))
-    assert cache.w.shape == (2 * 12 + 2, 4) and not cache.rk4_plans
+    assert cache.w.shape == (3 * 12, 4)
 
 
 def test_one_run_state_carries_rk4_split_and_plain_intervals_bitwise(ref_plant):
@@ -680,12 +693,11 @@ def test_zoh_steps_match_the_two_call_loop_bitwise(case):
     M, stage, hs, z0, w = case
     cache = _ZohCache()
     for _ in range(2):
-        zs = np.empty((len(hs) + 1, z0.size))
-        zs[0] = z0
+        cache.load(z0, len(hs) + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            _zoh_steps(M, stage, np.array(hs), zs, cache, w)
+            _zoh_steps(M, stage, np.array(hs), cache, list(w))
             want = _two_call_steps(cache, stage, hs, z0, w)
-        assert zs.tobytes() == want.tobytes()
+        assert cache.buf[:len(hs) + 1].tobytes() == want.tobytes()
     assert list(cache) == [(stage, h) for h in dict.fromkeys(hs)]
     assert len(cache.plans) == (len(w) == 1)
 
@@ -867,9 +879,7 @@ def test_step_interval_evaluates_rk4_inputs_in_one_call(monkeypatch, ref_plant):
     x = np.array([0.5, -0.2])
     _, _, (ts, _, _, _) = step_interval(ref_plant, x, x.copy(), Stage.SEARCHING, sig, 0.1,
                                         substeps=100)
-    # each substep's midpoint and end, and the first start: the other
-    # starts are the previous ends
+    # each substep's start, midpoint and end
     assert len(calls) == 1
     a, h = ts[:-1], np.diff(ts)
-    assert sorted(calls[0].tolist()) == sorted((a + 0.5 * h).tolist() + (a + h).tolist()
-                                               + [ts[0]])
+    assert calls[0].tolist() == a.tolist() + (a + 0.5 * h).tolist() + (a + h).tolist()
