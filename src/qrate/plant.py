@@ -35,7 +35,6 @@ difference grows like e^t until it flips a symbol.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -404,7 +403,7 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         raise ValueError("x0 dimension mismatch")
     if sig.dim != m.n_d:
         raise ValueError("disturbance dimension mismatch")
-    if not (horizon >= m.dt and math.isfinite(horizon / m.dt)):
+    if not (horizon >= m.dt and np.isfinite(horizon / m.dt)):
         raise ValueError(f"horizon must cover a finite number of sampling periods, at least "
                          f"one, not {horizon!r}")
     n_steps = int(np.floor(horizon / m.dt + 1e-9))
