@@ -85,17 +85,20 @@ def encode(state: CodecState, x, n_levels: int) -> int:
     if x.shape != state.center.shape:
         raise ValueError("state dimension mismatch")
     E = state.radius
-    size = float(np.abs(x).max())
-    # x is tested first: x - center warns on an inf entry against an inf center
-    deviation = float(np.abs(x - state.center).max()) if math.isfinite(size) else math.inf
-    if not math.isfinite(deviation):
+    # Python floats: |x - c| is non-finite wherever x or c is, and no
+    # numpy warning is issued for inf - inf on the way.
+    xs, cs = x.tolist(), state.center.tolist()
+    deviations = [abs(xi - ci) for xi, ci in zip(xs, cs)]
+    if not all(map(math.isfinite, deviations)):
         raise ValueError("vector must have finite entries")
-    if deviation > E:
+    if not deviations:  # an empty center: numpy's message for a max over no entries
+        raise ValueError("zero-size array to reduction operation maximum which has no identity")
+    if max(deviations) > E:
         return OVERFLOW
-    if size <= E / n_levels:
+    if max(map(abs, xs)) <= E / n_levels:
         return NEAR_ORIGIN
     offset = 0  # row-major, each axis's cell clamped into range
-    for xi, ci in zip(x.tolist(), state.center.tolist()):
+    for xi, ci in zip(xs, cs):
         cell = math.floor((xi - (ci - E)) * n_levels / (2.0 * E))
         offset = offset * n_levels + min(max(cell, 0), n_levels - 1)
     return 2 + offset

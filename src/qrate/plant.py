@@ -1,35 +1,30 @@
 """Closed-loop continuous-time integration of the plant together with the
 controller's auxiliary model, and the full sampled protocol loop.
 
-Integration is exact zero-order-hold stepping (block matrix exponentials)
-where the disturbance is constant, split at its discontinuities, and
-fixed-step RK4 otherwise.  Each stage's block matrix is built once per
-plant and the substep grid once per (dt, substeps); a run computes the ZOH
-pair of each (stage, substep width) once, and sizes its dense log once.
-A run also builds the substep plan of each breakpoint-free ZOH interval
-once per (stage, substep widths), and replays it: each substep's
-``Phi.dot``, its width slot, and each distinct width's Psi, so an interval
-forms only its Psi w constants.  RK4 substeps look up their (h/2, h, h/6)
-row vectors, built once per distinct width.  The pairs, the plans, the
-vectors and every buffer an interval steps in and reads its inputs from,
-with their row views built once, are one object per run; one copy moves
-an interval's records out.
-Each sampling interval then encodes, decodes, values and advances the codec
-state once, and evaluates its inputs in one broadcast ``Disturbance.value``
-call: the first midpoint when no breakpoint splits a constant input, else
-every segment midpoint, or every RK4 start, midpoint and end.  Each substep
-is a few numpy calls into preallocated buffers; matrix-vector products are
-``ndarray.dot(v, out)``, the same BLAS gemv as ``@`` at half the call cost,
-and RK4 doubles k2 and k3 with one multiply on their two stacked rows, which
-is still one elementwise multiply per entry.
-An autonomous ZOH interval, whose input terms are +0.0 in every bit (each
-interval between the pulses of a pulse train), is one gemv per substep
-and a single +0.0 add over its records, the per-substep adds deferred.
-This is the arithmetic of stepping segment by segment with a fresh input,
-operation for operation, save that deferral, which ``_zoh_steps`` shows to
-be exact; so the trajectory is the same to the bit.  It has
-to be: the bundled plant has an open-loop eigenvalue of +1, so any rounding
-difference grows like e^t until it flips a symbol.
+A run is split in two.  Its time plan (``_TimePlan``), built in vectorized
+passes before the first sample, holds all that does not depend on the
+state: each sampling interval's edges, the substep grid split at the
+disturbance's discontinuities, written straight into the ``dense_t`` and
+``dense_k`` rows of a dense log it sizes exactly; and, for each
+breakpoint-free ZOH interval, the id of its substep widths and held input
+(D d(mid), 0), every input from one broadcast ``Disturbance.value`` call.
+The loop then runs, per interval, only the codec calls, the substep chain
+and one copy of the records into the log.  ``step_interval`` is that
+interval step; called on its own, it checks its states and steps a plan
+of one interval.
+
+Integration is exact zero-order hold (block matrix exponentials) where the
+disturbance is constant and fixed-step RK4 otherwise.  The run state
+(``_ZohCache``) computes the ZOH pair of each (stage, substep width) once,
+and the time plan the substep program of each (stage, widths, input) once,
+so each interval between the pulses of a pulse train is a lookup.  Such an
+autonomous interval, whose input terms are +0.0 in every bit, is one gemv
+per substep and a single +0.0 add over its records, which ``_zoh_steps``
+shows to be exact.  Every other step is the arithmetic of stepping segment
+by segment with a fresh input, operation for operation, so the trajectory
+is the same to the bit.  It has to be: the bundled plant has an open-loop
+eigenvalue of +1, so any rounding difference grows like e^t until it
+flips a symbol.
 """
 
 from __future__ import annotations
@@ -135,26 +130,24 @@ def _zoh_pair(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 class _ZohCache(dict):
     """The stepping state of one run.  Its items are the ZOH pairs, keyed
     (stage, substep width) in order of first use.  Beside them, as
-    attributes so that ``len`` stays the pair count, it keeps the ``plans``
-    of the breakpoint-free ZOH intervals, keyed (stage, substep widths as
-    bytes), the (h/2, h, h/6) row vectors of each RK4 substep width in
-    ``hvecs``, and every buffer an interval steps in: the state rows
-    ``buf``, with their views built once (``rows[i]`` is row i and
-    ``dsts[i]`` row i + 1); the input rows ``w`` and their views
-    ``w_rows``; the gemv output ``phi_z`` and ``zero``, the bytes of +0.0
-    in every entry of a row; and RK4's scratch ``ks``: k1..k4, the argument
+    attributes so that ``len`` stays the pair count, it keeps the time plan
+    being stepped (``time_plan``), the (h/2, h, h/6) row vectors of each
+    RK4 substep width in ``hvecs``, and every buffer an interval steps in:
+    the state rows ``buf``, with their views built once (``rows[i]`` is row
+    i and ``dsts[i]`` row i + 1); the input rows ``w`` and their views
+    ``w_rows``; the gemv output ``phi_z`` and ``zero``, the bytes of +0.0 in
+    every entry of a row; and RK4's scratch ``ks``: k1..k4, the argument
     row, the stacked k2, k3 and a stack of 2.0."""
 
     def __init__(self):
         super().__init__()
-        self.plans: dict = {}
+        self.time_plan = None
         self.buf = self.w = np.empty((0, 0))
 
-    def load(self, z: np.ndarray, n_rows: int) -> None:
-        """Copy the start ``z`` into row 0, first rebuilding the rows when an
-        interval of ``n_rows`` edges needs more than there are; a new row
-        size also refits ``phi_z``, ``zero``, ``ks`` and ``hvecs``."""
-        size = z.size
+    def fit(self, n_rows: int, size: int) -> None:
+        """Rebuild the state rows when an interval of ``n_rows`` edges needs
+        more than there are, or a state has another ``size``; a new size
+        also refits ``phi_z``, ``zero``, ``ks`` and ``hvecs``."""
         if self.buf.shape[0] < n_rows or self.buf.shape[1] != size:
             if self.buf.shape[1] != size:
                 self.phi_z = np.empty(size)
@@ -164,7 +157,6 @@ class _ZohCache(dict):
                 self.hvecs = {}
             self.buf = np.empty((n_rows, size))
             self.rows, self.dsts = list(self.buf), list(self.buf[1:])
-        self.rows[0][...] = z
 
     def inputs(self, m: PlantModel, sig: Disturbance, ts: np.ndarray) -> list:
         """The block input (D d(t), 0) at each time of ``ts`` from one
@@ -178,31 +170,6 @@ class _ZohCache(dict):
             self.w_rows = list(self.w)
         self.w[:ts.size, :n] = np.matmul(m.D, sig.value(ts)[:, :, None])[:, :, 0]
         return self.w_rows[:ts.size]
-
-    def plan(self, M: np.ndarray, stage: Stage, widths: np.ndarray,
-             keep: bool) -> tuple[list, list, list]:
-        """The substep program for segments of ``widths``: each substep's
-        ``Phi.dot`` (one bound method per distinct width, shared by its
-        substeps), each substep's slot among the distinct widths, and the
-        Psi of each distinct width.  With ``keep`` the plan is kept in
-        ``plans`` and replayed by every later interval of the same stage and
-        widths.  The pairs of the distinct widths are looked up in order of
-        first use, so the run's pairs fill in that order."""
-        key = (stage, widths.tobytes())
-        plan = self.plans.get(key) if keep else None
-        if plan is None:
-            hs = widths.tolist()
-            slot = {h: i for i, h in enumerate(dict.fromkeys(hs))}
-            for h in slot:
-                if (stage, h) not in self:
-                    self[(stage, h)] = _zoh_pair(M, h)
-            pairs = [self[(stage, h)] for h in slot]
-            slots = [slot[h] for h in hs]
-            dots = [Phi.dot for Phi, _ in pairs]
-            plan = [dots[i] for i in slots], slots, [Psi for _, Psi in pairs]
-            if keep:
-                self.plans[key] = plan
-        return plan
 
 
 def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray,
@@ -254,16 +221,34 @@ def _rk4_steps(m: PlantModel, M: np.ndarray, sig: Disturbance, edges: np.ndarray
         add(z, k2, dst)
 
 
-def _zoh_steps(M: np.ndarray, stage: Stage, widths: np.ndarray, cache: _ZohCache,
-               w: list) -> None:
-    """ZOH substeps z <- Phi_h z + Psi_h w from ``cache``'s row 0 over
-    segments of ``widths``, each edge's state written into the next row.
-    ``w`` is the input rows at each segment's midpoint, or one row for all,
-    and then Psi_h w is formed once per distinct width.
+def _zoh_program(M: np.ndarray, stage: Stage, widths: np.ndarray, w: list,
+                 cache: _ZohCache) -> tuple[list, list | None]:
+    """The substeps of a ZOH interval of segments of ``widths``: each
+    substep's ``Phi.dot``, one bound method per distinct width, and its
+    constant Psi_h w, or None in place of the constants when all are +0.0
+    in every bit.  ``w`` is the input rows at each segment's midpoint, or
+    one row for all, and then Psi_h w is formed once per distinct width.
+    The pairs of the distinct widths are looked up in ``cache`` in order
+    of first use, so the run's pairs fill in that order."""
+    hs = widths.tolist()
+    slot = {h: i for i, h in enumerate(dict.fromkeys(hs))}
+    for h in slot:
+        if (stage, h) not in cache:
+            cache[(stage, h)] = _zoh_pair(M, h)
+    phis, psis = zip(*(cache[(stage, h)] for h in slot))
+    slots, dots = [slot[h] for h in hs], [Phi.dot for Phi in phis]
+    if len(w) == 1:
+        consts = [Psi @ w[0] for Psi in psis]
+        steps = [consts[i] for i in slots]
+    else:
+        steps = consts = [psis[i] @ w_seg for i, w_seg in zip(slots, w)]
+    autonomous = all(c.tobytes() == cache.zero for c in consts)
+    return [dots[i] for i in slots], None if autonomous else steps
 
-    ``cache`` keeps the plan of each one-row interval's widths and replays
-    it; a split interval builds an unkept plan.  The run's pairs fill in
-    order of first use either way.
+
+def _zoh_steps(program: tuple[list, list | None], cache: _ZohCache) -> None:
+    """ZOH substeps z <- Phi_h z + Psi_h w of a ``_zoh_program`` from
+    ``cache``'s row 0, each edge's state written into the next row.
 
     An autonomous interval, whose constants Psi_h w are all +0.0 in every
     bit, steps with the gemv alone and adds +0.0 to all its records once at
@@ -277,13 +262,8 @@ def _zoh_steps(M: np.ndarray, stage: Stage, widths: np.ndarray, cache: _ZohCache
     would keep a -0 that the one +0.0 add turns into +0, so the guard
     compares bytes, not ``== 0``.
     """
-    dots, slots, psis = cache.plan(M, stage, widths, keep=len(w) == 1)
-    if len(w) == 1:
-        consts = [Psi @ w[0] for Psi in psis]
-        steps = map(consts.__getitem__, slots)
-    else:
-        steps = consts = [psis[i] @ w_seg for i, w_seg in zip(slots, w)]
-    if any(c.tobytes() != cache.zero for c in consts):
+    dots, steps = program
+    if steps is not None:
         phi_z, add = cache.phi_z, np.add
         for phi_dot, c, src, dst in zip(dots, steps, cache.rows, cache.dsts):
             phi_dot(src, phi_z)
@@ -291,8 +271,72 @@ def _zoh_steps(M: np.ndarray, stage: Stage, widths: np.ndarray, cache: _ZohCache
     else:
         for phi_dot, src, dst in zip(dots, cache.rows, cache.dsts):
             phi_dot(src, dst)
-        records = cache.buf[1:len(slots) + 1]
+        records = cache.buf[1:len(dots) + 1]
         np.add(records, 0.0, out=records)
+
+
+class _TimePlan:
+    """All that the sampling intervals from ``starts`` need and the state
+    does not decide, built before the first is stepped.  Interval i, the
+    ``next`` one stepped while its start t_k is the first of its edges, has
+    the records ``lo[i]:lo[i + 1]`` of the dense log ``t``, ``k``, ``x``,
+    ``xhat``, ``u``, sized exactly, with ``t`` and ``k`` written.  Its edges
+    are t_k plus the substep grid, and where the disturbance has
+    breakpoints inside (t_k, t_k + dt), those merged in, near-duplicates
+    dropped and the last edge set to t_k + dt.  ``span`` is the range of
+    one ``breakpoints`` call that covers every interval.  On the ZOH path a
+    breakpoint-free interval i has ``kind[i] >= 0``, the index in ``kinds``
+    of the bytes of its substep widths and then its held input
+    (D d(mid), 0); ``programs`` keeps the ``_zoh_program`` of each
+    (stage, kind) stepped so far.  Every other interval has ``kind[i]`` -1."""
+
+    def __init__(self, m: PlantModel, sig: Disturbance, starts: np.ndarray, substeps: int,
+                 span: tuple[float, float]):
+        grid = _substep_grid(m.dt, substeps)
+        self.m, self.sig, self.substeps, self.programs, self.next = m, sig, substeps, {}, 0
+        # Only an interval that meets one of the span's breakpoints, or the
+        # last, which may end past the span by a rounding, can hold one.
+        every = np.asarray(sig.breakpoints(*span), dtype=float)
+        near = every.searchsorted(starts) < every.searchsorted(starts + m.dt, "right")
+        near[-1], split = True, {}
+        del every  # before the log is allocated
+        for i in np.flatnonzero(near).tolist():
+            t_k = float(starts[i])
+            bps = sig.breakpoints(t_k, t_k + m.dt)
+            if bps:
+                merged = np.concatenate([t_k + grid, np.asarray(bps, dtype=float)])
+                merged.sort()
+                # Drop near-duplicates so degenerate segments never reach the stepper.
+                keep = np.concatenate([[True], np.diff(merged) > 1e-12 * m.dt])
+                split[i] = merged[keep]
+                split[i][-1] = t_k + m.dt
+        sizes = np.full(starts.size, grid.size)
+        sizes[list(split)] = [e.size for e in split.values()]
+        lo = np.concatenate([[0], np.cumsum(sizes)])
+        self.lo, self.rows = lo, int(sizes.max())
+        self.t, self.k = np.empty(lo[-1]), np.repeat(np.arange(starts.size), sizes)
+        self.x, self.xhat, self.u = (np.empty((lo[-1], c)) for c in (m.n_x, m.n_x, m.n_u))
+        for i, e in split.items():
+            self.t[lo[i]:lo[i + 1]] = e
+        plain, kind, ids = np.ones(starts.size, dtype=bool), np.full(starts.size, -1), {}
+        plain[list(split)] = False
+        plain = np.flatnonzero(plain)
+        zoh = sig.piecewise_constant and plain.size > 0
+        if zoh:
+            # Without a breakpoint the input is constant: the first midpoint's serves all.
+            d = sig.value(0.5 * ((starts[plain] + grid[0]) + (starts[plain] + grid[1])))
+        # The breakpoint-free intervals' edges and ids, a block of about 8,192
+        # edges at a time, so that no temporary grows with the run.
+        step = max(1, 8192 // grid.size)
+        for a in range(0, plain.size, step):
+            block = plain[a:a + step]
+            edges = self.t[lo[block, None] + np.arange(grid.size)] = starts[block, None] + grid
+            if zoh:
+                held = np.zeros((block.size, 2 * m.n_x))
+                held[:, :m.n_x] = np.matmul(m.D, d[a:a + step, :, None])[:, :, 0]
+                rows = np.concatenate([edges[:, 1:] - edges[:, :-1], held], axis=1)
+                kind[block] = [ids.setdefault(row.tobytes(), len(ids)) for row in rows]
+        self.kinds, self.kind = list(ids), kind.tolist()
 
 
 def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
@@ -303,89 +347,46 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
     Returns (x at the end of the period, xhat at the end of the period,
     dense records (t, x, xhat, u) at substep resolution).  ``xhat`` must
     already be reset for the interval.  ``zoh_cache`` is the stepping state
-    of a run, shared by all its intervals, or None for a fresh one.
+    of a run, shared by all its intervals, or None for a fresh one.  The
+    next interval of the run's time plan steps as planned and returns its
+    rows of the run's log; any other checks ``x`` and ``xhat`` and steps on
+    a plan of its own.
     """
     if zoh_cache is None:
         zoh_cache = _ZohCache()
     elif not isinstance(zoh_cache, _ZohCache):
         raise TypeError(f"zoh_cache must be None or a _ZohCache, not {type(zoh_cache).__name__}")
-    n = m.n_x
-    z = np.concatenate([as_vector(x, "x"), as_vector(xhat, "xhat")])
+    plan = zoh_cache.time_plan
+    i = (plan.next if plan is not None and plan.m is m and plan.sig is sig
+         and plan.substeps is substeps else None)
+    if i is None or i == len(plan.kind) or plan.t[plan.lo[i]] != t_k:
+        x, xhat = as_vector(x, "x"), as_vector(xhat, "xhat")
+        if x.size != m.n_x or xhat.size != m.n_x:
+            raise ValueError(f"x and xhat must have {m.n_x} entries, not {x.size} and {xhat.size}")
+        plan, i = _TimePlan(m, sig, np.array([t_k], dtype=float), substeps, (t_k, t_k + m.dt)), 0
+        zoh_cache.time_plan = plan
+        zoh_cache.fit(plan.rows, 2 * m.n_x)
+    n, lo, hi, plan.next = m.n_x, plan.lo[i], plan.lo[i + 1], i + 1
     M = _augmented(m, stage)
-    edges = t_k + _substep_grid(m.dt, substeps)
-    bps = sig.breakpoints(t_k, t_k + m.dt)
-    if bps:
-        merged = np.concatenate([edges, np.asarray(bps, dtype=float)])
-        merged.sort()
-        # Drop near-duplicates so degenerate segments never reach the stepper.
-        keep = np.concatenate([[True], np.diff(merged) > 1e-12 * m.dt])
-        edges = merged[keep]
-        edges[-1] = t_k + m.dt
-    zoh_cache.load(z, edges.size)
-    if sig.piecewise_constant:
-        # Without a breakpoint the input is constant: the first midpoint's serves all.
-        mids = 0.5 * (edges[:-1] + edges[1:]) if bps else 0.5 * (edges[:1] + edges[1:2])
-        _zoh_steps(M, stage, edges[1:] - edges[:-1], zoh_cache, zoh_cache.inputs(m, sig, mids))
+    np.concatenate((x, xhat), out=zoh_cache.rows[0])
+    ts, kind = plan.t[lo:hi], plan.kind[i]
+    if not sig.piecewise_constant:
+        _rk4_steps(m, M, sig, ts, zoh_cache)
+    elif kind < 0:
+        w = zoh_cache.inputs(m, sig, 0.5 * (ts[:-1] + ts[1:]))
+        _zoh_steps(_zoh_program(M, stage, ts[1:] - ts[:-1], w, zoh_cache), zoh_cache)
     else:
-        _rk4_steps(m, M, sig, edges, zoh_cache)
+        program = plan.programs.get((stage, kind))
+        if program is None:
+            row = np.frombuffer(plan.kinds[kind])  # the substep widths, then the held input
+            program = plan.programs[(stage, kind)] = _zoh_program(
+                M, stage, row[:substeps].copy(), [row[substeps:].copy()], zoh_cache)
+        _zoh_steps(program, zoh_cache)
 
-    zs = zoh_cache.buf[:edges.size].copy()
-    xs, xhats = zs[:, :n], zs[:, n:]
-    us = codec.controller_input(stage, m.K, xhats)
-    return zs[-1, :n].copy(), zs[-1, n:].copy(), (edges, xs, xhats, us)
-
-
-def _off_grid_count(t: np.ndarray, dt: float, substeps: int) -> int:
-    """How many of the breakpoints ``t`` ``step_interval`` keeps as extra
-    edges: those farther than 1e-12 * dt from the nearest substep edge of
-    their sampling period, the edge computed as ``step_interval`` does."""
-    h = dt / substeps
-    t_k = np.floor(t / dt) * dt
-    edge = t_k + h * np.rint((t - t_k) / h)
-    return int(np.count_nonzero(np.abs(t - edge) > 1e-12 * dt))
-
-
-class _DenseLog:
-    """Dense records written interval by interval into preallocated arrays,
-    so the run never holds a second copy of its log.
-
-    ``capacity`` should bound the record count; if it does not, an array
-    grows by half.  ``arrays`` trims each buffer to its records in place
-    and returns them, so no unused rows stay allocated; call it once, after
-    the last ``append``.
-    """
-
-    def __init__(self, capacity: int, n_x: int, n_u: int):
-        self.size = 0
-        self.capacity = capacity
-        self.cols = {"dense_t": np.empty(capacity), "dense_k": np.empty(capacity, dtype=int),
-                     "dense_x": np.empty((capacity, n_x)),
-                     "dense_xhat": np.empty((capacity, n_x)),
-                     "dense_u": np.empty((capacity, n_u))}
-
-    def append(self, k: int, ts, xs, xhats, us) -> None:
-        lo, hi = self.size, self.size + ts.size
-        if hi > self.capacity:
-            self.capacity = max(hi, self.capacity * 3 // 2)
-            for col in self.cols.values():  # owned, and no view of them is alive
-                col.resize((self.capacity,) + col.shape[1:], refcheck=False)
-        for col, rec in zip(self.cols.values(), (ts, k, xs, xhats, us)):
-            col[lo:hi] = rec
-        self.size = hi
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        for col in self.cols.values():
-            # the buffers are owned and no view of them is alive
-            col.resize((self.size,) + col.shape[1:], refcheck=False)
-        return dict(self.cols)
-
-
-def _left_float_range(dense: _DenseLog) -> str:
-    """Where the logged state first has a non-finite entry."""
-    xs = dense.cols["dense_x"][:dense.size]
-    i = int(np.argmin(np.isfinite(xs).all(axis=1)))
-    return (f"the state left the float range at t = {dense.cols['dense_t'][i]:g}, in the "
-            f"sampling interval from sample k = {dense.cols['dense_k'][i]}")
+    zs, xs, xhats, us = zoh_cache.buf[:hi - lo], plan.x[lo:hi], plan.xhat[lo:hi], plan.u[lo:hi]
+    xs[...], xhats[...] = zs[:, :n], zs[:, n:]
+    us[...] = codec.controller_input(stage, m.K, xhats)
+    return xs[-1].copy(), xhats[-1].copy(), (ts, xs, xhats, us)
 
 
 def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
@@ -397,6 +398,7 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
 
     Both endpoints compute the codec state from the symbols alone, so the run
     holds one copy.  Each change of ``stage`` (``symbol >= 1``) is an event.
+    The run's time plan is built first, and ``x0`` is the one state checked.
     """
     x = as_vector(x0, "x0").copy()
     if x.size != m.n_x:
@@ -407,14 +409,14 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         raise ValueError(f"horizon must cover a finite number of sampling periods, at least "
                          f"one, not {horizon!r}")
     n_steps = int(np.floor(horizon / m.dt + 1e-9))
-    _substep_grid(m.dt, substeps)  # rejects a bad substeps before the log is sized
 
+    cache = _ZohCache()
+    # The breakpoints of the whole run in one call, which also bounds their number.
+    plan = cache.time_plan = _TimePlan(m, sig, np.arange(n_steps) * m.dt, substeps,
+                                       (0.0, n_steps * m.dt))
+    cache.fit(plan.rows, 2 * m.n_x)
     state = codec.initial_state(p.radius0, m.n_x)
     samples = []  # (x, xhat, symbol, radius, center, V) at each sample
-    # Each interval has substeps + 1 edges and one more per breakpoint off them.
-    n_off = _off_grid_count(np.array(sig.breakpoints(0.0, n_steps * m.dt)), m.dt, substeps)
-    dense = _DenseLog(n_steps * (substeps + 1) + n_off, m.n_x, m.n_u)
-    cache = _ZohCache()
 
     # A state that leaves the float range is reported by the next encode,
     # not by a numpy warning from each product on the way there.
@@ -425,7 +427,10 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
             except ValueError:
                 if np.isfinite(x).all():
                     raise
-                raise ValueError(_left_float_range(dense)) from None
+                # the first record of the log so far with a non-finite entry
+                i = int(np.argmin(np.isfinite(plan.x[:plan.lo[k]]).all(axis=1)))
+                raise ValueError(f"the state left the float range at t = {plan.t[i]:g}, in the "
+                                 f"sampling interval from sample k = {plan.k[i]}") from None
             xhat = codec.decode_center(state, sym, m.n_levels) if sym >= 1 else state.center
             v = codec.quad_value(state.center, state.radius, d.P, p.rho)
             samples.append((x, xhat, sym, state.radius, state.center, v))
@@ -434,8 +439,7 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
                 break
 
             state = codec.advance(state, sym, xhat, v, d, p)
-            x, _, records = step_interval(m, x, xhat, state.stage, sig, k * m.dt, substeps, cache)
-            dense.append(k, *records)
+            x = step_interval(m, x, xhat, state.stage, sig, k * m.dt, substeps, cache)[0]
 
     t = np.arange(n_steps + 1) * m.dt
     x, xhat, symbol, radius, center, value = (np.asarray(col) for col in zip(*samples))
@@ -451,7 +455,7 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
         center=center,
         value=value,
         d_sup_prev=np.concatenate([[0.0], sig.sup_norm(t[:-1], t[1:])]),
-        **dense.arrays(),
+        dense_t=plan.t, dense_k=plan.k, dense_x=plan.x, dense_xhat=plan.xhat, dense_u=plan.u,
         events=[TrajectoryEvent("captured" if visible[k] else "escaped", k, k * m.dt)
                 for k in toggles.tolist()],
     )

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -262,6 +263,7 @@ def test_encode_and_decode_match_the_numpy_index_oracle(n_x, n, radius, data):
     x = np.array([data.draw(_coordinate(c, radius, n)) for c in center.tolist()])
     sym = codec.encode(state, x, n)
     assert type(sym) is int and sym == codec_oracle.encode(state, x, n)
+    assert codec.encode(state, x.tolist(), n) == sym
     symbols = [sym, data.draw(st.integers(1, n**n_x + 1))] if sym >= 1 else []
     for s in symbols:
         assert (codec.decode_center(state, s, n).tobytes()
@@ -294,6 +296,44 @@ def test_encode_rejects_an_inf_sample_against_an_inf_center_without_a_warning(ce
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^vector must have finite entries$"):
             codec.encode(state, np.array(x), 5)
+
+
+@pytest.mark.parametrize("center, x", [
+    ([0.0, 0.0], [-0.0, 0.0]),                  # near-origin, either sign of zero
+    ([-0.0, 0.0], [0.0, -0.0]),
+    ([0.0, -0.0], [0.7, -0.0]),                 # a cell, the zero on a cell boundary
+    ([0.3, -0.2], [-0.0, -0.0]),
+    ([-0.0, 0.3], [-1.0, -0.0]),                # on the overflow face
+    ([0.0, 0.0], [1.0, 1.5]),                   # past it
+])
+def test_encode_reads_lists_and_signed_zeros_as_the_oracle(center, x):
+    state = CodecState(center=np.array(center), radius=1.0)
+    want = codec_oracle.encode(state, np.array(x), 5)
+    assert codec.encode(state, x, 5) == codec.encode(state, np.array(x), 5) == want
+
+
+@pytest.mark.parametrize("center, x, message", [
+    ([0.0, 0.0], [math.nan, 0.1], "vector must have finite entries"),
+    ([0.0, 0.0], [0.1, -math.inf], "vector must have finite entries"),
+    ([math.nan, 0.0], [0.1, 0.2], "vector must have finite entries"),
+    ([0.0, math.inf], [0.1, 0.2], "vector must have finite entries"),
+    ([math.nan, 0.0], [math.nan, 0.2], "vector must have finite entries"),
+    ([-math.inf, 0.0], [-math.inf, 0.2], "vector must have finite entries"),
+    ([1e308, 0.0], [-1e308, 0.2], "vector must have finite entries"),
+    ([0.0, 0.0], [0.1, 0.2, 0.3], "state dimension mismatch"),
+    ([0.0, 0.0], [], "state dimension mismatch"),
+    ([0.0, 0.0], [[0.1, 0.2]], "state dimension mismatch"),
+    ([], [], "zero-size array to reduction operation maximum which has no identity"),
+])
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+def test_encode_raises_the_same_error_for_a_list_or_an_array(center, x, message, as_array):
+    # The messages of the numpy reductions that decided before, and no
+    # warning on the way (an overflowing or an inf - inf deviation).
+    state = CodecState(center=np.array(center), radius=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            codec.encode(state, np.array(x) if as_array else x, 5)
 
 
 def test_encode_clamps_a_cell_index_that_rounds_below_the_range():

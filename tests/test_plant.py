@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 import check_oracle
 import signal_oracle
 from conftest import PROPERTY_PROFILE, make_random_plant
-from qrate import codec
+from qrate import codec, matnum, signals
 from qrate import plant as plant_mod
 from qrate import (Constant, DesignParams, Disturbance, PlantModel, PulseTrain, SeededUniform,
                    Sinusoid, Zero, bundled_scenario, derive_constants, run_closed_loop, step_interval,
                    synthesize_design)
 from qrate.codec import Stage
 from qrate.matnum import expm
-from qrate.plant import (_augmented, _DenseLog, _off_grid_count, _zoh_pair, _zoh_steps,
+from qrate.plant import (_augmented, _TimePlan, _zoh_pair, _zoh_program, _zoh_steps,
                          _ZohCache)
 
 # sha256 of run_closed_loop(...).x.tobytes() on the bundled certified
@@ -242,9 +242,10 @@ def test_run_keeps_the_call_contract_the_benchmark_tracer_counts(monkeypatch, re
 
 def test_run_keeps_one_plan_per_stage_and_width_pattern(monkeypatch, ref_plant, cert_params,
                                                         cert_derived):
-    # The plans of a 300 s pulses run are those of its breakpoint-free
-    # intervals' distinct (stage, substep widths), and the pairs beside them
-    # are the ones the contract test above lists, in its order.
+    # The substep programs of a 300 s pulses run are those of its
+    # breakpoint-free intervals' distinct (stage, substep widths, held
+    # input), and the pairs beside them are the ones the contract test
+    # above lists, in its order.
     steps = []
     orig = plant_mod.step_interval
 
@@ -258,9 +259,15 @@ def test_run_keeps_one_plan_per_stage_and_width_pattern(monkeypatch, ref_plant, 
     run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array([1.0, -0.5]), 300.0)
     cache = steps[0][0][7]
     assert len(steps) == 3000 and all(args[7] is cache for args, _ in steps)
-    plain = [(args[3], np.diff(ts).tobytes()) for args, ts in steps
-             if not sig.breakpoints(args[5], args[5] + ref_plant.dt)]
-    assert set(cache.plans) == set(plain) and len(cache.plans) < 40 < len(plain)
+    plain = []
+    for args, ts in steps:
+        if not sig.breakpoints(args[5], args[5] + ref_plant.dt):
+            w = np.zeros(4)
+            w[:2] = ref_plant.D @ sig.value(0.5 * (ts[0] + ts[1]))
+            plain.append((args[3], np.diff(ts).tobytes() + w.tobytes()))
+    plan = cache.time_plan
+    programs = {(stage, plan.kinds[kind]) for stage, kind in plan.programs}
+    assert programs == set(plain) and len(programs) < 80 < len(plain)
     first_use = dict.fromkeys((args[3], h) for args, ts in steps for h in np.diff(ts).tolist())
     assert list(cache) == list(first_use)
     assert cache.buf.shape == (101, 4)
@@ -475,18 +482,21 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
 
 
 def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
-    # One run's cache across a sequence of intervals, twice over, the stages
-    # alternating and swapped in the second pass; plain intervals of equal
-    # substep widths and stage replay one plan.  The inputs are +0.0, a -0.0 pulse, a
-    # 1.5 pulse and a -0.7 pulse.  Interval 11 ends just past the 1.5
-    # pulse's end and takes the split path with no extra edge; the -0.7
-    # pulse starts off the grid in interval 14, whose extra edge grows the
-    # rows that the plain intervals 13 and 15 step in.
+    # One run state through two time plans of the same 20 intervals, the
+    # stages alternating and swapped in the second; plain intervals of
+    # equal stage, substep widths and input replay one program.  The inputs
+    # are +0.0, a -0.0 pulse, a 1.5 pulse and a -0.7 pulse.  Interval 11
+    # ends just past the 1.5 pulse's end and takes the split path with no
+    # extra edge; the -0.7 pulse starts off the grid in interval 14, whose
+    # extra edge sizes the rows all intervals step in.
     m = ref_plant
     sig = PulseTrain([(0.5, 0.8, [-0.0]), (0.8, 1.2, [1.5]), (1.40337, 1.6, [-0.7])], dim=1)
     rng = np.random.default_rng(11)
-    cache, ref_cache, plain = _ZohCache(), {}, []
+    cache, ref_cache = _ZohCache(), {}
     for swap in (0, 1):
+        plan, plain = _TimePlan(m, sig, np.arange(20) * m.dt, 100, (0.0, 20 * m.dt)), []
+        cache.time_plan = plan
+        cache.fit(plan.rows, 4)
         for k in range(20):
             stage = Stage.STABILIZING if (k + swap) % 2 else Stage.SEARCHING
             x, xhat = ((np.array([0.0, -0.0]), np.array([-0.0, 0.0])) if k % 5 == 0
@@ -495,12 +505,15 @@ def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
             got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
             for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (swap, k)
+            ts = got[2][0]
             if not sig.breakpoints(k * m.dt, (k + 1) * m.dt):
-                plain.append((stage, np.diff(got[2][0]).tobytes()))
+                d = sig.value(0.5 * (ts[0] + ts[1]))
+                plain.append((stage, np.diff(ts).tobytes(), d.tobytes()))
+        assert cache.time_plan is plan and plan.next == 20
+        assert len(plan.programs) == len(set(plain)) < len(plain) == 18
     assert [k for k in range(20) if sig.breakpoints(k * m.dt, (k + 1) * m.dt)] == [11, 14]
     assert cache.buf.shape == (102, 4)
     assert list(cache) == list(ref_cache)
-    assert set(cache.plans) == set(plain) and len(cache.plans) < len(plain) == 2 * 18
 
 
 def test_rk4_intervals_replay_a_runs_plans_bitwise(ref_plant):
@@ -526,7 +539,7 @@ def test_rk4_intervals_replay_a_runs_plans_bitwise(ref_plant):
             widths.update(np.diff(got[2][0]).tolist())
             assert cache.w.shape == ((300, 4) if (swap, k) < (0, 14) else (303, 4)), (swap, k)
     assert [k for k in range(20) if sig.breakpoints(k * m.dt, (k + 1) * m.dt)] == [14]
-    assert cache.buf.shape == (102, 4) and len(cache) == 0 and not cache.plans
+    assert cache.buf.shape == (102, 4) and len(cache) == 0
     assert set(cache.hvecs) == widths
     for h, vecs in cache.hvecs.items():
         assert np.array(vecs).tobytes() == np.repeat([[0.5 * h], [h], [h / 6.0]], 4, 1).tobytes()
@@ -558,7 +571,7 @@ def test_one_run_state_carries_rk4_split_and_plain_intervals_bitwise(ref_plant):
     # One cache in turn through an RK4 interval, a pulse interval whose
     # off-grid edge grows the rows to 102, an RK4 interval in the grown
     # rows, and a plain ZOH interval; each is the per-segment loop's, and
-    # only the plain interval keeps a plan.
+    # only the plain interval keeps a program, in its plan of one interval.
     m = ref_plant
     sine = Sinusoid([0.05], freq_hz=0.5, phase=0.3)
     pulse = PulseTrain([(0.40337, 0.9, [1.5])], dim=1)
@@ -574,7 +587,7 @@ def test_one_run_state_carries_rk4_split_and_plain_intervals_bitwise(ref_plant):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
         assert got[2][0].size == n_rows and cache.buf.shape == (101 if k == 3 else 102, 4)
     assert list(cache) == list(ref_cache) and len(ref_cache) > 2
-    assert [stage for stage, _ in cache.plans] == [Stage.STABILIZING]
+    assert list(cache.time_plan.programs) == [(Stage.STABILIZING, 0)]
 
 
 @st.composite
@@ -615,10 +628,115 @@ def test_rk4_intervals_match_the_per_segment_loop_bitwise(case):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), stage
 
 
+_NEAR = [-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12]  # times dt
+
+
+@st.composite
+def _planned_runs(draw):
+    """(substeps, disturbance, x0) for a 1 s run of the bundled plant, of
+    every disturbance kind: pulse edges anywhere, on a substep edge or
+    within 2e-12 * dt of one, and uniform holds anywhere or within a
+    relative 2e-12 of a multiple of the substep width."""
+    dt, substeps = 0.1, draw(st.integers(1, 12))
+    h = dt / substeps
+    level = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+    kind = draw(st.sampled_from(["zero", "constant", "pulses", "sinusoid", "uniform"]))
+    if kind == "zero":
+        sig = Zero(dim=1)
+    elif kind == "constant":
+        sig = Constant([draw(level)])
+    elif kind == "pulses":
+        near = st.builds(lambda k, j, off: k * dt + j * h + off * dt, st.integers(0, 9),
+                         st.integers(0, substeps), st.sampled_from(_NEAR))
+        edges = sorted(set(draw(st.lists(st.one_of(near, st.floats(0.0, 1.0)), min_size=2,
+                                         max_size=6))))
+        sig = PulseTrain([(a, b, [draw(level)]) for a, b in zip(edges[0::2], edges[1::2])],
+                         dim=1)
+    elif kind == "sinusoid":
+        sig = Sinusoid([draw(level)], freq_hz=draw(st.floats(0.1, 3.0)),
+                       phase=draw(st.floats(0.0, 6.3)))
+    else:
+        near = st.builds(lambda j, off: j * h * (1.0 + off), st.integers(1, 2 * substeps),
+                         st.sampled_from(_NEAR))
+        sig = SeededUniform(bound=draw(st.floats(0.0, 2.0)), seed=draw(st.integers(0, 2**32)),
+                            hold=draw(st.one_of(near, st.floats(0.003, 0.5))))
+    return substeps, sig, np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
+
+
+@settings(PROPERTY_PROFILE, deadline=None)
+@given(_planned_runs())
+def test_a_runs_time_plan_steps_each_interval_as_step_interval_alone(ref_plant, cert_params,
+                                                                     cert_derived, case):
+    # The time plan of a whole run and the plan of each interval alone give
+    # the same edges and held input rows, and the run logs, to the bit, the
+    # records that step_interval alone computes from the logged start,
+    # which are the per-segment loop's.
+    substeps, sig, x0 = case
+    m, n_steps, ref_cache = ref_plant, 10, {}
+    log = run_closed_loop(m, cert_params, cert_derived, sig, x0, n_steps * m.dt, substeps)
+    plan = _TimePlan(m, sig, np.arange(n_steps) * m.dt, substeps, (0.0, n_steps * m.dt))
+    for k in range(n_steps):
+        t_k, rows = k * m.dt, slice(*plan.lo[k:k + 2])
+        alone = _TimePlan(m, sig, np.array([t_k]), substeps, (t_k, t_k + m.dt))
+        assert plan.t[rows].tobytes() == alone.t.tobytes(), k
+        assert (plan.kind[k] < 0) == (alone.kind[0] < 0), k
+        if plan.kind[k] >= 0:
+            assert plan.kinds[plan.kind[k]] == alone.kinds[alone.kind[0]], k
+        stage = Stage.STABILIZING if log.symbol[k] >= 1 else Stage.SEARCHING
+        args = (m, log.x[k], log.xhat[k], stage, sig, k * m.dt, substeps)
+        got, want = step_interval(*args), _step_interval_per_segment(*args, ref_cache)
+        logged = (log.x[k + 1], log.dense_xhat[rows][-1], log.dense_t[rows], log.dense_x[rows],
+                  log.dense_xhat[rows], log.dense_u[rows])
+        for a, b, c in zip(got[:2] + got[2], want[:2] + want[2], logged):
+            assert a.shape == b.shape == c.shape, k
+            assert a.tobytes() == b.tobytes() == c.tobytes(), k
+    assert log.dense_t.size == plan.lo[-1]
+
+
+def test_a_runs_checks_and_pairs_do_not_grow_with_its_horizon(monkeypatch, ref_plant,
+                                                               cert_params, cert_derived):
+    # x0 is the one state a run checks, however long it runs, and the run
+    # state's items stay its ZOH pairs, in order of first use.
+    sig = PulseTrain([(t, t + 0.2, [1.5]) for t in (2.0, 7.05, 25.0, 41.03)], dim=1)
+    checked, steps = [], []
+    as_vector, step = matnum.as_vector, plant_mod.step_interval
+
+    def counted(v, name="vector"):
+        checked.append(name)
+        return as_vector(v, name)
+
+    def recorded(*args):
+        out = step(*args)
+        steps.append((args[3], args[7], out[2][0]))
+        return out
+
+    for module in (matnum, plant_mod, signals):
+        monkeypatch.setattr(module, "as_vector", counted)
+    monkeypatch.setattr(plant_mod, "step_interval", recorded)
+    for horizon in (10.0, 30.0, 60.0):
+        checked.clear()
+        steps.clear()
+        run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array([1.0, -0.5]),
+                        horizon, 10)
+        assert checked == ["x0"] and len(steps) == round(horizon / ref_plant.dt)
+        cache = steps[0][1]
+        assert all(c is cache for _, c, _ in steps)
+        assert list(cache) == list(dict.fromkeys((stage, h) for stage, _, ts in steps
+                                                 for h in np.diff(ts).tolist()))
+
+
 def test_step_interval_takes_a_run_state_or_none_as_its_cache(ref_plant):
     x = np.array([0.5, -0.2])
     with pytest.raises(TypeError, match="^zoh_cache must be None or a _ZohCache, not dict$"):
         step_interval(ref_plant, x, x, Stage.SEARCHING, Zero(dim=1), 0.0, 10, {})
+
+
+@pytest.mark.parametrize("x, xhat, sizes", [([0.5, -0.2, 0.1], [0.0, 0.0], "3 and 2"),
+                                            ([0.5, -0.2], [0.0], "2 and 1")])
+def test_step_interval_names_a_state_of_the_wrong_size(ref_plant, x, xhat, sizes):
+    with pytest.raises(ValueError, match=f"^x and xhat must have 2 entries, not {sizes}$"):
+        step_interval(ref_plant, np.array(x), np.array(xhat), Stage.SEARCHING, Zero(dim=1),
+                      0.0, 10)
 
 
 def _two_call_steps(cache, stage, hs, z0, w):
@@ -688,18 +806,17 @@ def _zoh_cases(draw):
 def test_zoh_steps_match_the_two_call_loop_bitwise(case):
     # An autonomous interval steps with the gemv alone and adds +0.0 once;
     # every record, signed zeros and non-finite entries included, must be
-    # the per-substep loop's.  A run's cache builds the plan of a one-row
-    # interval on the first call and replays it on the second.
+    # the per-substep loop's.  The second pass finds its pairs in the cache.
     M, stage, hs, z0, w = case
     cache = _ZohCache()
     for _ in range(2):
-        cache.load(z0, len(hs) + 1)
+        cache.fit(len(hs) + 1, z0.size)
+        cache.rows[0][...] = z0
         with np.errstate(over="ignore", invalid="ignore"):
-            _zoh_steps(M, stage, np.array(hs), cache, list(w))
+            _zoh_steps(_zoh_program(M, stage, np.array(hs), list(w), cache), cache)
             want = _two_call_steps(cache, stage, hs, z0, w)
         assert cache.buf[:len(hs) + 1].tobytes() == want.tobytes()
     assert list(cache) == [(stage, h) for h in dict.fromkeys(hs)]
-    assert len(cache.plans) == (len(w) == 1)
 
 
 def test_zero_input_interval_adds_once_not_per_substep(monkeypatch, ref_plant):
@@ -805,15 +922,19 @@ def test_d_sup_prev_is_the_scalar_sup_of_each_interval(sig):
 ], ids=["uniform_on_grid", "uniform_off_grid", "pulses_near_edges"])
 @pytest.mark.parametrize("substeps", [7, 10])
 def test_off_grid_count_is_the_edges_step_interval_adds(sig, substeps):
+    # A run's time plan sizes its dense log: its rows of each interval are
+    # the edges that step_interval alone makes, extra edges and all.
     m = bundled_scenario().plant
     n_steps = 150
+    plan = _TimePlan(m, sig, np.arange(n_steps) * m.dt, substeps, (0.0, n_steps * m.dt))
     added = 0
     for k in range(n_steps):
         x = np.zeros(m.n_x)
         edges = step_interval(m, x, x, Stage.SEARCHING, sig, k * m.dt, substeps)[2][0]
+        assert plan.t[plan.lo[k]:plan.lo[k + 1]].tobytes() == edges.tobytes(), k
         added += edges.size - (substeps + 1)
-    bps = np.array(sig.breakpoints(0.0, n_steps * m.dt))
-    assert _off_grid_count(bps, m.dt, substeps) == added
+    assert plan.t.size == plan.x.shape[0] == n_steps * (substeps + 1) + added
+    assert plan.k.tolist() == np.repeat(np.arange(n_steps), np.diff(plan.lo)).tolist()
 
 
 def test_dense_arrays_own_only_their_records():
@@ -828,20 +949,6 @@ def test_dense_arrays_own_only_their_records():
         a = getattr(log, name)
         assert a.base is None and a.flags.owndata, name
         assert a.shape[0] == log.dense_t.size, name
-
-
-def test_dense_log_grows_past_its_capacity():
-    rng = np.random.default_rng(4)
-    chunks = [(k, rng.standard_normal(s), rng.standard_normal((s, 2)),
-               rng.standard_normal((s, 2)), rng.standard_normal((s, 1)))
-              for k, s in enumerate([3, 5, 1, 7, 2])]
-    dense = _DenseLog(4, 2, 1)
-    for chunk in chunks:
-        dense.append(*chunk)
-    got = dense.arrays()
-    assert np.array_equal(got["dense_k"], np.repeat(np.arange(5), [3, 5, 1, 7, 2]))
-    for i, name in enumerate(("dense_t", "dense_x", "dense_xhat", "dense_u"), start=1):
-        assert np.array_equal(got[name], np.concatenate([c[i] for c in chunks]))
 
 
 def _count_value_calls(monkeypatch, cls):
