@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import struct
@@ -516,6 +517,37 @@ def test_hold_edges_past_the_bound_exit_2_at_once_under_a_memory_cap(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: hold interval 1e-07 s gives 3e+08 hold edges in (0.0, 30.0), too many to build "
         "(at most 1e+07 per call)"]
+
+
+_CONSOLE_MAIN = (
+    "import json, os, sys\n"
+    "import qrate_console\n"
+    "loaded = 'numpy' in sys.modules\n"
+    "status = qrate_console.main(sys.argv[1:])\n"
+    "print(json.dumps([loaded, 'numpy' in sys.modules, status,\n"
+    "                  {v: os.environ.get(v) for v in qrate_console.THREAD_VARS}]))\n")
+
+
+def test_console_script_caps_blas_threads_unless_set(tmp_path):
+    # The console script's module sets every thread variable left unset to
+    # 1, and only then loads numpy, through qrate; a preset one stays as set.
+    # Importing the module sets nothing.
+    before = dict(os.environ)
+    import qrate_console
+
+    assert dict(os.environ) == before
+    path = tmp_path / "bundled.cfg"
+    path.write_text(serialize_config(bundled_scenario(certified=True)), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k not in qrate_console.THREAD_VARS}
+    env.update(PYTHONPATH=str(Path(qrate.__file__).parents[1]), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", _CONSOLE_MAIN, "validate", "--config", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded_first, loaded_after, status, values = json.loads(proc.stdout.splitlines()[-1])
+    assert (loaded_first, loaded_after, status) == (False, True, 0)
+    assert values == {var: "2" if var == "OPENBLAS_NUM_THREADS" else "1"
+                      for var in qrate_console.THREAD_VARS}
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
