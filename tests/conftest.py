@@ -27,9 +27,10 @@ with warnings.catch_warnings():
 # Four property tests run under the hypothesis profile that
 # HYPOTHESIS_PROFILE names (CI's tier-1 step sets "ci"): the CSV formatter's
 # against the %-templates, the ZOH stepper's against its per-substep loop,
-# which keeps at least its own 300 examples, RK4 intervals' against the
-# per-segment loop, and a run's time plan against a plan of each interval
-# alone.  Every other test keeps its own settings.
+# which keeps at least its own 300 examples, RK4 intervals stepped alone in
+# each stage against the per-segment loop, and a run's state against the
+# state of each interval alone, whose steps the run's log repeats.  Every
+# other test keeps its own settings.
 settings.register_profile("ci", max_examples=5000, deadline=None)
 PROPERTY_PROFILE = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

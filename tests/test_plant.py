@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -18,8 +19,7 @@ from qrate import (Constant, DesignParams, Disturbance, PlantModel, PulseTrain, 
                    synthesize_design)
 from qrate.codec import Stage
 from qrate.matnum import expm
-from qrate.plant import (_augmented, _TimePlan, _zoh_pair, _zoh_program, _zoh_steps,
-                         _ZohCache)
+from qrate.plant import _augmented, _Run, _zoh_pair, _zoh_program, _zoh_steps
 
 # sha256 of run_closed_loop(...).x.tobytes() on the bundled certified
 # scenario, as integrated one substep at a time with a fresh input each.
@@ -265,12 +265,12 @@ def test_run_keeps_one_plan_per_stage_and_width_pattern(monkeypatch, ref_plant, 
             w = np.zeros(4)
             w[:2] = ref_plant.D @ sig.value(0.5 * (ts[0] + ts[1]))
             plain.append((args[3], np.diff(ts).tobytes() + w.tobytes()))
-    plan = cache.time_plan
-    programs = {(stage, plan.kinds[kind]) for stage, kind in plan.programs}
+    programs = {(stage, b"".join(a[kind].tobytes() for a in cache.kinds))
+                for stage, kind in cache.programs}
     assert programs == set(plain) and len(programs) < 80 < len(plain)
     first_use = dict.fromkeys((args[3], h) for args, ts in steps for h in np.diff(ts).tolist())
     assert list(cache) == list(first_use)
-    assert cache.buf.shape == (101, 4)
+    assert cache.buf.shape == (101, 4) and cache.w.shape == (100, 4)
 
 
 @st.composite
@@ -467,7 +467,8 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
         m, rng = _plant_3x2(), np.random.default_rng(3)
         starts = [(rng.standard_normal(3), rng.standard_normal(3), k % 2, k * m.dt)
                   for k in range(80)]
-    fast_cache, ref_cache, split = _ZohCache(), {}, 0
+    ts = np.array([t_k for *_, t_k in starts])
+    fast_cache, ref_cache, split = _Run(m, sig, ts, 50, (ts[0], ts[-1] + m.dt)), {}, 0
     for x, xhat, stabilizing, t_k in starts:
         stage = Stage.STABILIZING if stabilizing else Stage.SEARCHING
         args = (m, x, xhat, stage, sig, t_k, 50)
@@ -482,21 +483,18 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
 
 
 def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
-    # One run state through two time plans of the same 20 intervals, the
-    # stages alternating and swapped in the second; plain intervals of
-    # equal stage, substep widths and input replay one program.  The inputs
-    # are +0.0, a -0.0 pulse, a 1.5 pulse and a -0.7 pulse.  Interval 11
-    # ends just past the 1.5 pulse's end and takes the split path with no
-    # extra edge; the -0.7 pulse starts off the grid in interval 14, whose
-    # extra edge sizes the rows all intervals step in.
+    # Two runs of the same 20 intervals, the stages alternating and swapped
+    # in the second; plain intervals of equal stage, substep widths and
+    # input replay one program.  The inputs are +0.0, a -0.0 pulse, a 1.5
+    # pulse and a -0.7 pulse.  Interval 11 ends just past the 1.5 pulse's
+    # end and takes the split path with no extra edge; the -0.7 pulse
+    # starts off the grid in interval 14, whose extra edge sizes the rows
+    # all intervals step in.
     m = ref_plant
     sig = PulseTrain([(0.5, 0.8, [-0.0]), (0.8, 1.2, [1.5]), (1.40337, 1.6, [-0.7])], dim=1)
     rng = np.random.default_rng(11)
-    cache, ref_cache = _ZohCache(), {}
     for swap in (0, 1):
-        plan, plain = _TimePlan(m, sig, np.arange(20) * m.dt, 100, (0.0, 20 * m.dt)), []
-        cache.time_plan = plan
-        cache.fit(plan.rows, 4)
+        cache, ref_cache, plain = _Run(m, sig, np.arange(20) * m.dt, 100, (0.0, 20 * m.dt)), {}, []
         for k in range(20):
             stage = Stage.STABILIZING if (k + swap) % 2 else Stage.SEARCHING
             x, xhat = ((np.array([0.0, -0.0]), np.array([-0.0, 0.0])) if k % 5 == 0
@@ -509,27 +507,26 @@ def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
             if not sig.breakpoints(k * m.dt, (k + 1) * m.dt):
                 d = sig.value(0.5 * (ts[0] + ts[1]))
                 plain.append((stage, np.diff(ts).tobytes(), d.tobytes()))
-        assert cache.time_plan is plan and plan.next == 20
-        assert len(plan.programs) == len(set(plain)) < len(plain) == 18
+        assert cache.next == 20 and len(cache.programs) == len(set(plain)) < len(plain) == 18
+        assert cache.buf.shape == (102, 4) and cache.w.shape == (101, 4)
+        assert list(cache) == list(ref_cache)
     assert [k for k in range(20) if sig.breakpoints(k * m.dt, (k + 1) * m.dt)] == [11, 14]
-    assert cache.buf.shape == (102, 4)
-    assert list(cache) == list(ref_cache)
 
 
 def test_rk4_intervals_replay_a_runs_plans_bitwise(ref_plant):
-    # The RK4 mirror of the test above: one run's state across a sequence
-    # of intervals, twice over, the stages alternating and swapped in the
-    # second pass.  The (h/2, h, h/6) vectors do not depend on the stage, so
-    # plain intervals of equal substep widths share them in either stage.
-    # A pulse starts off the grid in interval 14, whose extra edge grows the
-    # state rows to 102 and the input rows to 3 * 101 = 303, three per
-    # segment; the plain intervals after it step in the grown rows.
+    # The RK4 mirror of the test above: two runs of the same 20 intervals,
+    # the stages alternating and swapped in the second.  The (h/2, h, h/6)
+    # vectors do not depend on the stage, so plain intervals of equal
+    # substep widths share them in either stage.  A pulse starts off the
+    # grid in interval 14, whose extra edge sizes the state rows at 102 and
+    # the input rows at 3 * 101 = 303, three per segment, from the start.
     m = ref_plant
     sig = _SineAndPulses(Sinusoid([0.05], freq_hz=0.5, phase=0.3),
                          PulseTrain([(1.40337, 1.6, [-0.7])], dim=1))
     rng = np.random.default_rng(29)
-    cache, ref_cache, widths = _ZohCache(), {}, set()
     for swap in (0, 1):
+        cache, ref_cache, widths = _Run(m, sig, np.arange(20) * m.dt, 100, (0.0, 2.0)), {}, set()
+        assert cache.buf.shape == (102, 4) and cache.w.shape == (303, 4)
         for k in range(20):
             stage = Stage.STABILIZING if (k + swap) % 2 else Stage.SEARCHING
             args = (m, rng.standard_normal(2), rng.standard_normal(2), stage, sig, k * m.dt, 100)
@@ -537,12 +534,11 @@ def test_rk4_intervals_replay_a_runs_plans_bitwise(ref_plant):
             for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (swap, k)
             widths.update(np.diff(got[2][0]).tolist())
-            assert cache.w.shape == ((300, 4) if (swap, k) < (0, 14) else (303, 4)), (swap, k)
+        assert len(cache) == 0 and set(cache.hvecs) == widths
+        for h, vecs in cache.hvecs.items():
+            want = np.repeat([[0.5 * h], [h], [h / 6.0]], 4, 1)
+            assert np.array(vecs).tobytes() == want.tobytes()
     assert [k for k in range(20) if sig.breakpoints(k * m.dt, (k + 1) * m.dt)] == [14]
-    assert cache.buf.shape == (102, 4) and len(cache) == 0
-    assert set(cache.hvecs) == widths
-    for h, vecs in cache.hvecs.items():
-        assert np.array(vecs).tobytes() == np.repeat([[0.5 * h], [h], [h / 6.0]], 4, 1).tobytes()
 
 
 def test_rk4_takes_a_fresh_input_where_a_segment_end_rounds_off_the_next_start(ref_plant):
@@ -550,44 +546,48 @@ def test_rk4_takes_a_fresh_input_where_a_segment_end_rounds_off_the_next_start(r
     # substep, and that segment's end 0.001 + (0.01 - 0.001) rounds off the
     # next edge 0.01: the next segment reads its start input at 0.01, where
     # the 500 Hz sine differs from the previous end's.  From the zero state,
-    # that difference reaches the records.  Twice through one state.
+    # that difference reaches the records, in either stage, alone or in a
+    # run of the one interval, whose input rows are three per segment.
     m = ref_plant
     sine = Sinusoid([1.0], freq_hz=500.0, phase=0.3)
     sig = _SineAndPulses(sine, PulseTrain([(0.001, 0.0213, [0.4])], dim=1))
-    cache, ref_cache = _ZohCache(), {}
     for stage in (Stage.SEARCHING, Stage.STABILIZING):
         args = (m, np.zeros(2), np.zeros(2), stage, sig, 0.0, 10)
-        got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
-        for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), stage
+        run = _Run(m, sig, np.array([0.0]), 10, (0.0, m.dt))
+        want = _step_interval_per_segment(*args, {})
+        for got in (step_interval(*args), step_interval(*args, run)):
+            for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), stage
+        assert run.w.shape == (3 * 12, 4)
     starts, widths = got[2][0][:-1], np.diff(got[2][0])
     ends = starts + widths
     assert np.flatnonzero(starts[1:] != ends[:-1]).tolist() == [1] and starts.size == 12
     assert not np.array_equal(sine.value(starts[2]), sine.value(ends[1]))
-    assert cache.w.shape == (3 * 12, 4)
 
 
 def test_one_run_state_carries_rk4_split_and_plain_intervals_bitwise(ref_plant):
-    # One cache in turn through an RK4 interval, a pulse interval whose
-    # off-grid edge grows the rows to 102, an RK4 interval in the grown
-    # rows, and a plain ZOH interval; each is the per-segment loop's, and
-    # only the plain interval keeps a program, in its plan of one interval.
+    # Intervals 3 to 6, the stages alternating, in a run of a pulse whose
+    # off-grid edge splits interval 4 (ZOH) and in a run of a sine plus that
+    # pulse (RK4); both step every interval in rows sized 102 by the split
+    # one, each interval the per-segment loop's.  Only the plain ZOH
+    # intervals keep programs: that of interval 3, before the pulse, and
+    # one in each stage for 5 and 6, whose widths and held input agree.
     m = ref_plant
-    sine = Sinusoid([0.05], freq_hz=0.5, phase=0.3)
     pulse = PulseTrain([(0.40337, 0.9, [1.5])], dim=1)
     rng = np.random.default_rng(23)
-    cache, ref_cache = _ZohCache(), {}
-    for k, sig, stage, n_rows in ((3, sine, Stage.STABILIZING, 101),
-                                  (4, pulse, Stage.SEARCHING, 102),
-                                  (5, sine, Stage.SEARCHING, 101),
-                                  (6, pulse, Stage.STABILIZING, 101)):
-        args = (m, rng.standard_normal(2), rng.standard_normal(2), stage, sig, k * m.dt, 100)
-        got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
-        for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
-        assert got[2][0].size == n_rows and cache.buf.shape == (101 if k == 3 else 102, 4)
-    assert list(cache) == list(ref_cache) and len(ref_cache) > 2
-    assert list(cache.time_plan.programs) == [(Stage.STABILIZING, 0)]
+    for sig in (pulse, _SineAndPulses(Sinusoid([0.05], freq_hz=0.5, phase=0.3), pulse)):
+        starts = np.arange(3, 7) * m.dt
+        cache, ref_cache = _Run(m, sig, starts, 100, (starts[0], starts[-1] + m.dt)), {}
+        assert cache.buf.shape == (102, 4)
+        for k, stage in zip(range(3, 7), [Stage.STABILIZING, Stage.SEARCHING] * 2):
+            args = (m, rng.standard_normal(2), rng.standard_normal(2), stage, sig, k * m.dt, 100)
+            got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
+            for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (sig, k)
+            assert got[2][0].size == (102 if k == 4 else 101), (sig, k)
+        assert list(cache) == list(ref_cache) and (len(ref_cache) > 2) is (sig is pulse)
+        assert list(cache.programs) == ([(Stage.STABILIZING, 0), (Stage.STABILIZING, 1),
+                                         (Stage.SEARCHING, 1)] if sig is pulse else [])
 
 
 @st.composite
@@ -617,13 +617,12 @@ def _rk4_cases(draw):
 @settings(PROPERTY_PROFILE, deadline=None)
 @given(_rk4_cases())
 def test_rk4_intervals_match_the_per_segment_loop_bitwise(case):
-    # Both stages through one run state, each interval the per-segment
-    # loop's to the bit, whatever the plant, the widths and the start.
+    # Each stage alone, each interval the per-segment loop's to the bit,
+    # whatever the plant, the widths and the start.
     m, substeps, t_k, sig, x, xhat = case
-    cache, ref_cache = _ZohCache(), {}
     for stage in Stage:
         args = (m, x, xhat, stage, sig, t_k, substeps)
-        got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
+        got, want = step_interval(*args), _step_interval_per_segment(*args, {})
         for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), stage
 
@@ -667,21 +666,22 @@ def _planned_runs(draw):
 @given(_planned_runs())
 def test_a_runs_time_plan_steps_each_interval_as_step_interval_alone(ref_plant, cert_params,
                                                                      cert_derived, case):
-    # The time plan of a whole run and the plan of each interval alone give
-    # the same edges and held input rows, and the run logs, to the bit, the
+    # The state of a whole run and that of each interval alone give the
+    # same edges and held input rows, and the run logs, to the bit, the
     # records that step_interval alone computes from the logged start,
     # which are the per-segment loop's.
     substeps, sig, x0 = case
     m, n_steps, ref_cache = ref_plant, 10, {}
     log = run_closed_loop(m, cert_params, cert_derived, sig, x0, n_steps * m.dt, substeps)
-    plan = _TimePlan(m, sig, np.arange(n_steps) * m.dt, substeps, (0.0, n_steps * m.dt))
+    plan = _Run(m, sig, np.arange(n_steps) * m.dt, substeps, (0.0, n_steps * m.dt))
     for k in range(n_steps):
         t_k, rows = k * m.dt, slice(*plan.lo[k:k + 2])
-        alone = _TimePlan(m, sig, np.array([t_k]), substeps, (t_k, t_k + m.dt))
+        alone = _Run(m, sig, np.array([t_k]), substeps, (t_k, t_k + m.dt))
         assert plan.t[rows].tobytes() == alone.t.tobytes(), k
         assert (plan.kind[k] < 0) == (alone.kind[0] < 0), k
         if plan.kind[k] >= 0:
-            assert plan.kinds[plan.kind[k]] == alone.kinds[alone.kind[0]], k
+            for a, b in zip(plan.kinds, alone.kinds):
+                assert a[plan.kind[k]].tobytes() == b[alone.kind[0]].tobytes(), k
         stage = Stage.STABILIZING if log.symbol[k] >= 1 else Stage.SEARCHING
         args = (m, log.x[k], log.xhat[k], stage, sig, k * m.dt, substeps)
         got, want = step_interval(*args), _step_interval_per_segment(*args, ref_cache)
@@ -727,8 +727,50 @@ def test_a_runs_checks_and_pairs_do_not_grow_with_its_horizon(monkeypatch, ref_p
 
 def test_step_interval_takes_a_run_state_or_none_as_its_cache(ref_plant):
     x = np.array([0.5, -0.2])
-    with pytest.raises(TypeError, match="^zoh_cache must be None or a _ZohCache, not dict$"):
+    with pytest.raises(TypeError, match="^zoh_cache must be None or a _Run, not dict$"):
         step_interval(ref_plant, x, x, Stage.SEARCHING, Zero(dim=1), 0.0, 10, {})
+
+
+def test_a_run_state_steps_only_its_runs_next_interval(ref_plant):
+    # A run's state steps its next interval, from that interval's start,
+    # with the run's plant, disturbance and substeps, and nothing else: not
+    # an earlier or a later start, an equal plant or signal that is another
+    # object, another grid, nor any interval once the run's are stepped.
+    # Each refusal leaves the run where it was.
+    m, x, sig = ref_plant, np.array([0.5, -0.2]), PulseTrain([(0.25, 0.3, [1.5])], dim=1)
+    twin_m = PlantModel(A=m.A, B=m.B, D=m.D, K=m.K, dt=m.dt, n_levels=m.n_levels)
+    twin_sig = PulseTrain([(0.25, 0.3, [1.5])], dim=1)
+    run = _Run(m, sig, np.arange(3) * m.dt, 10, (0.0, 3 * m.dt))
+    refused = ("^zoh_cache steps only its run's next interval, with the run's plant, disturbance "
+               "and substeps, not one from t_k = ")
+    for k in range(3):
+        for plant, signal, t_k, substeps in ((m, sig, (k + 1) * m.dt, 10),
+                                             (m, sig, (k - 1) * m.dt, 10),
+                                             (twin_m, sig, k * m.dt, 10),
+                                             (m, twin_sig, k * m.dt, 10), (m, sig, k * m.dt, 20)):
+            with pytest.raises(ValueError, match=refused + re.escape(repr(t_k)) + "$"):
+                step_interval(plant, x, x, Stage.SEARCHING, signal, t_k, substeps, run)
+            assert run.next == k
+        alone = step_interval(m, x, x, Stage.SEARCHING, sig, k * m.dt, 10)
+        got = step_interval(m, x, x, Stage.SEARCHING, sig, k * m.dt, 10, run)
+        for a, b in zip(got[:2] + got[2], alone[:2] + alone[2]):
+            assert a.tobytes() == b.tobytes(), k
+    with pytest.raises(ValueError, match=refused):
+        step_interval(m, x, x, Stage.SEARCHING, sig, 3 * m.dt, 10, run)
+
+
+@pytest.mark.parametrize("sig", [Zero(dim=1), PulseTrain([(0.0, 1.0, [1.5])], dim=1),
+                                 SeededUniform(0.05, 3, hold=0.37),
+                                 Sinusoid([0.05], freq_hz=0.5, phase=0.3)],
+                         ids=["zero", "pulses", "uniform", "sinusoid"])
+@pytest.mark.parametrize("t_k", [math.nan, math.inf, -math.inf, 1e300])
+def test_step_interval_names_a_start_with_no_room_after_it(ref_plant, sig, t_k):
+    # An interval from t_k has no room where t_k + dt is not above t_k: NaN,
+    # either infinity, or a t_k so large that adding dt rounds back to it.
+    x = np.array([0.5, -0.2])
+    msg = re.escape(f"t_k must be finite and below t_k + dt, not {t_k}")
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        step_interval(ref_plant, x, x, Stage.SEARCHING, sig, t_k, 10)
 
 
 @pytest.mark.parametrize("x, xhat, sizes", [([0.5, -0.2, 0.1], [0.0, 0.0], "3 and 2"),
@@ -737,6 +779,19 @@ def test_step_interval_names_a_state_of_the_wrong_size(ref_plant, x, xhat, sizes
     with pytest.raises(ValueError, match=f"^x and xhat must have 2 entries, not {sizes}$"):
         step_interval(ref_plant, np.array(x), np.array(xhat), Stage.SEARCHING, Zero(dim=1),
                       0.0, 10)
+
+
+class _Buffers(dict):
+    """What ``_zoh_program`` and ``_zoh_steps`` read of a run's state: its
+    ZOH pairs as items, and ``n_rows`` state rows of ``size`` entries with
+    their views, the gemv output and the bytes of a +0.0 row."""
+
+    def __init__(self, n_rows, size):
+        super().__init__()
+        self.buf = np.empty((n_rows, size))
+        self.rows, self.dsts = list(self.buf), list(self.buf[1:])
+        self.phi_z = np.empty(size)
+        self.zero = bytes(self.phi_z.nbytes)
 
 
 def _two_call_steps(cache, stage, hs, z0, w):
@@ -808,9 +863,8 @@ def test_zoh_steps_match_the_two_call_loop_bitwise(case):
     # every record, signed zeros and non-finite entries included, must be
     # the per-substep loop's.  The second pass finds its pairs in the cache.
     M, stage, hs, z0, w = case
-    cache = _ZohCache()
+    cache = _Buffers(len(hs) + 1, z0.size)
     for _ in range(2):
-        cache.fit(len(hs) + 1, z0.size)
         cache.rows[0][...] = z0
         with np.errstate(over="ignore", invalid="ignore"):
             _zoh_steps(_zoh_program(M, stage, np.array(hs), list(w), cache), cache)
@@ -926,7 +980,7 @@ def test_off_grid_count_is_the_edges_step_interval_adds(sig, substeps):
     # the edges that step_interval alone makes, extra edges and all.
     m = bundled_scenario().plant
     n_steps = 150
-    plan = _TimePlan(m, sig, np.arange(n_steps) * m.dt, substeps, (0.0, n_steps * m.dt))
+    plan = _Run(m, sig, np.arange(n_steps) * m.dt, substeps, (0.0, n_steps * m.dt))
     added = 0
     for k in range(n_steps):
         x = np.zeros(m.n_x)
