@@ -899,6 +899,16 @@ COMMAND_SHA256 = {
         "report.txt": "3d8e651ad2252705c553f818c87db593992ed0d8561c9530a3483fe0e3222f6e",
         "samples.csv": "acff155089af66587a7afe51cf6c09eb7e83900b931e5b6f793fc7150f42cba1",
         "x1_aux.svg": "c50eba7dc48367aa49d10f73c0d169c5146baf0c03de36292e25a122818ffd82"}),
+    # split intervals on the coarsest grid: each hold edge inside an
+    # interval becomes its own record
+    ("check", "uniform", ("--substeps", "1")): (0, {
+        "checks.csv": "c9285e1239fc8907b7f8ac81fcb2b1df434f88266bbdfa9e8852f2a9964c0b3f",
+        "dense.csv": "9310953b28d849860377570acaf4df351ba28861d38e01fb2086f20ccbc031a1",
+        "err_E.svg": "4071eae6fa8703789c640e49527444f41575fd5c94493c410fe82cd0d4821abe",
+        "events.csv": "05a515f61d2e235b5f595311a267486852533b48101a5c976d7166df343612c9",
+        "report.txt": "2e9f91d6b5d87c2f53107a90b1002d96363f785a7abe936ef92c3a2986daa31b",
+        "samples.csv": "48d1d4167ad3567d09d6c704d619d3dc465454fadf47a8af3fa6e047aff646ce",
+        "x1_aux.svg": "ea48db4c7839f4e5d880d02d918e01fa9c801c2adc8ac30ee7a4492ca8655db8"}),
     # noise held for 0.001 s at 10 substeps: every interval split into 100
     # ZOH segments, each with its own midpoint input
     ("check", "uniform_fine", ("--substeps", "10")): (0, {
@@ -944,7 +954,8 @@ _CI_DISTURBANCES = {
                          ids=["validate_raw", "validate_certified", "gains", "gains_s_grid",
                               "check_sinusoid", "check_sinusoid_substeps_10",
                               "check_sinusoid_substeps_1", "check_sinusoid_substeps_7",
-                              "check_uniform", "check_uniform_fine_substeps_10",
+                              "check_uniform", "check_uniform_substeps_1",
+                              "check_uniform_fine_substeps_10",
                               "check_certified_substeps_1", "check_certified_substeps_7"])
 def test_validate_and_gains_files_match_pinned_bytes(command, label, flags, raw_cfg_path,
                                                      cert_cfg_path, tmp_path):

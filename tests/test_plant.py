@@ -32,6 +32,59 @@ BUNDLED_DENSE_SHA256 = {
     "dense_xhat": "2e6c5aaf8880ed72b4b2066045cd2d721e5a706a1ca63ad045df4a82b26c3e52",
     "dense_u": "27567fbcf70ab3d0a7ce3c3d700b6d2464965233d6b3e635f65c4e9a35814e6d",
 }
+# sha256 of the dense_t, dense_k and dense_u of 30 s runs of the bundled
+# certified plant, by disturbance and substeps, as each interval wrote its
+# own edges, interval index and controller input
+DENSE_GRID_SHA256 = {
+    ("pulses", 1): (
+        "d87ceaca15d0d573ee6fd023100d42a4dcb1868e1f8e2164d490f91b15b7c8b1",
+        "6175426fd34b59c007621f5b69158f0bda59518f1dbd1c70f46f9e3a363735a7",
+        "e626ad9022ea26f073ad568bde0eaf90ad293a8545ab49f0f71e818c024f5b5e"),
+    ("pulses", 7): (
+        "1199afd567f43844824456a7f4992373fa722bf34bef4b30afe5585a5ba93cfb",
+        "df81f89dad348599d83b33cbe49fc3aa1059c9253a4459e2a5d1e84cdc1df60e",
+        "2ab8dc23988cd999d8dc50f9496631af394052af2d2eb7b09d2db32dcaa7c523"),
+    ("pulses", 100): (
+        "9efce64b3b370f9d8ae916733be60627fde7a4b32812fe75715d7b1f569b40a2",
+        "c325cc15f04c046ff8cb3511283567e62cc7dec70a1ae09346f165e96b96cfda",
+        "27567fbcf70ab3d0a7ce3c3d700b6d2464965233d6b3e635f65c4e9a35814e6d"),
+    ("sinusoid", 1): (
+        "d87ceaca15d0d573ee6fd023100d42a4dcb1868e1f8e2164d490f91b15b7c8b1",
+        "6175426fd34b59c007621f5b69158f0bda59518f1dbd1c70f46f9e3a363735a7",
+        "a9814d2fa5f5b3e55eef47a3bb4792bc244da62a463c535f9453f77b188f782a"),
+    ("sinusoid", 7): (
+        "1199afd567f43844824456a7f4992373fa722bf34bef4b30afe5585a5ba93cfb",
+        "df81f89dad348599d83b33cbe49fc3aa1059c9253a4459e2a5d1e84cdc1df60e",
+        "6245babb497a6e7b4cb2d2c5c2e94a3c8b03bf49eb1df3f395ac60fba840f412"),
+    ("sinusoid", 100): (
+        "9efce64b3b370f9d8ae916733be60627fde7a4b32812fe75715d7b1f569b40a2",
+        "c325cc15f04c046ff8cb3511283567e62cc7dec70a1ae09346f165e96b96cfda",
+        "fb73879851d10b1d173973a9499f4bb277013dfddb33bf098688403e607ec07a"),
+    ("uniform", 1): (
+        "a418cfdee28a6ddee901a0fe2ebfd871a89be1fadf0c7dc66bdae9a11df7130d",
+        "f7e3c930099d079b8e1661deb8478ead10923ce01048ddc507d05ec8f1c8dc60",
+        "e3b64803a0ad601c9988bfb0af071c0a4bb2c29e1e0db0cbcb1578e969cbc1c1"),
+    ("uniform", 7): (
+        "b531600700345e197918dc64dcdbaea55a62dfa4081f56f5b40cc5b037bdf01f",
+        "59aa096dbad9d4e1121793abe1cf2357a662e2bf7561b179dd3419f757e01769",
+        "d342bf88628be085e7a874f622584bfbea2a19446bbe07b5f4af7170fa9a5aff"),
+    ("uniform", 100): (
+        "32264ab9ab9d01e47920fa130d2daca5a49dc29833b8bc4b410c3e6cb99a50ba",
+        "c325cc15f04c046ff8cb3511283567e62cc7dec70a1ae09346f165e96b96cfda",
+        "d804c41fac3f4bff7bdf9b64efac4fb697eec5cc78671638872e7b502c4dad37"),
+    ("uniform_fine", 1): (
+        "83b6e2c6946deccc400ecb94c430b00ee1a124a9dbe1327394e70814f80de689",
+        "c325cc15f04c046ff8cb3511283567e62cc7dec70a1ae09346f165e96b96cfda",
+        "3be76bad5affa6dfa81512c76766591ca16a1d1f2a1fa45758570b8457ea11ff"),
+    ("uniform_fine", 7): (
+        "f72cf63231aa46782501862490b0259eb35624248e05a5d70f7e64753c349cea",
+        "9138d15db61bf64d9962bc83e479105c8cbc95bd930410564b12807e556f4a03",
+        "b1763b007a90191af3385ee6efea9eadbc1e822cd7339987b9e7beb783c38de0"),
+    ("uniform_fine", 100): (
+        "16ce3ded34250ca5b62d204234bff28c2664cdcb204536f4fb81093ba3c2ad0d",
+        "c325cc15f04c046ff8cb3511283567e62cc7dec70a1ae09346f165e96b96cfda",
+        "b853718a5dc2141db385ad6a8b202a614c76babc8f6dbbc591ada0f671da0ac5"),
+}
 # the same for the other sample arrays, as logged one sample at a time by a
 # loop that advanced separate encoder and decoder states, and of the repr of
 # (kind, k, t) for each event
@@ -927,6 +980,27 @@ def test_bundled_run_matches_pinned_bits():
             assert a.dtype == (np.int64 if name in ("symbol", "stage") else np.float64)
             data = a.tobytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+_PINNED_DISTURBANCES = {
+    "pulses": lambda cfg: cfg.disturbance,
+    "sinusoid": lambda cfg: Sinusoid([0.05], 0.5, 0.3),
+    "uniform": lambda cfg: SeededUniform(0.05, 3, hold=0.37),
+    "uniform_fine": lambda cfg: SeededUniform(0.05, 3, hold=0.001),
+}
+
+
+@pytest.mark.parametrize("name, substeps", list(DENSE_GRID_SHA256))
+def test_dense_times_intervals_and_inputs_match_pinned_bits(name, substeps):
+    # the bundled pulses on the ZOH path, a sinusoid on RK4, noise held for
+    # 0.37 s (some intervals split) and for 0.001 s (every interval split)
+    cfg = bundled_scenario(certified=True)
+    d = derive_constants(cfg.plant, cfg.design)
+    log = run_closed_loop(cfg.plant, cfg.design, d, _PINNED_DISTURBANCES[name](cfg), cfg.x0,
+                          30.0, substeps)
+    got = tuple(hashlib.sha256(getattr(log, f).tobytes()).hexdigest()
+                for f in ("dense_t", "dense_k", "dense_u"))
+    assert got == DENSE_GRID_SHA256[name, substeps]
 
 
 @pytest.mark.parametrize("sig, n_dense", [
