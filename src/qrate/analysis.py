@@ -395,9 +395,9 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
     dense_norm = np.empty(len(log.dense_x))
     blocks = [slice(lo, lo + _DENSE_BLOCK) for lo in range(0, dense_norm.size, _DENSE_BLOCK)]
     for blk in blocks:
-        np.max(np.abs(log.dense_x[blk]), axis=1, out=dense_norm[blk])
-        dk = log.dense_k[blk]
-        sups = sig.sup_norm(t[dk], log.dense_t[blk])
+        dk, dts, dxs = log.dense_block(blk.start, min(blk.stop, dense_norm.size))[:3]
+        np.max(np.abs(dxs), axis=1, out=dense_norm[blk])
+        sups = sig.sup_norm(t[dk], dts)
         acc["intersample_envelope"].add(dense_norm[blk],
                                         d.intersample_gain * x_norm[dk] + d.dist_gain * sups)
 

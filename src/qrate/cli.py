@@ -44,22 +44,25 @@ ENV_OUT = "QRATE_OUT"
 _TABLE_BLOCK = 1024
 
 
-def _write_table(path: Path, header: list[str], columns) -> None:
+def _write_table(path: Path, header: list[str], columns, n_rows: int | None = None) -> None:
     """Write a CSV table from its columns, one block of rows at a time.
 
     A column is a sequence or a 2-D array; a 2-D array gives one field
-    per array column.  Each field's bytes are those of %d (integers), %s
-    (text) or %.17g (floats): a block lays its fields out side by side in
-    the fixed slots of ``_fields.FIELDS``, each followed by its separator,
-    and writes the slots its fillers marked, with one compress and one
-    write.
+    per array column.  ``columns`` is a list of columns, or a function
+    that returns the columns of rows lo:hi, with ``n_rows`` the row count.
+    Each field's bytes are those of %d (integers), %s (text) or %.17g
+    (floats): a block lays its fields out side by side in the fixed slots
+    of ``_fields.FIELDS``, each followed by its separator, and writes the
+    slots its fillers marked, with one compress and one write.
     """
+    block = columns if callable(columns) else lambda lo, hi: [c[lo:hi] for c in columns]
+    n_rows = len(columns[0]) if n_rows is None else n_rows
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for lo in range(0, len(columns[0]), _TABLE_BLOCK):
+        for lo in range(0, n_rows, _TABLE_BLOCK):
             fields = []
-            for c in columns:
-                v = np.asarray(c[lo:lo + _TABLE_BLOCK])
+            for v in block(lo, min(lo + _TABLE_BLOCK, n_rows)):
+                v = np.asarray(v)
                 width, fill = _fields.FIELDS[v.dtype.kind]
                 if width is None:
                     v = np.char.encode(v, "utf-8")
@@ -203,7 +206,7 @@ def _write_outputs(out: Path, cfg: ScenarioConfig, report, d, log) -> None:
                   np.array(["searching", "stabilizing"])[log.stage],  # stage 0, stage 1
                   log.radius, log.value, log.d_sup_prev])
     _write_table(out / "dense.csv", states + [f"u_{i+1}" for i in range(m.n_u)],
-                 [log.dense_k, log.dense_t, log.dense_x, log.dense_xhat, log.dense_u])
+                 log.dense_block, len(log.dense_x))
     _write_table(out / "events.csv", ["kind", "k", "t"],
                  [[getattr(ev, a) for ev in log.events] for a in ("kind", "k", "t")])
 
@@ -216,18 +219,18 @@ def _write_outputs(out: Path, cfg: ScenarioConfig, report, d, log) -> None:
 
 
 def _write_plots(out: Path, cfg: ScenarioConfig, log) -> None:
-    err = np.max(np.abs(log.dense_x - log.dense_xhat), axis=1)
+    t, err = log.dense_t, np.max(np.abs(log.dense_x - log.dense_xhat), axis=1)
     spans = _searching_spans(log, cfg.plant.dt)
     onsets = [s for s, _, _ in cfg.disturbance.pulses] \
         if isinstance(cfg.disturbance, PulseTrain) else []
     render_svg(out / "err_E.svg",
-               [Series("|e(t)|", "#1f77b4", log.dense_t, err),
+               [Series("|e(t)|", "#1f77b4", t, err),
                 Series("E_k", "#d62728", log.t, log.radius, step=True)],
                title="quantization error and radius", xlabel="t [s]",
                ylabel="log10 scale", ylog=True, spans=spans, vlines=onsets)
     render_svg(out / "x1_aux.svg",
-               [Series("x_1(t)", "#1f77b4", log.dense_t, log.dense_x[:, 0]),
-                Series("xhat_1(t)", "#d62728", log.dense_t, log.dense_xhat[:, 0])],
+               [Series("x_1(t)", "#1f77b4", t, log.dense_x[:, 0]),
+                Series("xhat_1(t)", "#d62728", t, log.dense_xhat[:, 0])],
                title="state and auxiliary state", xlabel="t [s]", ylabel="x_1",
                spans=spans, vlines=onsets)
 

@@ -2,23 +2,25 @@
 controller's auxiliary model, and the full sampled protocol loop.
 
 A run has one state (``_Run``), built in vectorized passes before the first
-sample from all that does not depend on the plant's state: each sampling
-interval's edges, the substep grid split at the disturbance's
-discontinuities, written straight into the ``dense_t`` and ``dense_k``
-rows of a dense log it sizes exactly; for each breakpoint-free ZOH
-interval, its substep widths and held input (D d(mid), 0), every input
-from one broadcast ``Disturbance.value`` call; and every buffer an
-interval steps in, sized for the longest.  The loop then runs, per
-interval, only the codec calls, the substep chain and one copy of the
-records into the log.  ``step_interval`` is that interval step: given a
-run's state it steps the run's next interval, and given None it checks
-its states and start and steps a run of one interval.
+sample from all that does not depend on the plant's state: its time grid,
+each sampling interval's record offset in a dense log it sizes exactly,
+with the edges of the intervals that the disturbance's discontinuities
+split (every other interval's edges are t_k plus the substep grid); for
+each breakpoint-free ZOH interval, its substep widths and held input
+(D d(mid), 0), every input from one broadcast ``Disturbance.value`` call;
+and every buffer an interval steps in, sized for the longest.  The loop
+then runs, per interval, only the codec calls, the substep chain and one
+copy of the states into the log.  The log stores the states and the time
+grid alone, and derives each record's time, interval and controller input
+block by block.  ``step_interval`` is that interval step: given a run's
+state it steps the run's next interval, and given None it checks its
+states and start and steps a run of one interval.
 
 Integration is exact zero-order hold (block matrix exponentials) where the
 disturbance is constant and fixed-step RK4 otherwise.  The run state
-computes the ZOH pair of each (stage, substep width) once, and the substep
-program of each (stage, widths, input) once, so each interval between the
-pulses of a pulse train is a lookup.  Such an autonomous interval, whose
+computes the ZOH pair of each (stage, substep width) once, and keeps the
+substep programs of the recent (stage, widths, input), so each interval
+between the pulses of a pulse train is a lookup.  Such an autonomous interval, whose
 input terms are +0.0 in every bit, is one gemv per substep and a single
 +0.0 add over its records, which ``_zoh_steps`` shows to be exact.  Every
 other step is the arithmetic of stepping segment by segment with a fresh
@@ -45,6 +47,10 @@ from .signals import Disturbance
 __all__ = ["TrajectoryEvent", "TrajectoryLog", "sup_norm_on", "step_interval", "run_closed_loop"]
 
 DEFAULT_SUBSTEPS = 100
+# A run keeps the substep programs of this many recent (stage, kind) pairs.
+# On the bundled and the benchmark's pulse runs a kind recurs after at most
+# three others; held noise makes a new kind at almost every hold.
+_PROGRAMS = 8
 
 
 @dataclass(frozen=True)
@@ -58,9 +64,18 @@ class TrajectoryEvent:
 class TrajectoryLog:
     """Sampled and dense records of one closed-loop run.
 
-    Sample arrays are indexed by k = 0..n_samples; dense arrays carry the
-    substep-resolution trajectory with ``dense_k`` mapping each record to
-    its sampling interval.  ``xhat`` holds the post-reset auxiliary state.
+    Sample arrays are indexed by k = 0..n_samples.  ``xhat`` holds the
+    post-reset auxiliary state.  The dense records are the trajectory at
+    substep resolution, and only their states are stored: ``dense_x`` and
+    ``dense_xhat``, 2 n_x floats a record (32 bytes for n_x = 2), beside
+    the run's time grid, a few words per interval.  Interval k has the
+    records ``lo[k]:lo[k + 1]`` at the times t_k + ``grid``, or, for the
+    intervals ``split`` at the disturbance's breakpoints, at their edges
+    in ``split_t`` (concatenated in interval order).  ``dense_block``
+    derives a range of records' interval index k, time t and controller
+    input u (the feedback law ``K`` in the interval's stage) with the bits
+    the run had; ``dense_k``, ``dense_t`` and ``dense_u`` are the whole
+    range.
     """
 
     t: np.ndarray
@@ -72,16 +87,71 @@ class TrajectoryLog:
     center: np.ndarray         # shared range center
     value: np.ndarray          # V_k from the shared bookkeeping
     d_sup_prev: np.ndarray     # sup norm of d over [t_{k-1}, t_k], 0 at k=0
-    dense_t: np.ndarray
-    dense_k: np.ndarray
     dense_x: np.ndarray
     dense_xhat: np.ndarray
-    dense_u: np.ndarray
     events: list[TrajectoryEvent]
+    K: np.ndarray              # feedback gain of the stabilizing stage
+    lo: np.ndarray             # interval k has the dense records lo[k]:lo[k + 1]
+    grid: np.ndarray           # offsets of an unsplit interval's edges from t_k
+    split: np.ndarray          # the intervals split at breakpoints, ascending
+    split_t: np.ndarray        # their edges, concatenated
 
     @property
     def n_samples(self) -> int:
         return self.t.size
+
+    def dense_block(self, a: int, b: int) -> tuple[np.ndarray, ...]:
+        """(k, t, x, xhat, u), the columns of ``dense.csv``, of the dense
+        records a:b.  x and xhat are views of the log's rows.
+
+        Each interval that meets the block gives its k and t whole, t as
+        t_k + ``grid``, one float add as the run made it, or the split
+        interval's stored edges.  u is ``codec.controller_input`` on each
+        stretch of consecutive intervals of one stage, which the symbol at
+        the interval's start decides (``symbol >= 1`` stabilizes), and a
+        stack of at least two rows gives each row the bits of the
+        interval's own stack (numpy takes one row down another product)."""
+        lo, split, grid = self.lo, self.split, self.grid
+        first, last = int(lo.searchsorted(a, "right")) - 1, int(lo.searchsorted(b))
+        s0, s1 = split.searchsorted([first, last]).tolist()
+        if s1 > s0:
+            at = np.concatenate([[0], np.cumsum(lo[split + 1] - lo[split])]).tolist()
+        ks, ts, i = [], [], first
+        for s in range(s0, s1 + 1):
+            j = int(split[s]) if s < s1 else last  # intervals i:j are on the grid
+            ks.append(np.arange(i, j).repeat(grid.size))
+            ts.append((self.t[i:j, None] + grid).ravel())
+            if s < s1:
+                ks.append(np.repeat(j, at[s + 1] - at[s]))
+                ts.append(self.split_t[at[s]:at[s + 1]])
+            i = j + 1
+        cut = slice(a - lo[first], b - lo[first])
+        k, t = np.concatenate(ks)[cut], np.concatenate(ts)[cut]
+        x, xhat = self.dense_x[a:b], self.dense_xhat[a:b]
+        ends = lo[first:last + 1] - a  # each interval's rows in the block
+        ends[0], ends[-1] = 0, b - a
+        visible = self.symbol[first:last] >= 1
+        cuts = [0, *(np.flatnonzero(visible[1:] != visible[:-1]) + 1).tolist(), last - first]
+        us = []
+        for r0, r1, on in zip(ends[cuts[:-1]].tolist(), ends[cuts[1:]].tolist(),
+                              visible[cuts[:-1]].tolist()):
+            rows = xhat[r0:r1] if r1 - r0 > 1 else xhat[[r0, r0]]
+            stage = Stage.STABILIZING if on else Stage.SEARCHING
+            us.append(codec.controller_input(stage, self.K, rows)[:r1 - r0])
+        u = us[0] if len(us) == 1 else np.concatenate(us)
+        return k, t, x, xhat, u
+
+    @property
+    def dense_k(self) -> np.ndarray:
+        return self.dense_block(0, len(self.dense_x))[0]
+
+    @property
+    def dense_t(self) -> np.ndarray:
+        return self.dense_block(0, len(self.dense_x))[1]
+
+    @property
+    def dense_u(self) -> np.ndarray:
+        return self.dense_block(0, len(self.dense_x))[4]
 
 
 def sup_norm_on(sig: Disturbance, a: float, b: float) -> float:
@@ -134,15 +204,16 @@ class _Run(dict):
     so that ``len`` stays the pair count.
 
     Interval i, the ``next`` one stepped, has the records ``lo[i]:lo[i + 1]``
-    of the dense log ``t``, ``k``, ``x``, ``xhat``, ``u``, sized exactly,
-    with ``t`` and ``k`` written.  Its edges are t_k plus the substep grid,
-    and where the disturbance has breakpoints inside (t_k, t_k + dt), those
-    merged in, near-duplicates dropped and the last edge set to t_k + dt.
-    ``span`` is the range of one ``breakpoints`` call that covers every
-    interval.  On the ZOH path a breakpoint-free interval i has
-    ``kind[i] >= 0``, the row of its substep widths and of its held input
-    (D d(mid), 0) in the two arrays of ``kinds``; ``programs`` keeps the
-    ``_zoh_program`` of each (stage, kind) stepped so far.  Every other
+    of the dense log ``x``, ``xhat``, sized exactly.  Its ``edges`` are
+    ``starts[i]`` plus the substep ``grid``, or, where the disturbance has
+    breakpoints inside (t_k, t_k + dt), those merged in, near-duplicates
+    dropped and the last edge set to t_k + dt: ``split`` maps each such
+    interval to its edges, views of ``split_t``.  ``span`` is the range of
+    one ``breakpoints`` call that covers every interval.  On the ZOH path a
+    breakpoint-free interval i has ``kind[i] >= 0``, the row of its substep
+    widths and of its held input (D d(mid), 0) in the two arrays of
+    ``kinds``; ``programs`` keeps the ``_zoh_program`` of the last
+    ``_PROGRAMS`` (stage, kind) stepped, least recent first.  Every other
     interval has ``kind[i]`` -1.
 
     Every buffer an interval steps in is sized for the longest: the state
@@ -156,20 +227,21 @@ class _Run(dict):
 
     # Slots, as a dict subclass's own attributes read several times slower
     # than a plain object's, and a run's loop reads about 20 per interval.
-    __slots__ = ("m sig substeps programs next lo t k x xhat u kind kinds buf rows dsts w w_rows "
-                 "phi_z zero ks hvecs").split()
+    __slots__ = ("m sig substeps programs next starts grid split split_t lo x xhat kind kinds buf "
+                 "rows dsts w w_rows phi_z zero ks hvecs").split()
 
     def __init__(self, m: PlantModel, sig: Disturbance, starts: np.ndarray, substeps: int,
                  span: tuple[float, float]):
         super().__init__()
         grid, size = _substep_grid(m.dt, substeps), 2 * m.n_x
         self.m, self.sig, self.substeps, self.programs, self.next = m, sig, substeps, {}, 0
+        self.starts, self.grid = starts, grid
         # Only an interval that meets one of the span's breakpoints, or the
         # last, which may end past the span by a rounding, can hold one.
         every = np.asarray(sig.breakpoints(*span), dtype=float)
         near = every.searchsorted(starts) < every.searchsorted(starts + m.dt, "right")
         near[-1], split = True, {}
-        del every  # before the log is allocated
+        del every
         for i in np.flatnonzero(near).tolist():
             t_k = float(starts[i])
             bps = sig.breakpoints(t_k, t_k + m.dt)
@@ -182,31 +254,32 @@ class _Run(dict):
                 split[i][-1] = t_k + m.dt
         sizes = np.full(starts.size, grid.size)
         sizes[list(split)] = [e.size for e in split.values()]
-        lo = self.lo = np.concatenate([[0], np.cumsum(sizes)])
-        self.t, self.k = np.empty(lo[-1]), np.repeat(np.arange(starts.size), sizes)
-        self.x, self.xhat, self.u = (np.empty((lo[-1], c)) for c in (m.n_x, m.n_x, m.n_u))
-        for i, e in split.items():
-            self.t[lo[i]:lo[i + 1]] = e
+        self.lo = np.concatenate([[0], np.cumsum(sizes)])
+        self.split_t = np.concatenate([np.empty(0), *split.values()])
+        ends = np.cumsum([e.size for e in split.values()], dtype=int).tolist()
+        self.split = {i: self.split_t[b - e.size:b] for (i, e), b in zip(split.items(), ends)}
         kind, ids = np.full(starts.size, -1), {}
         plain = np.delete(np.arange(starts.size), list(split))
+        del split
         zoh = sig.piecewise_constant and plain.size > 0
         if zoh:
             # Without a breakpoint the input is constant: the first midpoint's serves all.
             d = sig.value(0.5 * ((starts[plain] + grid[0]) + (starts[plain] + grid[1])))
-        # The breakpoint-free intervals' edges and ids, a block of about 8,192
-        # edges at a time, so that no temporary grows with the run.
+        # The breakpoint-free intervals' ids, a block of about 8,192 edges at
+        # a time, so that no temporary grows with the run.
         step = max(1, 8192 // grid.size)
-        for a in range(0, plain.size, step):
+        for a in range(0, plain.size if zoh else 0, step):
             block = plain[a:a + step]
-            edges = self.t[lo[block, None] + np.arange(grid.size)] = starts[block, None] + grid
-            if zoh:
-                held = np.zeros((block.size, size))
-                held[:, :m.n_x] = np.matmul(m.D, d[a:a + step, :, None])[:, :, 0]
-                rows = np.concatenate([edges[:, 1:] - edges[:, :-1], held], axis=1)
-                kind[block] = [ids.setdefault(row.tobytes(), len(ids)) for row in rows]
+            edges = starts[block, None] + grid
+            held = np.zeros((block.size, size))
+            held[:, :m.n_x] = np.matmul(m.D, d[a:a + step, :, None])[:, :, 0]
+            rows = np.concatenate([edges[:, 1:] - edges[:, :-1], held], axis=1)
+            kind[block] = [ids.setdefault(row.tobytes(), len(ids)) for row in rows]
         self.kind = kind.tolist()
         kinds = np.frombuffer(b"".join(ids)).reshape(-1, substeps + size)
         self.kinds = kinds[:, :substeps].copy(), kinds[:, substeps:].copy()
+        del ids, kinds  # before the log is allocated
+        self.x, self.xhat = np.empty((self.lo[-1], m.n_x)), np.empty((self.lo[-1], m.n_x))
         self.buf = np.empty((int(sizes.max()), size))
         self.rows, self.dsts = list(self.buf), list(self.buf[1:])
         self.w = np.zeros(((1 if sig.piecewise_constant else 3) * (len(self.rows) - 1), size))
@@ -214,6 +287,12 @@ class _Run(dict):
         self.zero = bytes(self.phi_z.nbytes)
         k = np.empty((5, size))
         self.ks = (*k, k[1:3], np.full((2, size), 2.0))
+
+    def edges(self, i: int) -> np.ndarray:
+        """The edges of interval i: t_k plus the grid, as one float add
+        each, or the merged edges of a split interval."""
+        e = self.split.get(i)
+        return self.starts[i] + self.grid if e is None else e
 
     def inputs(self, ts: np.ndarray) -> list:
         """The block input (D d(t), 0) at each time of ``ts`` from one
@@ -339,9 +418,10 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
     own.  Otherwise ``zoh_cache`` is the state of a run, shared by all its
     intervals: its next interval, which must start at t_k and have the
     run's plant, disturbance and substeps, steps as planned and returns its
-    rows of the run's log.
+    rows of the run's log, with u None, as the log derives it.
     """
-    if zoh_cache is None:
+    alone = zoh_cache is None
+    if alone:
         x, xhat = as_vector(x, "x"), as_vector(xhat, "xhat")
         if x.size != m.n_x or xhat.size != m.n_x:
             raise ValueError(f"x and xhat must have {m.n_x} entries, not {x.size} and {xhat.size}")
@@ -352,29 +432,32 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
         raise TypeError(f"zoh_cache must be None or a _Run, not {type(zoh_cache).__name__}")
     run, i = zoh_cache, zoh_cache.next
     if (run.m is not m or run.sig is not sig or run.substeps != substeps
-            or i == len(run.kind) or run.t[run.lo[i]] != t_k):
+            or i == len(run.kind) or run.starts[i] != t_k):
         raise ValueError(f"zoh_cache steps only its run's next interval, with the run's plant, "
                          f"disturbance and substeps, not one from t_k = {t_k!r}")
     n, lo, hi, run.next = m.n_x, run.lo[i], run.lo[i + 1], i + 1
     M = _augmented(m, stage)
     np.concatenate((x, xhat), out=run.rows[0])
-    ts, kind = run.t[lo:hi], run.kind[i]
+    ts, kind = run.edges(i), run.kind[i]
     if not sig.piecewise_constant:
         _rk4_steps(M, ts, run)
     elif kind < 0:
         _zoh_steps(_zoh_program(M, stage, ts[1:] - ts[:-1], run.inputs(0.5 * (ts[:-1] + ts[1:])),
                                 run), run)
     else:
-        program = run.programs.get((stage, kind))
+        # the least recent program leaves once _PROGRAMS are kept
+        program = run.programs.pop((stage, kind), None)
         if program is None:
             widths, held = run.kinds
-            program = run.programs[(stage, kind)] = _zoh_program(M, stage, widths[kind],
-                                                                 [held[kind]], run)
+            program = _zoh_program(M, stage, widths[kind], [held[kind]], run)
+            if len(run.programs) == _PROGRAMS:
+                del run.programs[next(iter(run.programs))]
+        run.programs[(stage, kind)] = program
         _zoh_steps(program, run)
 
-    zs, xs, xhats, us = run.buf[:hi - lo], run.x[lo:hi], run.xhat[lo:hi], run.u[lo:hi]
+    zs, xs, xhats = run.buf[:hi - lo], run.x[lo:hi], run.xhat[lo:hi]
     xs[...], xhats[...] = zs[:, :n], zs[:, n:]
-    us[...] = codec.controller_input(stage, m.K, xhats)
+    us = codec.controller_input(stage, m.K, xhats) if alone else None
     return xs[-1].copy(), xhats[-1].copy(), (ts, xs, xhats, us)
 
 
@@ -402,7 +485,9 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
     # The breakpoints of the whole run in one call, which also bounds their number.
     run = _Run(m, sig, np.arange(n_steps) * m.dt, substeps, (0.0, n_steps * m.dt))
     state = codec.initial_state(p.radius0, m.n_x)
-    samples = []  # (x, xhat, symbol, radius, center, V) at each sample
+    # each sample's x, xhat, center, and its symbol, radius and V
+    xs, xhats, centers = (np.empty((n_steps + 1, m.n_x)) for _ in range(3))
+    symbol, radius, value = np.empty(n_steps + 1, int), np.empty(n_steps + 1), np.empty(n_steps + 1)
 
     # A state that leaves the float range is reported by the next encode,
     # not by a numpy warning from each product on the way there.
@@ -415,11 +500,14 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
                     raise
                 # the first record of the log so far with a non-finite entry
                 i = int(np.argmin(np.isfinite(run.x[:run.lo[k]]).all(axis=1)))
-                raise ValueError(f"the state left the float range at t = {run.t[i]:g}, in the "
-                                 f"sampling interval from sample k = {run.k[i]}") from None
+                j = int(run.lo.searchsorted(i, "right")) - 1
+                raise ValueError(f"the state left the float range at t = "
+                                 f"{run.edges(j)[i - run.lo[j]]:g}, in the sampling interval "
+                                 f"from sample k = {j}") from None
             xhat = codec.decode_center(state, sym, m.n_levels) if sym >= 1 else state.center
             v = codec.quad_value(state.center, state.radius, d.P, p.rho)
-            samples.append((x, xhat, sym, state.radius, state.center, v))
+            xs[k], xhats[k], centers[k] = x, xhat, state.center
+            symbol[k], radius[k], value[k] = sym, state.radius, v
 
             if k == n_steps:
                 break
@@ -428,20 +516,21 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
             x = step_interval(m, x, xhat, state.stage, sig, k * m.dt, substeps, run)[0]
 
     t = np.arange(n_steps + 1) * m.dt
-    x, xhat, symbol, radius, center, value = (np.asarray(col) for col in zip(*samples))
     visible = symbol >= 1
     toggles = np.flatnonzero(visible[1:] != visible[:-1]) + 1
     return TrajectoryLog(
         t=t,
-        x=x,
-        xhat=xhat,
+        x=xs,
+        xhat=xhats,
         symbol=symbol,
         stage=visible.astype(int),
         radius=radius,
-        center=center,
+        center=centers,
         value=value,
         d_sup_prev=np.concatenate([[0.0], sig.sup_norm(t[:-1], t[1:])]),
-        dense_t=run.t, dense_k=run.k, dense_x=run.x, dense_xhat=run.xhat, dense_u=run.u,
+        dense_x=run.x, dense_xhat=run.xhat,
         events=[TrajectoryEvent("captured" if visible[k] else "escaped", k, k * m.dt)
                 for k in toggles.tolist()],
+        K=m.K, lo=run.lo, grid=run.grid, split=np.array(list(run.split), dtype=int),
+        split_t=run.split_t,
     )

@@ -232,11 +232,10 @@ def test_run_decodes_and_values_each_sample_once(monkeypatch, ref_plant, cert_pa
 
 def test_each_interval_runs_in_the_stage_advance_decided(monkeypatch, ref_plant, cert_params,
                                                          cert_derived):
-    decided, stepped, fed_back = [], [], []
+    decided, stepped = [], []
     for module, name, record in (
             (codec, "advance", lambda args, out: decided.append(out.stage)),
-            (plant_mod, "step_interval", lambda args, out: stepped.append(args[3])),
-            (codec, "controller_input", lambda args, out: fed_back.append(args[0]))):
+            (plant_mod, "step_interval", lambda args, out: stepped.append(args[3]))):
         def recorded(*args, _fn=getattr(module, name), _record=record):
             out = _fn(*args)
             _record(args, out)
@@ -245,9 +244,14 @@ def test_each_interval_runs_in_the_stage_advance_decided(monkeypatch, ref_plant,
     log = run_closed_loop(ref_plant, cert_params, cert_derived, _reference_pulses(),
                           np.array([1.0, 1.0]), 30.0, substeps=1)
     # one stage per interval, decided once by the codec from the symbol alone
-    assert len(stepped) == log.symbol.size - 1 and stepped == decided == fed_back
+    assert len(stepped) == log.symbol.size - 1 and stepped == decided
     assert stepped == [Stage.STABILIZING if s >= 1 else Stage.SEARCHING
                        for s in log.symbol[:-1].tolist()]
+    # and the log's inputs are the feedback law in that stage, interval by interval
+    for k, stage in enumerate(stepped):
+        rows = slice(log.lo[k], log.lo[k + 1])
+        want = codec.controller_input(stage, ref_plant.K, log.dense_xhat[rows])
+        assert log.dense_u[rows].tobytes() == want.tobytes(), k
 
 
 def test_run_keeps_the_call_contract_the_benchmark_tracer_counts(monkeypatch, ref_plant,
@@ -297,9 +301,10 @@ def test_run_keeps_one_plan_per_stage_and_width_pattern(monkeypatch, ref_plant, 
                                                         cert_derived):
     # The substep programs of a 300 s pulses run are those of its
     # breakpoint-free intervals' distinct (stage, substep widths, held
-    # input), and the pairs beside them are the ones the contract test
+    # input), each built once although the run keeps only the recent
+    # ones, and the pairs beside them are the ones the contract test
     # above lists, in its order.
-    steps = []
+    steps, built = [], _built_programs(monkeypatch)
     orig = plant_mod.step_interval
 
     def recorded(*args):
@@ -318,12 +323,28 @@ def test_run_keeps_one_plan_per_stage_and_width_pattern(monkeypatch, ref_plant, 
             w = np.zeros(4)
             w[:2] = ref_plant.D @ sig.value(0.5 * (ts[0] + ts[1]))
             plain.append((args[3], np.diff(ts).tobytes() + w.tobytes()))
+    assert len(built) == len(set(built)) and set(built) == set(plain)
+    assert len(cache.programs) == plant_mod._PROGRAMS < len(built) < 80 < len(plain)
     programs = {(stage, b"".join(a[kind].tobytes() for a in cache.kinds))
                 for stage, kind in cache.programs}
-    assert programs == set(plain) and len(programs) < 80 < len(plain)
+    assert programs == set(list(dict.fromkeys(reversed(plain)))[:plant_mod._PROGRAMS])
     first_use = dict.fromkeys((args[3], h) for args, ts in steps for h in np.diff(ts).tolist())
     assert list(cache) == list(first_use)
     assert cache.buf.shape == (101, 4) and cache.w.shape == (100, 4)
+
+
+def _built_programs(monkeypatch) -> list:
+    """Records the (stage, substep widths and held input) of each program
+    a run builds for a breakpoint-free ZOH interval, in order."""
+    built, orig = [], plant_mod._zoh_program
+
+    def recorded(M, stage, widths, w, run):
+        if len(w) == 1:
+            built.append((stage, widths.tobytes() + w[0].tobytes()))
+        return orig(M, stage, widths, w, run)
+
+    monkeypatch.setattr(plant_mod, "_zoh_program", recorded)
+    return built
 
 
 @st.composite
@@ -463,6 +484,13 @@ def _step_interval_per_segment(m, x, xhat, stage, sig, t_k, substeps, cache):
     return zs[-1, :n].copy(), zs[-1, n:].copy(), (ts, xs, xhats, us)
 
 
+def _stepped(out):
+    """The end states and the (t, x, xhat) records of an interval step.  A
+    run's step returns u None, as the run's log derives it."""
+    x, xhat, (ts, xs, xhats, _) = out
+    return x, xhat, ts, xs, xhats
+
+
 def _plant_3x2():
     m = make_random_plant(np.random.default_rng(7), n=3)
     D = np.random.default_rng(8).uniform(-1.0, 1.0, (3, 2))
@@ -525,17 +553,19 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
     for x, xhat, stabilizing, t_k in starts:
         stage = Stage.STABILIZING if stabilizing else Stage.SEARCHING
         args = (m, x, xhat, stage, sig, t_k, 50)
-        x_end, xhat_end, dense = step_interval(*args, fast_cache)
-        ref_x, ref_xhat, ref_dense = _step_interval_per_segment(*args, ref_cache)
-        assert np.array_equal(x_end, ref_x) and np.array_equal(xhat_end, ref_xhat), t_k
-        for got, want in zip(dense, ref_dense):
+        out, ref = step_interval(*args, fast_cache), _step_interval_per_segment(*args, ref_cache)
+        assert out[2][3] is None
+        for got, want in zip(_stepped(out), _stepped(ref)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), t_k
-        split += dense[0].size > 51
+        if plant == "bundled":  # the log's inputs are the feedback law on each interval
+            k = round(t_k / m.dt)
+            assert log.dense_u[log.lo[k]:log.lo[k + 1]].tobytes() == ref[2][3].tobytes(), k
+        split += out[2][0].size > 51
     assert list(fast_cache) == list(ref_cache)
     assert split > 0 or not isinstance(sig, _SineAndPulses)
 
 
-def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
+def test_step_interval_replays_a_runs_plans_bitwise(monkeypatch, ref_plant):
     # Two runs of the same 20 intervals, the stages alternating and swapped
     # in the second; plain intervals of equal stage, substep widths and
     # input replay one program.  The inputs are +0.0, a -0.0 pulse, a 1.5
@@ -545,22 +575,25 @@ def test_step_interval_replays_a_runs_plans_bitwise(ref_plant):
     # all intervals step in.
     m = ref_plant
     sig = PulseTrain([(0.5, 0.8, [-0.0]), (0.8, 1.2, [1.5]), (1.40337, 1.6, [-0.7])], dim=1)
-    rng = np.random.default_rng(11)
+    rng, built = np.random.default_rng(11), _built_programs(monkeypatch)
     for swap in (0, 1):
         cache, ref_cache, plain = _Run(m, sig, np.arange(20) * m.dt, 100, (0.0, 20 * m.dt)), {}, []
+        built.clear()
         for k in range(20):
             stage = Stage.STABILIZING if (k + swap) % 2 else Stage.SEARCHING
             x, xhat = ((np.array([0.0, -0.0]), np.array([-0.0, 0.0])) if k % 5 == 0
                        else (rng.standard_normal(2), rng.standard_normal(2)))
             args = (m, x, xhat, stage, sig, k * m.dt, 100)
             got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
-            for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+            for a, b in zip(_stepped(got), _stepped(want)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (swap, k)
             ts = got[2][0]
             if not sig.breakpoints(k * m.dt, (k + 1) * m.dt):
-                d = sig.value(0.5 * (ts[0] + ts[1]))
-                plain.append((stage, np.diff(ts).tobytes(), d.tobytes()))
-        assert cache.next == 20 and len(cache.programs) == len(set(plain)) < len(plain) == 18
+                w = np.zeros(4)
+                w[:2] = m.D @ sig.value(0.5 * (ts[0] + ts[1]))
+                plain.append((stage, np.diff(ts).tobytes() + w.tobytes()))
+        assert cache.next == 20 and len(built) == len(set(plain)) < len(plain) == 18
+        assert set(built) == set(plain) and len(cache.programs) == plant_mod._PROGRAMS
         assert cache.buf.shape == (102, 4) and cache.w.shape == (101, 4)
         assert list(cache) == list(ref_cache)
     assert [k for k in range(20) if sig.breakpoints(k * m.dt, (k + 1) * m.dt)] == [11, 14]
@@ -584,7 +617,7 @@ def test_rk4_intervals_replay_a_runs_plans_bitwise(ref_plant):
             stage = Stage.STABILIZING if (k + swap) % 2 else Stage.SEARCHING
             args = (m, rng.standard_normal(2), rng.standard_normal(2), stage, sig, k * m.dt, 100)
             got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
-            for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+            for a, b in zip(_stepped(got), _stepped(want)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (swap, k)
             widths.update(np.diff(got[2][0]).tolist())
         assert len(cache) == 0 and set(cache.hvecs) == widths
@@ -608,8 +641,10 @@ def test_rk4_takes_a_fresh_input_where_a_segment_end_rounds_off_the_next_start(r
         args = (m, np.zeros(2), np.zeros(2), stage, sig, 0.0, 10)
         run = _Run(m, sig, np.array([0.0]), 10, (0.0, m.dt))
         want = _step_interval_per_segment(*args, {})
-        for got in (step_interval(*args), step_interval(*args, run)):
-            for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+        alone = step_interval(*args)
+        assert alone[2][3].tobytes() == want[2][3].tobytes(), stage
+        for got in (alone, step_interval(*args, run)):
+            for a, b in zip(_stepped(got), _stepped(want)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), stage
         assert run.w.shape == (3 * 12, 4)
     starts, widths = got[2][0][:-1], np.diff(got[2][0])
@@ -635,7 +670,7 @@ def test_one_run_state_carries_rk4_split_and_plain_intervals_bitwise(ref_plant):
         for k, stage in zip(range(3, 7), [Stage.STABILIZING, Stage.SEARCHING] * 2):
             args = (m, rng.standard_normal(2), rng.standard_normal(2), stage, sig, k * m.dt, 100)
             got, want = step_interval(*args, cache), _step_interval_per_segment(*args, ref_cache)
-            for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+            for a, b in zip(_stepped(got), _stepped(want)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (sig, k)
             assert got[2][0].size == (102 if k == 4 else 101), (sig, k)
         assert list(cache) == list(ref_cache) and (len(ref_cache) > 2) is (sig is pulse)
@@ -730,7 +765,7 @@ def test_a_runs_time_plan_steps_each_interval_as_step_interval_alone(ref_plant, 
     for k in range(n_steps):
         t_k, rows = k * m.dt, slice(*plan.lo[k:k + 2])
         alone = _Run(m, sig, np.array([t_k]), substeps, (t_k, t_k + m.dt))
-        assert plan.t[rows].tobytes() == alone.t.tobytes(), k
+        assert plan.edges(k).tobytes() == alone.edges(0).tobytes(), k
         assert (plan.kind[k] < 0) == (alone.kind[0] < 0), k
         if plan.kind[k] >= 0:
             for a, b in zip(plan.kinds, alone.kinds):
@@ -743,7 +778,7 @@ def test_a_runs_time_plan_steps_each_interval_as_step_interval_alone(ref_plant, 
         for a, b, c in zip(got[:2] + got[2], want[:2] + want[2], logged):
             assert a.shape == b.shape == c.shape, k
             assert a.tobytes() == b.tobytes() == c.tobytes(), k
-    assert log.dense_t.size == plan.lo[-1]
+    assert log.dense_x.shape[0] == plan.lo[-1]
 
 
 def test_a_runs_checks_and_pairs_do_not_grow_with_its_horizon(monkeypatch, ref_plant,
@@ -806,7 +841,7 @@ def test_a_run_state_steps_only_its_runs_next_interval(ref_plant):
             assert run.next == k
         alone = step_interval(m, x, x, Stage.SEARCHING, sig, k * m.dt, 10)
         got = step_interval(m, x, x, Stage.SEARCHING, sig, k * m.dt, 10, run)
-        for a, b in zip(got[:2] + got[2], alone[:2] + alone[2]):
+        for a, b in zip(_stepped(got), _stepped(alone)):
             assert a.tobytes() == b.tobytes(), k
     with pytest.raises(ValueError, match=refused):
         step_interval(m, x, x, Stage.SEARCHING, sig, 3 * m.dt, 10, run)
@@ -1003,29 +1038,70 @@ def test_dense_times_intervals_and_inputs_match_pinned_bits(name, substeps):
     assert got == DENSE_GRID_SHA256[name, substeps]
 
 
-@pytest.mark.parametrize("sig, n_dense", [
-    (None, 300 * 101),
+@pytest.mark.parametrize("sig, horizon, n_dense", [
+    (None, 30.0, 300 * 101),
     # pulse edges between substep edges add one record to four intervals
-    (PulseTrain([(10.5005, 10.7005, [1.5]), (22.5005, 22.7005, [1.5])], dim=1), 300 * 101 + 4),
+    (PulseTrain([(10.5005, 10.7005, [1.5]), (22.5005, 22.7005, [1.5])], dim=1), 30.0,
+     300 * 101 + 4),
     # 30,000 hold edges, every one on a substep edge
-    (SeededUniform(0.05, 3, hold=0.001), 300 * 101),
-], ids=["bundled", "off_grid_pulses", "uniform_on_grid"])
-def test_run_peak_memory_stays_near_the_log(sig, n_dense):
+    (SeededUniform(0.05, 3, hold=0.001), 30.0, 300 * 101),
+    # a new held input every 0.37 s, so a new substep program almost as often
+    (SeededUniform(0.05, 3, hold=0.37), 30.0, 300 * 101),
+    (SeededUniform(0.05, 3, hold=0.37), 300.0, 3000 * 101),
+], ids=["bundled", "off_grid_pulses", "uniform_on_grid", "uniform_held", "uniform_held_300s"])
+def test_run_peak_memory_stays_near_the_log(sig, horizon, n_dense):
     cfg = bundled_scenario(certified=True)
     sig = cfg.disturbance if sig is None else sig
-    sig.sup_norm(0.0, cfg.horizon)  # draw all noise first: it is not the log's
+    sig.sup_norm(0.0, horizon)  # draw all noise first: it is not the log's
     d = derive_constants(cfg.plant, cfg.design)
     tracemalloc.start()
     try:
-        log = run_closed_loop(cfg.plant, cfg.design, d, sig, cfg.x0, cfg.horizon,
-                              cfg.substeps)
+        log = run_closed_loop(cfg.plant, cfg.design, d, sig, cfg.x0, horizon, cfg.substeps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert log.dense_t.size == n_dense
+    assert len(log.dense_x) == n_dense
     log_bytes = sum(v.nbytes for v in vars(log).values() if isinstance(v, np.ndarray))
-    # collecting per-interval arrays and concatenating them peaks near 2x
+    # collecting per-interval arrays and concatenating them peaks near 2x,
+    # and so does a memo of every substep program under held noise
     assert peak < 1.3 * log_bytes
+
+
+def test_log_holds_the_states_and_a_few_words_per_interval():
+    # A 300 s pulses run: the arrays the log holds come to the two states
+    # of each record, 2 n_x floats, plus at most 160 bytes per interval
+    # (the sample arrays take 96 for n_x = 2, the record offsets 8 and the
+    # edges of the 12 split intervals about 3).  A stored column of one
+    # float per record would add 808 bytes per interval at 100 substeps.
+    cfg = bundled_scenario(certified=True)
+    d = derive_constants(cfg.plant, cfg.design)
+    sig = PulseTrain([(t, t + 0.2, [1.5]) for t in (10.3337, 25.3337, 40.3337, 55.3337, 70.3337,
+                                                    85.3337)], dim=1)
+    log = run_closed_loop(cfg.plant, cfg.design, d, sig, cfg.x0, 300.0)
+    n_records, n_intervals = len(log.dense_x), log.n_samples - 1
+    assert n_intervals == 3000 and n_records == 101 * n_intervals + 12 and log.split.size == 12
+    log_bytes = sum(v.nbytes for v in vars(log).values() if isinstance(v, np.ndarray))
+    assert log_bytes <= 2 * cfg.plant.n_x * 8 * n_records + 160 * n_intervals
+
+
+@settings(max_examples=40, deadline=None)
+@given(_any_disturbance(), st.integers(1, 12),
+       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       st.lists(st.integers(1, 250), min_size=1, max_size=8))
+def test_dense_blocks_at_any_sizes_make_the_whole_columns(ref_plant, cert_params, cert_derived,
+                                                          sig, substeps, x0, sizes):
+    # Blocks that start and end anywhere, one-record blocks and one-record
+    # stretches of a stage included, concatenate to the whole columns.
+    log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array(x0), 3.0, substeps)
+    n, cuts = len(log.dense_x), [0]
+    while cuts[-1] < n:
+        cuts.append(min(n, cuts[-1] + sizes[len(cuts) % len(sizes)]))
+    blocks = [log.dense_block(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    whole = (log.dense_k, log.dense_t, log.dense_x, log.dense_xhat, log.dense_u)
+    for name, col, parts in zip(("k", "t", "x", "xhat", "u"), whole, zip(*blocks)):
+        joined = np.concatenate(parts)
+        assert joined.dtype == col.dtype and joined.shape == col.shape, name
+        assert joined.tobytes() == col.tobytes(), name
 
 
 @pytest.mark.parametrize("sig", [
@@ -1059,24 +1135,26 @@ def test_off_grid_count_is_the_edges_step_interval_adds(sig, substeps):
     for k in range(n_steps):
         x = np.zeros(m.n_x)
         edges = step_interval(m, x, x, Stage.SEARCHING, sig, k * m.dt, substeps)[2][0]
-        assert plan.t[plan.lo[k]:plan.lo[k + 1]].tobytes() == edges.tobytes(), k
+        assert plan.edges(k).tobytes() == edges.tobytes(), k
+        assert plan.lo[k + 1] - plan.lo[k] == edges.size, k
         added += edges.size - (substeps + 1)
-    assert plan.t.size == plan.x.shape[0] == n_steps * (substeps + 1) + added
-    assert plan.k.tolist() == np.repeat(np.arange(n_steps), np.diff(plan.lo)).tolist()
+    assert plan.lo[-1] == plan.x.shape[0] == n_steps * (substeps + 1) + added
 
 
 def test_dense_arrays_own_only_their_records():
     # All 30,000 breakpoints fall on substep edges and are dropped: the
-    # buffers hold 30,300 records and nothing past them.
+    # stored states hold 30,300 records and nothing past them, and so do
+    # the derived columns.
     cfg = bundled_scenario(certified=True)
     sig = SeededUniform(0.05, 3, hold=0.001)
     d = derive_constants(cfg.plant, cfg.design)
     log = run_closed_loop(cfg.plant, cfg.design, d, sig, cfg.x0, 30.0, 100)
     assert log.dense_t.size == 300 * 101
-    for name in ("dense_t", "dense_k", "dense_x", "dense_xhat", "dense_u"):
+    for name in ("dense_x", "dense_xhat"):
         a = getattr(log, name)
         assert a.base is None and a.flags.owndata, name
-        assert a.shape[0] == log.dense_t.size, name
+    for name in ("dense_t", "dense_k", "dense_x", "dense_xhat", "dense_u"):
+        assert getattr(log, name).shape[0] == log.dense_t.size, name
 
 
 def _count_value_calls(monkeypatch, cls):
