@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import re
@@ -1084,15 +1085,27 @@ def test_log_holds_the_states_and_a_few_words_per_interval():
     assert log_bytes <= 2 * cfg.plant.n_x * 8 * n_records + 160 * n_intervals
 
 
+@functools.lru_cache(maxsize=1)
+def _three_state_design():
+    """A 3-state plant whose feedback gain has no zero entry, and its design."""
+    m = make_random_plant(np.random.default_rng(7), n=3)
+    p = synthesize_design(m, DesignParams(radius0=0.5, search_margin=0.2, dist_level=0.1,
+                                          psi=0.2, rho=1.0, phi=0.01))
+    return m, p, derive_constants(m, p)
+
+
 @settings(max_examples=40, deadline=None)
-@given(_any_disturbance(), st.integers(1, 12),
-       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+@given(st.booleans(), _any_disturbance(), st.integers(1, 12),
+       st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
        st.lists(st.integers(1, 250), min_size=1, max_size=8))
 def test_dense_blocks_at_any_sizes_make_the_whole_columns(ref_plant, cert_params, cert_derived,
-                                                          sig, substeps, x0, sizes):
+                                                          bundled, sig, substeps, x0, sizes):
     # Blocks that start and end anywhere, one-record blocks and one-record
-    # stretches of a stage included, concatenate to the whole columns.
-    log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array(x0), 3.0, substeps)
+    # stretches of a stage included, concatenate to the whole columns.  The
+    # 3-state plant's gain has no zero entry, so a product that rounds
+    # another way shows in u.
+    m, p, d = (ref_plant, cert_params, cert_derived) if bundled else _three_state_design()
+    log = run_closed_loop(m, p, d, sig, np.array(x0[:m.n_x]), 3.0, substeps)
     n, cuts = len(log.dense_x), [0]
     while cuts[-1] < n:
         cuts.append(min(n, cuts[-1] + sizes[len(cuts) % len(sizes)]))
