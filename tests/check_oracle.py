@@ -98,9 +98,10 @@ def intersample_envelope(log, intersample_gain, dist_gain, sig):
     tally = _Tally("intersample_envelope")
     x_norm = np.max(np.abs(log.x), axis=1)
     dense_norm = np.max(np.abs(log.dense_x), axis=1) if log.dense_x.size else np.empty(0)
-    for k in np.unique(log.dense_k):
-        mask = log.dense_k == k
-        sups = np.array([sig.sup_norm(log.t[k], ti) for ti in log.dense_t[mask]])
+    dense_k, dense_t = log.dense_k, log.dense_t  # derived by the log on each read
+    for k in np.unique(dense_k):
+        mask = dense_k == k
+        sups = np.array([sig.sup_norm(log.t[k], ti) for ti in dense_t[mask]])
         tally.add(dense_norm[mask], intersample_gain * x_norm[k] + dist_gain * sups)
     return tally.row()
 

@@ -407,8 +407,9 @@ def test_xhat_endpoint_matches_propagated_center(ref_plant, cert_params, cert_de
     # the auxiliary flow must land on the propagated center at each sample
     log = run_closed_loop(ref_plant, cert_params, cert_derived, _reference_pulses(),
                           np.array([1.0, 1.0]), 12.0, substeps=20)
+    dense_k = log.dense_k
     for k in range(log.n_samples - 1):
-        mask = log.dense_k == k
+        mask = dense_k == k
         end_xhat = log.dense_xhat[mask][-1]
         assert np.max(np.abs(end_xhat - log.center[k + 1])) < 1e-8 * max(
             1.0, np.max(np.abs(log.center[k + 1])))
