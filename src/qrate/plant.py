@@ -115,16 +115,16 @@ class TrajectoryLog:
         lo, split, grid = self.lo, self.split, self.grid
         first, last = int(lo.searchsorted(a, "right")) - 1, int(lo.searchsorted(b))
         s0, s1 = split.searchsorted([first, last]).tolist()
-        if s1 > s0:
-            at = np.concatenate([[0], np.cumsum(lo[split + 1] - lo[split])]).tolist()
         ks, ts, i = [], [], first
         for s in range(s0, s1 + 1):
             j = int(split[s]) if s < s1 else last  # intervals i:j are on the grid
             ks.append(np.arange(i, j).repeat(grid.size))
             ts.append((self.t[i:j, None] + grid).ravel())
             if s < s1:
-                ks.append(np.repeat(j, at[s + 1] - at[s]))
-                ts.append(self.split_t[at[s]:at[s + 1]])
+                # the j - s unsplit intervals before j hold the other records
+                e0, e1 = (lo[j:j + 2] - (j - s) * grid.size).tolist()
+                ks.append(np.repeat(j, e1 - e0))
+                ts.append(self.split_t[e0:e1])
             i = j + 1
         cut = slice(a - lo[first], b - lo[first])
         k, t = np.concatenate(ks)[cut], np.concatenate(ts)[cut]
