@@ -107,11 +107,12 @@ class TrajectoryLog:
 
         Each interval that meets the block gives its k and t whole, t as
         t_k + ``grid``, one float add as the run made it, or the split
-        interval's stored edges.  u is ``codec.controller_input`` on each
-        stretch of consecutive intervals of one stage, which the symbol at
-        the interval's start decides (``symbol >= 1`` stabilizes), and a
-        stack of at least two rows gives each row the bits of the
-        interval's own stack (numpy takes one row down another product)."""
+        interval's stored edges.  u is the feedback law on the block's
+        stack of auxiliary states, as ``codec.controller_input`` gives it,
+        and 0 where the interval searches: the symbol at the interval's
+        start decides (``symbol >= 1`` stabilizes).  A stack of at least
+        two rows gives each row the bits of the interval's own stack
+        (numpy takes one row down another product)."""
         lo, split, grid = self.lo, self.split, self.grid
         first, last = int(lo.searchsorted(a, "right")) - 1, int(lo.searchsorted(b))
         s0, s1 = split.searchsorted([first, last]).tolist()
@@ -129,17 +130,11 @@ class TrajectoryLog:
         cut = slice(a - lo[first], b - lo[first])
         k, t = np.concatenate(ks)[cut], np.concatenate(ts)[cut]
         x, xhat = self.dense_x[a:b], self.dense_xhat[a:b]
-        ends = lo[first:last + 1] - a  # each interval's rows in the block
-        ends[0], ends[-1] = 0, b - a
-        visible = self.symbol[first:last] >= 1
-        cuts = [0, *(np.flatnonzero(visible[1:] != visible[:-1]) + 1).tolist(), last - first]
-        us = []
-        for r0, r1, on in zip(ends[cuts[:-1]].tolist(), ends[cuts[1:]].tolist(),
-                              visible[cuts[:-1]].tolist()):
-            rows = xhat[r0:r1] if r1 - r0 > 1 else xhat[[r0, r0]]
-            stage = Stage.STABILIZING if on else Stage.SEARCHING
-            us.append(codec.controller_input(stage, self.K, rows)[:r1 - r0])
-        u = us[0] if len(us) == 1 else np.concatenate(us)
+        # the run's products ignored overflow too; a searching row's is dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = codec.controller_input(Stage.STABILIZING, self.K,
+                                       xhat if b - a != 1 else xhat[[0, 0]])[:b - a]
+        u[self.symbol[k] < 1] = 0.0
         return k, t, x, xhat, u
 
     @property

@@ -545,6 +545,7 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
                               substeps=50)
         starts = [(log.x[k], log.xhat[k], log.stage[k], log.t[k])
                   for k in range(log.n_samples - 1)]
+        dense_u = log.dense_u  # derived by the log on each read
     else:
         # a 3-state plant with two disturbance channels, from random states
         m, rng = _plant_3x2(), np.random.default_rng(3)
@@ -561,7 +562,7 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), t_k
         if plant == "bundled":  # the log's inputs are the feedback law on each interval
             k = round(t_k / m.dt)
-            assert log.dense_u[log.lo[k]:log.lo[k + 1]].tobytes() == ref[2][3].tobytes(), k
+            assert dense_u[log.lo[k]:log.lo[k + 1]].tobytes() == ref[2][3].tobytes(), k
         split += out[2][0].size > 51
     assert list(fast_cache) == list(ref_cache)
     assert split > 0 or not isinstance(sig, _SineAndPulses)
@@ -1102,9 +1103,10 @@ def _three_state_design():
 def test_dense_blocks_at_any_sizes_make_the_whole_columns(ref_plant, cert_params, cert_derived,
                                                           bundled, sig, substeps, x0, sizes):
     # Blocks that start and end anywhere, one-record blocks and one-record
-    # stretches of a stage included, concatenate to the whole columns.  The
-    # 3-state plant's gain has no zero entry, so a product that rounds
-    # another way shows in u.
+    # stretches of a stage included, concatenate to the whole columns, whose
+    # inputs are each interval's own stack in its stage, as the run once
+    # logged them.  The 3-state plant's gain has no zero entry, so a product
+    # that rounds another way shows in u.
     m, p, d = (ref_plant, cert_params, cert_derived) if bundled else _three_state_design()
     log = run_closed_loop(m, p, d, sig, np.array(x0[:m.n_x]), 3.0, substeps)
     n, cuts = len(log.dense_x), [0]
@@ -1116,6 +1118,11 @@ def test_dense_blocks_at_any_sizes_make_the_whole_columns(ref_plant, cert_params
         joined = np.concatenate(parts)
         assert joined.dtype == col.dtype and joined.shape == col.shape, name
         assert joined.tobytes() == col.tobytes(), name
+    for k in range(log.n_samples - 1):
+        rows = slice(log.lo[k], log.lo[k + 1])
+        stage = Stage.STABILIZING if log.symbol[k] >= 1 else Stage.SEARCHING
+        want = codec.controller_input(stage, m.K, log.dense_xhat[rows])
+        assert whole[4][rows].tobytes() == want.tobytes(), k
 
 
 @pytest.mark.parametrize("sig", [
