@@ -23,11 +23,11 @@ substep programs of the recent (stage, widths, input), so each interval
 between the pulses of a pulse train is a lookup.  Such an autonomous
 interval, whose input terms are +0.0 in every bit, is one gemv per
 substep and a single +0.0 add over its records, which ``_zoh_steps``
-shows to be exact.  Every
-other step is the arithmetic of stepping segment by segment with a fresh
-input, operation for operation, so the trajectory is the same to the bit.
-It has to be: the bundled plant has an open-loop eigenvalue of +1, so any
-rounding difference grows like e^t until it flips a symbol.
+shows to be exact.  Every other step is the arithmetic of stepping segment
+by segment with a fresh input, operation for operation, so the trajectory
+is the same to the bit.  It has to be: the bundled plant has an open-loop
+eigenvalue of +1, so any rounding difference grows like e^t until it flips
+a symbol.
 """
 
 from __future__ import annotations
