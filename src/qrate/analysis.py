@@ -12,11 +12,13 @@ several times at the same argument.
 protocol checks, which always run, then the checks that rest on the
 contraction certificate, which are reported as "not_certified" instead of
 being run when the design inequalities do not hold.  Each check is stated
-once, as array operations over the whole log (the dense envelopes in blocks
-of records, the decay envelope per stabilizing run); the escape and capture
-checks pair every escape with the event after it, its recapture.  The
-checker never clamps a margin, it reports the worst one found together
-with a pass/fail verdict at 1e-9 slack.
+once, as array operations over the whole log (the decay envelope per
+stabilizing run), save the two dense envelopes: one pass over the dense
+log, after every gain is evaluated, checks both in blocks of records and
+keeps nothing per record, so its temporaries stay small whatever the
+horizon.  The escape and capture checks pair every escape with the event
+after it, its recapture.  The checker never clamps a margin, it reports
+the worst one found together with a pass/fail verdict at 1e-9 slack.
 """
 
 from __future__ import annotations
@@ -391,16 +393,6 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         center_err[ks_search + 1],
         d.growth_eff * center_err[ks_search] + d.dist_gain * dsup[ks_search + 1])
 
-    # Blocks of records keep the temporaries small whatever the horizon.
-    dense_norm = np.empty(len(log.dense_x))
-    blocks = [slice(lo, lo + _DENSE_BLOCK) for lo in range(0, dense_norm.size, _DENSE_BLOCK)]
-    for blk in blocks:
-        dk, dts, dxs = log.dense_block(blk.start, min(blk.stop, dense_norm.size))[:3]
-        np.max(np.abs(dxs), axis=1, out=dense_norm[blk])
-        sups = sig.sup_norm(t[dk], dts)
-        acc["intersample_envelope"].add(dense_norm[blk],
-                                        d.intersample_gain * x_norm[dk] + d.dist_gain * sups)
-
     # The events are the visibility toggles, so they alternate: each one's
     # episode ends at the next event, or at the last sample while it is open.
     ev_k = np.flatnonzero(stab[1:] != stab[:-1]) + 1
@@ -449,8 +441,17 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
         gains = iss_gains(d, p, g)
         iss_bound = (gain_value("gamma1", gains.gamma1, x_norm[0])
                      + gain_value("gamma2", gains.gamma2, sig.sup_norm(0.0, t[last])))
-        for blk in blocks:
-            acc["iss_envelope"].add(dense_norm[blk], iss_bound)
+
+    # One pass over the dense log checks both dense envelopes.  It reads the
+    # ISS bound, so it comes after every gain: a gain that leaves the float
+    # range is named in the order the checks evaluate them.
+    for a in range(0, len(log.dense_x), _DENSE_BLOCK):
+        dk, dts, dxs = log.dense_block(a, min(a + _DENSE_BLOCK, len(log.dense_x)))[:3]
+        dense_norm = np.max(np.abs(dxs), axis=1)
+        acc["intersample_envelope"].add(
+            dense_norm, d.intersample_gain * x_norm[dk] + d.dist_gain * sig.sup_norm(t[dk], dts))
+        if g.valid:
+            acc["iss_envelope"].add(dense_norm, iss_bound)
 
     return CheckReport([acc[name].row() if name in acc
                         else CheckRow(name, 0, math.nan, "not_certified") for name in CHECKS],

@@ -166,4 +166,6 @@ def controller_input(stage: Stage, K: np.ndarray, xhat: np.ndarray) -> np.ndarra
     zero while searching."""
     if stage is Stage.STABILIZING:
         return xhat @ K.T
+    if stage is not Stage.SEARCHING:
+        raise ValueError(f"stage must be a Stage, not {stage!r}")
     return np.zeros(xhat.shape[:-1] + K.shape[:1])

@@ -2,7 +2,9 @@
 controller's auxiliary model, and the full sampled protocol loop.
 
 A run has one state (``_Run``), built in vectorized passes before the first
-sample from all that does not depend on the plant's state: its time grid,
+sample from all that does not depend on the plant's state, and freed with
+the run; nothing is kept per plant at module level.  It holds the block
+dynamics of z = (x, xhat) in each stage, its substep grid and time grid,
 each sampling interval's record offset in a dense log it sizes exactly,
 with the edges of the intervals that the disturbance's discontinuities
 split (every other interval's edges are t_k plus the substep grid); for
@@ -32,7 +34,6 @@ a symbol.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 
@@ -156,32 +157,6 @@ def sup_norm_on(sig: Disturbance, a: float, b: float) -> float:
     return sig.sup_norm(a, b)
 
 
-@functools.lru_cache(maxsize=32)
-def _augmented(m: PlantModel, stage: Stage) -> np.ndarray:
-    """Block dynamics of z = (x, xhat) for one stage, read-only, built once per plant."""
-    n = m.n_x
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = m.A
-    if stage is Stage.STABILIZING:
-        M[:n, n:] = m.B @ m.K
-        M[n:, n:] = m.closed_loop()
-    else:
-        M[n:, n:] = m.A
-    M.flags.writeable = False
-    return M
-
-
-@functools.lru_cache(maxsize=32, typed=True)
-def _substep_grid(dt: float, substeps: int) -> np.ndarray:
-    """Offsets of an interval's substep edges from its start, read-only;
-    typed, so that a float ``substeps`` never reads an int's grid."""
-    if not (isinstance(substeps, numbers.Integral) and substeps >= 1):
-        raise ValueError(f"substeps must be a positive integer, not {substeps!r}")
-    grid = (dt / substeps) * np.arange(substeps + 1)
-    grid.flags.writeable = False
-    return grid
-
-
 def _zoh_pair(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(e^{Mh}, integral of e^{Ms} ds over [0, h]) via one block exponential;
     e^{Mh} C-contiguous, as ``ndarray.dot`` copies any other layout per call."""
@@ -198,6 +173,10 @@ class _Run(dict):
     built before the first is stepped.  Its items are the ZOH pairs, keyed
     (stage, substep width) in order of first use; all else is attributes,
     so that ``len`` stays the pair count.
+
+    The run owns its read-only substep ``grid`` and, in ``dynamics``, the
+    block matrix of z = (x, xhat) of each stage: [[A, 0], [0, A]] while
+    searching and [[A, BK], [0, A + BK]] while stabilizing.
 
     Interval i, the ``next`` one stepped, has the records ``lo[i]:lo[i + 1]``
     of the dense log ``x``, ``xhat``, sized exactly.  Its ``edges`` are
@@ -223,13 +202,23 @@ class _Run(dict):
 
     # Slots, as a dict subclass's own attributes read several times slower
     # than a plain object's, and a run's loop reads about 20 per interval.
-    __slots__ = ("m sig substeps programs next starts grid split split_t lo x xhat kind kinds buf "
-                 "rows dsts w w_rows phi_z zero ks hvecs").split()
+    __slots__ = ("m sig substeps dynamics programs next starts grid split split_t lo x xhat kind "
+                 "kinds buf rows dsts w w_rows phi_z zero ks hvecs").split()
 
     def __init__(self, m: PlantModel, sig: Disturbance, starts: np.ndarray, substeps: int,
                  span: tuple[float, float]):
         super().__init__()
-        grid, size = _substep_grid(m.dt, substeps), 2 * m.n_x
+        if not (isinstance(substeps, numbers.Integral) and substeps >= 1):
+            raise ValueError(f"substeps must be a positive integer, not {substeps!r}")
+        if sig.dim != m.n_d:
+            raise ValueError("disturbance dimension mismatch")
+        n, size = m.n_x, 2 * m.n_x
+        grid = (m.dt / substeps) * np.arange(substeps + 1)
+        dynamics = np.zeros((2, size, size))
+        dynamics[:, :n, :n] = dynamics[0, n:, n:] = m.A
+        dynamics[1, :n, n:], dynamics[1, n:, n:] = m.B @ m.K, m.closed_loop()
+        grid.flags.writeable = dynamics.flags.writeable = False
+        self.dynamics = dict(zip(Stage, dynamics))
         self.m, self.sig, self.substeps, self.programs, self.next = m, sig, substeps, {}, 0
         self.starts, self.grid = starts, grid
         # Only an interval that meets one of the span's breakpoints, or the
@@ -423,6 +412,8 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
             raise ValueError(f"x and xhat must have {m.n_x} entries, not {x.size} and {xhat.size}")
         if not t_k + m.dt > t_k:
             raise ValueError(f"t_k must be finite and below t_k + dt, not {t_k!r}")
+        if not isinstance(stage, Stage):
+            raise ValueError(f"stage must be a Stage, not {stage!r}")
         zoh_cache = _Run(m, sig, np.array([t_k], dtype=float), substeps, (t_k, t_k + m.dt))
     elif not isinstance(zoh_cache, _Run):
         raise TypeError(f"zoh_cache must be None or a _Run, not {type(zoh_cache).__name__}")
@@ -432,7 +423,7 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
         raise ValueError(f"zoh_cache steps only its run's next interval, with the run's plant, "
                          f"disturbance and substeps, not one from t_k = {t_k!r}")
     n, lo, hi, run.next = m.n_x, run.lo[i], run.lo[i + 1], i + 1
-    M = _augmented(m, stage)
+    M = run.dynamics[stage]
     np.concatenate((x, xhat), out=run.rows[0])
     ts, kind = run.edges(i), run.kind[i]
     if not sig.piecewise_constant:
@@ -471,8 +462,6 @@ def run_closed_loop(m: PlantModel, p: DesignParams, d: DerivedConstants,
     x = as_vector(x0, "x0").copy()
     if x.size != m.n_x:
         raise ValueError("x0 dimension mismatch")
-    if sig.dim != m.n_d:
-        raise ValueError("disturbance dimension mismatch")
     if not (horizon >= m.dt and np.isfinite(horizon / m.dt)):
         raise ValueError(f"horizon must cover a finite number of sampling periods, at least "
                          f"one, not {horizon!r}")

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -396,3 +397,24 @@ def test_dense_checks_in_blocks_match_one_block(monkeypatch, ref_plant, cert_par
     assert blocked == rows()
     assert {r[0] for r in blocked if r[1] == log.dense_t.size} == {"intersample_envelope",
                                                                   "iss_envelope"}
+
+
+def test_checker_memory_does_not_grow_with_the_horizon(ref_plant, cert_params, cert_derived):
+    # One pass over the dense log keeps nothing per record: the checker's
+    # peak on a 300 s run stays near its peak on a 30 s run, where a
+    # float per record would add 2.4 MB.
+    sig = PulseTrain([(t, t + 0.2, [1.5]) for t in (10.0, 25.0, 40.0, 55.0, 70.0, 85.0)], dim=1)
+    g = gain_constants(cert_derived, cert_params)
+    peaks = []
+    for horizon in (30.0, 300.0):
+        log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array([1.0, -0.5]),
+                              horizon, 100)
+        tracemalloc.start()
+        try:
+            rep = check_trajectory(log, cert_derived, cert_params, g, sig)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.all_pass and len(log.dense_x) > 100 * horizon / ref_plant.dt
+        peaks.append(peak)
+    assert peaks[1] <= 1.5 * peaks[0], peaks

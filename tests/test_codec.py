@@ -358,6 +358,14 @@ def test_controller_input_stages():
                           np.zeros(1))
 
 
+@pytest.mark.parametrize("stage", [1, True, "stabilizing", None])
+def test_controller_input_names_a_stage_that_is_not_a_stage(stage):
+    # not taken as searching, with zero input
+    msg = re.escape(f"stage must be a Stage, not {stage!r}")
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        codec.controller_input(stage, np.array([[-3.5, 0.0]]), np.array([0.4, 0.1]))
+
+
 _ENTRY = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
 
 

@@ -1,8 +1,10 @@
 import functools
+import gc
 import hashlib
 import math
 import re
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -20,7 +22,7 @@ from qrate import (Constant, DesignParams, Disturbance, PlantModel, PulseTrain, 
                    synthesize_design)
 from qrate.codec import Stage
 from qrate.matnum import expm
-from qrate.plant import _augmented, _Run, _zoh_pair, _zoh_program, _zoh_steps
+from qrate.plant import _Run, _zoh_pair, _zoh_program, _zoh_steps
 
 # sha256 of run_closed_loop(...).x.tobytes() on the bundled certified
 # scenario, as integrated one substep at a time with a fresh input each.
@@ -104,6 +106,16 @@ BUNDLED_SAMPLE_SHA256 = {
 
 def _reference_pulses():
     return PulseTrain([(10.5, 10.7, [1.5]), (22.5, 22.7, [1.5])], dim=1)
+
+
+def _block_dynamics(m, stage):
+    """The dynamics of z = (x, xhat) in one stage, built from A, B and K:
+    [[A, 0], [0, A]] while searching, [[A, BK], [0, A + BK]] while
+    stabilizing."""
+    A, BK, O = m.A, m.B @ m.K, np.zeros_like(m.A)
+    if stage is Stage.STABILIZING:
+        return np.block([[A, BK], [O, A + BK]])
+    return np.block([[A, O], [O, A]])
 
 
 def test_step_interval_pure_integrator():
@@ -278,7 +290,6 @@ def test_run_keeps_the_call_contract_the_benchmark_tracer_counts(monkeypatch, re
     counted(codec, "advance", lambda args, kwargs, out: advanced.append(args[1]))
     counted(plant_mod, "step_interval", lambda args, kwargs, out: steps.append((args, kwargs, out)))
     counted(plant_mod, "_zoh_pair", lambda args, kwargs, out: blocks.append(args[0]))
-    built = plant_mod._augmented.cache_info().misses
     sig = PulseTrain([(t, t + 0.2, [1.5]) for t in (10.0, 25.0, 40.0, 55.0, 70.0, 85.0)], dim=1)
     log = run_closed_loop(m, cert_params, cert_derived, sig, np.array([1.0, -0.5]), 300.0)
 
@@ -293,9 +304,10 @@ def test_run_keeps_the_call_contract_the_benchmark_tracer_counts(monkeypatch, re
     cache = caches.popitem()[1]
     assert list(cache) == list(first_use)
     assert all(type(stage) is Stage and type(h) is float for stage, h in cache)
-    # each stage's block matrix is built once for the plant, then shared
-    assert plant_mod._augmented.cache_info().misses - built == 2
+    # each stage's block matrix is built once for the run, then shared
     assert len({id(M) for M in blocks}) == 2 and len(blocks) == len(cache)
+    for M, (stage, _) in zip(blocks, cache):
+        assert not M.flags.writeable and np.array_equal(M, _block_dynamics(m, stage))
 
 
 def test_run_keeps_one_plan_per_stage_and_width_pattern(monkeypatch, ref_plant, cert_params,
@@ -452,7 +464,7 @@ def _step_interval_per_segment(m, x, xhat, stage, sig, t_k, substeps, cache):
         return w
 
     z = np.concatenate([x, xhat])
-    M = _augmented(m, stage)
+    M = _block_dynamics(m, stage)
     edges = t_k + (m.dt / substeps) * np.arange(substeps + 1)
     bps = sig.breakpoints(t_k, t_k + m.dt)
     if bps:
@@ -872,6 +884,45 @@ def test_step_interval_names_a_state_of_the_wrong_size(ref_plant, x, xhat, sizes
                       0.0, 10)
 
 
+@pytest.mark.parametrize("stage", [1, True, "stabilizing", None])
+def test_step_interval_names_a_stage_that_is_not_a_stage(ref_plant, stage):
+    # Not taken as searching: the int 1 from the log's stage column, say.
+    msg = re.escape(f"stage must be a Stage, not {stage!r}")
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        step_interval(ref_plant, [1, 0], [1, 0], stage, Zero(dim=1), 0.0, 10)
+
+
+@pytest.mark.parametrize("sig", [Zero(dim=3), Sinusoid([1.0, 2.0], 0.5)],
+                         ids=["zero", "sinusoid"])
+def test_both_entry_points_name_a_disturbance_of_the_wrong_dimension(ref_plant, cert_params,
+                                                                     cert_derived, sig):
+    with pytest.raises(ValueError, match="^disturbance dimension mismatch$"):
+        step_interval(ref_plant, np.zeros(2), np.zeros(2), Stage.SEARCHING, sig, 0.0, 10)
+    with pytest.raises(ValueError, match="^disturbance dimension mismatch$"):
+        run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.zeros(2), 5.0)
+
+
+@pytest.mark.parametrize("entry", ["step_interval", "run_closed_loop"])
+def test_a_plant_is_freed_once_its_run_is_gone(ref_plant, cert_params, entry):
+    # Nothing outside a run keeps its plant: not step_interval alone, nor
+    # run_closed_loop once the design memo, which holds one plant, has
+    # moved on to another.
+    m = PlantModel(A=ref_plant.A, B=ref_plant.B, D=ref_plant.D, K=ref_plant.K, dt=ref_plant.dt,
+                   n_levels=ref_plant.n_levels)
+    alive = weakref.ref(m)
+    if entry == "step_interval":
+        step_interval(m, np.ones(2), np.ones(2), Stage.STABILIZING, _reference_pulses(), 10.5,
+                      10)
+    else:
+        log = run_closed_loop(m, cert_params, derive_constants(m, cert_params),
+                              _reference_pulses(), np.array([1.0, -0.5]), 5.0, 10)
+        assert log.symbol.size == 51
+        derive_constants(ref_plant, cert_params)
+    del m
+    gc.collect()
+    assert alive() is None
+
+
 class _Buffers(dict):
     """What ``_zoh_program`` and ``_zoh_steps`` read of a run's state: its
     ZOH pairs as items, and ``n_rows`` state rows of ``size`` entries with
@@ -921,7 +972,7 @@ def _zoh_cases(draw):
         n, n_d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
         m = PlantModel(A=mat(n, n), B=mat(n, 1), D=-np.abs(mat(n, n_d)), K=mat(1, n),
                        dt=0.1, n_levels=3)
-        M, size = _augmented(m, stage), 2 * n
+        M, size = _block_dynamics(m, stage), 2 * n
 
         def input_row(kind):
             d = {"+0": np.zeros(n_d), "-0": np.full(n_d, -0.0)}.get(kind)
