@@ -446,7 +446,7 @@ def check_trajectory(log: TrajectoryLog, d: DerivedConstants, p: DesignParams,
     # ISS bound, so it comes after every gain: a gain that leaves the float
     # range is named in the order the checks evaluate them.
     for a in range(0, len(log.dense_x), _DENSE_BLOCK):
-        dk, dts, dxs = log.dense_block(a, min(a + _DENSE_BLOCK, len(log.dense_x)))[:3]
+        dk, dts, dxs = log.dense_block(a, a + _DENSE_BLOCK)[:3]
         dense_norm = np.max(np.abs(dxs), axis=1)
         acc["intersample_envelope"].add(
             dense_norm, d.intersample_gain * x_norm[dk] + d.dist_gain * sig.sup_norm(t[dk], dts))

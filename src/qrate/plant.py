@@ -104,32 +104,32 @@ class TrajectoryLog:
 
     def dense_block(self, a: int, b: int) -> tuple[np.ndarray, ...]:
         """(k, t, x, xhat, u), the columns of ``dense.csv``, of the dense
-        records a:b.  x and xhat are views of the log's rows.
+        records a:b, bounded as ``dense_x[a:b]`` bounds them: negative ends
+        count from the end, ends past it clip, and b below a gives empty
+        columns.  x and xhat are views of the log's rows.
 
-        Each interval that meets the block gives its k and t whole, t as
-        t_k + ``grid``, one float add as the run made it, or the split
-        interval's stored edges.  u is the feedback law on the block's
-        stack of auxiliary states, as ``codec.controller_input`` gives it,
-        and 0 where the interval searches: the symbol at the interval's
-        start decides (``symbol >= 1`` stabilizes).  A stack of at least
-        two rows gives each row the bits of the interval's own stack
-        (numpy takes one row down another product)."""
-        lo, split, grid = self.lo, self.split, self.grid
+        Each interval that meets the block is laid on the grid, its t one
+        row t_k + ``grid``, one float add as the run made it; the rows of
+        the split intervals are then overwritten by their stored edges, and
+        k repeats each interval over its record count.  u is the feedback
+        law on the block's stack of auxiliary states, as
+        ``codec.controller_input`` gives it, and 0 where the interval
+        searches: the symbol at the interval's start decides (``symbol >=
+        1`` stabilizes).  A stack of at least two rows gives each row the
+        bits of the interval's own stack (numpy takes one row down another
+        product)."""
+        a, b, _ = slice(a, b).indices(len(self.dense_x))
+        b, lo, split = max(a, b), self.lo, self.split
         first, last = int(lo.searchsorted(a, "right")) - 1, int(lo.searchsorted(b))
+        rows = list(self.t[first:last, None] + self.grid)
         s0, s1 = split.searchsorted([first, last]).tolist()
-        ks, ts, i = [], [], first
-        for s in range(s0, s1 + 1):
-            j = int(split[s]) if s < s1 else last  # intervals i:j are on the grid
-            ks.append(np.arange(i, j).repeat(grid.size))
-            ts.append((self.t[i:j, None] + grid).ravel())
-            if s < s1:
-                # the j - s unsplit intervals before j hold the other records
-                e0, e1 = (lo[j:j + 2] - (j - s) * grid.size).tolist()
-                ks.append(np.repeat(j, e1 - e0))
-                ts.append(self.split_t[e0:e1])
-            i = j + 1
+        for s, j in enumerate(split[s0:s1].tolist(), s0):
+            # the j - s unsplit intervals before j hold the other records
+            e0, e1 = (lo[j:j + 2] - (j - s) * self.grid.size).tolist()
+            rows[j - first] = self.split_t[e0:e1]
         cut = slice(a - lo[first], b - lo[first])
-        k, t = np.concatenate(ks)[cut], np.concatenate(ts)[cut]
+        k = np.arange(first, last).repeat(np.diff(lo[first:last + 1]))[cut]
+        t = np.concatenate([np.empty(0), *rows])[cut]
         x, xhat = self.dense_x[a:b], self.dense_xhat[a:b]
         # the run's products ignored overflow too; a searching row's is dropped
         with np.errstate(over="ignore", invalid="ignore"):
@@ -185,11 +185,11 @@ class _Run(dict):
     dropped and the last edge set to t_k + dt: ``split`` maps each such
     interval to its edges, views of ``split_t``.  ``span`` is the range of
     one ``breakpoints`` call that covers every interval.  On the ZOH path a
-    breakpoint-free interval i has ``kind[i] >= 0``, the row of its substep
-    widths and of its held input (D d(mid), 0) in the two arrays of
-    ``kinds``; ``programs`` keeps the ``_zoh_program`` of the last
-    ``_PROGRAMS`` (stage, kind) stepped, least recent first.  Every other
-    interval has ``kind[i]`` -1.
+    breakpoint-free interval i has ``kind[i] >= 0``, its row of ``kinds``,
+    one read-only array whose rows hold the substep widths, then the held
+    input (D d(mid), 0); ``programs`` keeps the ``_zoh_program`` of the
+    last ``_PROGRAMS`` (stage, kind) stepped, least recent first.  Every
+    other interval, and every interval of an RK4 run, has ``kind[i]`` -1.
 
     Every buffer an interval steps in is sized for the longest: the state
     rows ``buf``, with their views built once (``rows[i]`` is row i and
@@ -237,23 +237,23 @@ class _Run(dict):
                 keep = np.concatenate([[True], np.diff(merged) > 1e-12 * m.dt])
                 split[i] = merged[keep]
                 split[i][-1] = t_k + m.dt
+        at = list(split)
         sizes = np.full(starts.size, grid.size)
-        sizes[list(split)] = [e.size for e in split.values()]
+        sizes[at] = [e.size for e in split.values()]
         self.lo = np.concatenate([[0], np.cumsum(sizes)])
         self.split_t = np.concatenate([np.empty(0), *split.values()])
-        ends = np.cumsum([e.size for e in split.values()], dtype=int).tolist()
-        self.split = {i: self.split_t[b - e.size:b] for (i, e), b in zip(split.items(), ends)}
-        kind, ids = np.full(starts.size, -1), {}
-        plain = np.delete(np.arange(starts.size), list(split))
+        self.split = dict(zip(at, np.split(self.split_t, np.cumsum(sizes[at])[:-1])))
         del split
-        zoh = sig.piecewise_constant and plain.size > 0
-        if zoh:
-            # Without a breakpoint the input is constant: the first midpoint's serves all.
-            d = sig.value(0.5 * ((starts[plain] + grid[0]) + (starts[plain] + grid[1])))
-        # The breakpoint-free intervals' ids, a block of about 8,192 edges at
-        # a time, so that no temporary grows with the run.
+        # The breakpoint-free ZOH intervals; an RK4 run has none.
+        plain = np.delete(np.arange(starts.size), at) if sig.piecewise_constant else at[:0]
+        kind, ids = np.full(starts.size, -1), {}
+        # Without a breakpoint the input is constant: the first midpoint's serves all.
+        mids = 0.5 * ((starts[plain] + grid[0]) + (starts[plain] + grid[1]))
+        d = sig.value(mids) if mids.size else None
+        # Their ids, a block of about 8,192 edges at a time, so that no
+        # temporary grows with the run.
         step = max(1, 8192 // grid.size)
-        for a in range(0, plain.size if zoh else 0, step):
+        for a in range(0, len(plain), step):
             block = plain[a:a + step]
             edges = starts[block, None] + grid
             held = np.zeros((block.size, size))
@@ -261,9 +261,9 @@ class _Run(dict):
             rows = np.concatenate([edges[:, 1:] - edges[:, :-1], held], axis=1)
             kind[block] = [ids.setdefault(row.tobytes(), len(ids)) for row in rows]
         self.kind = kind.tolist()
-        kinds = np.frombuffer(b"".join(ids)).reshape(-1, substeps + size)
-        self.kinds = kinds[:, :substeps].copy(), kinds[:, substeps:].copy()
-        del ids, kinds  # before the log is allocated
+        # read-only rows of substep widths, then held input
+        self.kinds = np.frombuffer(b"".join(ids)).reshape(-1, substeps + size)
+        del ids  # before the log is allocated
         self.x, self.xhat = np.empty((self.lo[-1], m.n_x)), np.empty((self.lo[-1], m.n_x))
         self.buf = np.empty((int(sizes.max()), size))
         self.rows, self.dsts = list(self.buf), list(self.buf[1:])
@@ -435,8 +435,8 @@ def step_interval(m: PlantModel, x: np.ndarray, xhat: np.ndarray, stage: Stage,
         # the least recent program leaves once _PROGRAMS are kept
         program = run.programs.pop((stage, kind), None)
         if program is None:
-            widths, held = run.kinds
-            program = _zoh_program(M, stage, widths[kind], [held[kind]], run)
+            row = run.kinds[kind]
+            program = _zoh_program(M, stage, row[:substeps], [row[substeps:]], run)
             if len(run.programs) == _PROGRAMS:
                 del run.programs[next(iter(run.programs))]
         run.programs[(stage, kind)] = program

@@ -284,6 +284,23 @@ def test_check_trajectory_dimension_guard(ref_plant, cert_params, cert_derived,
         check_trajectory(log, toy_derived, toy_params, g, sig)
 
 
+def test_check_trajectory_names_a_log_with_a_short_sup_column(ref_plant, cert_params,
+                                                              cert_derived):
+    sig, log = _reference_log(ref_plant, cert_params, cert_derived, horizon=2.0)
+    log.d_sup_prev = log.d_sup_prev[:-1]
+    with pytest.raises(ValueError, match="^malformed log$"):
+        check_trajectory(log, cert_derived, cert_params, gain_constants(cert_derived, cert_params),
+                         sig)
+
+
+def test_report_row_raises_key_error_for_an_unknown_check(ref_plant, cert_params, cert_derived):
+    sig, log = _reference_log(ref_plant, cert_params, cert_derived, horizon=2.0)
+    rep = check_trajectory(log, cert_derived, cert_params,
+                           gain_constants(cert_derived, cert_params), sig)
+    with pytest.raises(KeyError, match="nope"):
+        rep.row("nope")
+
+
 def _row(r):
     return (r.name, r.n_checked, r.status, r.worst_margin)
 

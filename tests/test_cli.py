@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import csv_oracle
 import qrate
 from conftest import PROPERTY_PROFILE
-from qrate import (Constant, ConfigError, DesignParams, PlantModel, PulseTrain,
-                   ScenarioConfig, SeededUniform, Sinusoid, Zero, parse_config,
+from qrate import (Constant, ConfigError, DesignParams, Disturbance, PlantModel,
+                   PulseTrain, ScenarioConfig, SeededUniform, Sinusoid, Zero, parse_config,
                    serialize_config)
 from qrate import _fields, cli, design, plant, svgplot
 from qrate.config import fmt_num
@@ -142,6 +142,17 @@ def test_serialized_config_reads_back_to_the_same_text(cfg):
     parsed = parse_config(text)
     assert serialize_config(parsed) == text
     assert parsed.out_dir == cfg.out_dir
+
+
+def test_serialize_names_a_disturbance_it_does_not_know():
+    class Ramp(Disturbance):
+        def _value(self, t):
+            return t[:, None]
+
+    cfg = bundled_scenario()
+    cfg.disturbance = Ramp()
+    with pytest.raises(ConfigError, match="^cannot serialize disturbance Ramp$"):
+        serialize_config(cfg)
 
 
 @pytest.mark.parametrize("out_dir", [" x", "x ", "a\nb", "a\rb", "a\u2028b"])
@@ -673,6 +684,50 @@ def test_validate_exit_codes(raw_cfg_path, cert_cfg_path, tmp_path, capsys):
     assert main(["validate", "--config", str(cert_cfg_path),
                  "--out", str(tmp_path / "v2")]) == 0
     assert (tmp_path / "v2" / "certificate.csv").exists()
+
+
+_GROWTH_PAST_THE_GRID = {"plant.A": "8 0 ; 0 -1.5", "plant.K": "-9.5 0", "plant.n_levels": "2"}
+
+
+@pytest.mark.parametrize("command, edits, code, line", [
+    ("validate", {"plant.A": "1 0 ; 0"}, 2, "config error: line 2, plant.A: ragged matrix rows"),
+    ("validate", {"sim.x0": "1 ; 1"}, 2,
+     "config error: line 15, sim.x0: expected a vector, got matrix rows"),
+    ("validate", {"": "plant.dt = 0.1"}, 2, "config error: line 21: duplicate key 'plant.dt'"),
+    ("validate", {"plant.dt": None}, 2, "config error: missing required key 'plant.dt'"),
+    ("validate", {"disturbance.pulses": "10.5 10.5 1.5"}, 2,
+     "config error: line 20, disturbance.pulses: pulses must have positive durations"),
+    ("synthesize", {"plant.K": "0 0"}, 1,
+     "synthesis infeasible: cannot synthesize: closed loop is not stable"),
+    ("synthesize", {"plant.n_levels": "2", "design.floor_margin": "1.5"}, 1,
+     "synthesis infeasible: cannot synthesize: growth floor reaches the grid count"),
+    ("synthesize", _GROWTH_PAST_THE_GRID, 1,
+     "synthesis infeasible: cannot synthesize: per-period growth reaches the grid count"),
+    ("validate", _GROWTH_PAST_THE_GRID, 1, "note: per-period growth is not below the grid count"),
+    ("validate", {"design.psi": "100"}, 1,
+     "note: (1+psi)*growth_eff^2/n^2 = 4.93447 is not below 1"),
+    ("simulate", {"sim.synthesize_if_invalid": "true"}, 0,
+     "note: configured triple failed its certificate; synthesized replacement used"),
+], ids=["ragged_rows", "matrix_x0", "duplicate_key", "missing_key", "empty_pulse",
+        "unstable_loop", "growth_floor", "growth_per_period", "validate_growth", "validate_psi",
+        "simulate_synthesizes"])
+def test_edited_raw_configs_exit_with_their_code_and_line(command, edits, code, line,
+                                                          raw_cfg_path, tmp_path, capsys):
+    # The raw bundled config with the line of each key of ``edits`` given
+    # its value, or dropped for None; the key "" appends its line.
+    text = []
+    for entry in raw_cfg_path.read_text(encoding="utf-8").splitlines():
+        key = entry.split(" = ")[0]
+        if key not in edits:
+            text.append(entry)
+        elif edits[key] is not None:
+            text.append(f"{key} = {edits[key]}")
+    text += [edits[""]] if "" in edits else []
+    path = tmp_path / "edited.cfg"
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    out, err = capsys.readouterr()
+    assert line in [text.strip() for text in (out + err).splitlines()]
 
 
 def test_validate_missing_config(tmp_path):

@@ -338,8 +338,7 @@ def test_run_keeps_one_plan_per_stage_and_width_pattern(monkeypatch, ref_plant, 
             plain.append((args[3], np.diff(ts).tobytes() + w.tobytes()))
     assert len(built) == len(set(built)) and set(built) == set(plain)
     assert len(cache.programs) == plant_mod._PROGRAMS < len(built) < 80 < len(plain)
-    programs = {(stage, b"".join(a[kind].tobytes() for a in cache.kinds))
-                for stage, kind in cache.programs}
+    programs = {(stage, cache.kinds[kind].tobytes()) for stage, kind in cache.programs}
     assert programs == set(list(dict.fromkeys(reversed(plain)))[:plant_mod._PROGRAMS])
     first_use = dict.fromkeys((args[3], h) for args, ts in steps for h in np.diff(ts).tolist())
     assert list(cache) == list(first_use)
@@ -783,8 +782,7 @@ def test_a_runs_time_plan_steps_each_interval_as_step_interval_alone(ref_plant, 
         assert plan.edges(k).tobytes() == alone.edges(0).tobytes(), k
         assert (plan.kind[k] < 0) == (alone.kind[0] < 0), k
         if plan.kind[k] >= 0:
-            for a, b in zip(plan.kinds, alone.kinds):
-                assert a[plan.kind[k]].tobytes() == b[alone.kind[0]].tobytes(), k
+            assert plan.kinds[plan.kind[k]].tobytes() == alone.kinds[alone.kind[0]].tobytes(), k
         stage = Stage.STABILIZING if log.symbol[k] >= 1 else Stage.SEARCHING
         args = (m, log.x[k], log.xhat[k], stage, sig, k * m.dt, substeps)
         got, want = step_interval(*args), _step_interval_per_segment(*args, ref_cache)
@@ -1174,6 +1172,31 @@ def test_dense_blocks_at_any_sizes_make_the_whole_columns(ref_plant, cert_params
         stage = Stage.STABILIZING if log.symbol[k] >= 1 else Stage.SEARCHING
         want = codec.controller_input(stage, m.K, log.dense_xhat[rows])
         assert whole[4][rows].tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("sig, substeps, horizon", [
+    (PulseTrain([(10.5, 10.7, [1.5]), (22.5, 22.7, [1.5])], dim=1), 10, 2.0),
+    # 76 of the 300 intervals are split at the holds' edges
+    (SeededUniform(0.05, 3, hold=0.37), 1, 30.0),
+], ids=["pulses_10", "uniform_held_1"])
+def test_dense_block_bounds_a_range_as_the_slice_of_x_does(ref_plant, cert_params, cert_derived,
+                                                           sig, substeps, horizon):
+    # Empty ranges, ranges past the end, negative ends and reversed ranges:
+    # every column is the whole column's [a:b], in bytes, dtype and shape.
+    log = run_closed_loop(ref_plant, cert_params, cert_derived, sig, np.array([1.0, 1.0]),
+                          horizon, substeps)
+    n, lo = len(log.dense_x), log.lo.tolist()
+    whole = log.dense_block(0, n)
+    ranges = [(0, 0), (lo[3], lo[3]), (n, n), (n - 5, n + 30), (n + 3, n + 9), (7, 3), (-5, n),
+              (0, -1)]
+    if log.split.size:
+        first = int(log.split[0])
+        ranges.append((lo[first] - 1, lo[first + 1] + 1))
+    for a, b in ranges:
+        for name, got, col in zip(("k", "t", "x", "xhat", "u"), log.dense_block(a, b), whole):
+            want = col[a:b]
+            assert got.dtype == want.dtype and got.shape == want.shape, (a, b, name)
+            assert got.tobytes() == want.tobytes(), (a, b, name)
 
 
 @pytest.mark.parametrize("sig", [

@@ -47,6 +47,13 @@ def test_pulse_train_rejects_overlap():
         PulseTrain([(0.0, 2.0, [1.0]), (1.0, 3.0, [1.0])])
 
 
+def test_pulse_train_rejects_levels_of_other_sizes():
+    with pytest.raises(ValueError, match="^pulse levels must share one dimension$"):
+        PulseTrain([(0.0, 1.0, [1.0]), (2.0, 3.0, [1.0, 2.0])])
+    with pytest.raises(ValueError, match="^pulse level dimension mismatch$"):
+        PulseTrain([(0.0, 1.0, [1.0, 2.0])], dim=1)
+
+
 def test_sinusoid_sup_with_peak_enclosed():
     sig = Sinusoid([2.0], freq_hz=1.0, phase=0.0)
     # quarter period at t = 0.25 carries the peak
