@@ -245,7 +245,7 @@ class _Run(dict):
         self.split = dict(zip(at, np.split(self.split_t, np.cumsum(sizes[at])[:-1])))
         del split
         # The breakpoint-free ZOH intervals; an RK4 run has none.
-        plain = np.delete(np.arange(starts.size), at) if sig.piecewise_constant else at[:0]
+        plain = np.delete(np.arange(starts.size), at) if sig.piecewise_constant else []
         kind, ids = np.full(starts.size, -1), {}
         # Without a breakpoint the input is constant: the first midpoint's serves all.
         mids = 0.5 * ((starts[plain] + grid[0]) + (starts[plain] + grid[1]))

@@ -727,7 +727,7 @@ def test_edited_raw_configs_exit_with_their_code_and_line(command, edits, code, 
     path.write_text("\n".join(text) + "\n", encoding="utf-8")
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
     out, err = capsys.readouterr()
-    assert line in [text.strip() for text in (out + err).splitlines()]
+    assert line in [printed.strip() for printed in (out + err).splitlines()]
 
 
 def test_validate_missing_config(tmp_path):
