@@ -2,10 +2,14 @@
 text and ``%.17g`` (``config._FLOAT_FORMAT``) for floats, computed for
 whole blocks of values with numpy.
 
-Each filler writes a block's values into fixed slots, one row of slots per
-value, and marks the slots that belong to its text; ``cli._write_table``
-lays the fields of a row side by side and keeps the marked bytes.  Floats
-with |x| in [1e-280, 1e300) get their 17 correctly rounded digits from
+``cli._write_table`` stacks each run of adjacent fields of one dtype kind
+in a block into one array, and one filler call writes all of its values
+into fixed slots, one row of slots per value, and marks the slots that
+belong to its text; the writer lays the fields of a row side by side and
+keeps the marked bytes.  A float has _FLOAT_WIDTH slots, text as many as
+its block's longest, and an integer "-" and the 4-digit groups that its
+block's largest magnitude needs (:func:`layout`).  Floats with |x| in
+[1e-280, 1e300) get their 17 correctly rounded digits from
 :func:`decimal17`, which proves them exact; every other float (nan, inf,
 subnormals, magnitudes outside that range, values within 2**-40 of a
 rounding tie) goes through ``%`` into the same slots.
@@ -54,18 +58,22 @@ def _powers_of_ten() -> tuple:
 @functools.cache
 def _digit_tables() -> tuple:
     """(the four ASCII digits of 0 .. 9999 as one uint32 each, their
-    trailing zeros with 4 for 0, "%+04d" of -400 .. 400 as one uint32 each)."""
+    trailing zeros with 4 for 0, their digit count with 1 for 0, "%+04d"
+    of -400 .. 400 as one uint32 each)."""
     digits = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), np.uint32)
     zeros = np.array([4] + [len(s) - len(s.rstrip("0")) for s in map(str, range(1, 10000))])
-    return digits, zeros, np.frombuffer(b"".join(b"%+04d" % e for e in range(-400, 401)), np.uint32)
+    lengths = np.array([len(str(i)) for i in range(10000)])
+    exponents = np.frombuffer(b"".join(b"%+04d" % e for e in range(-400, 401)), np.uint32)
+    return digits, zeros, lengths, exponents
 
 
 def _groups(u: np.ndarray, n_groups: int) -> list:
     """Base-10000 digits of non-negative integers, most significant first."""
     out = []
     for _ in range(n_groups - 1):
-        u, r = np.divmod(u, 10000)
-        out.append(r)
+        q = u // 10000  # a floor division by a constant beats divmod's
+        out.append(u - q * 10000)
+        u = q
     return [u] + out[::-1]
 
 
@@ -135,8 +143,8 @@ def decimal17(x: np.ndarray):
     decpt = np.floor(np.log10(a)).astype(np.int64) + 1
     p, t = _scaled(a, decpt)
     shift = _frame(p, t)
-    redo = np.nonzero(shift)
-    if redo[0].size:
+    if shift.any():
+        redo = np.nonzero(shift)
         decpt[redo] += shift[redo]
         p[redo], t[redo] = _scaled(a[redo], decpt[redo])
         exact[redo] &= _frame(p[redo], t[redo]) == 0
@@ -144,13 +152,13 @@ def decimal17(x: np.ndarray):
     n = p.astype(np.int64) + np.rint(t).astype(np.int64)
     carry = n == 10**17
     n = np.where(zero, 0, np.where(carry, 10**16, n))
-    decpt = np.where(zero, 1, decpt + carry)
+    decpt = decpt + carry  # a zero reads a = 1.0, so decpt is 1
     return n, decpt, exact | zero
 
 
 @functools.cache
 def _float_layouts() -> tuple:
-    """(source, kept) of the float layouts of %.17g.
+    """(source, kept, classes) of the float layouts of %.17g.
 
     A layout class is %g's fixed notation with decpt = class - 3 (classes
     0 to 20, decpt -3 to 17) or its exponential notation with two or three
@@ -159,6 +167,7 @@ def _float_layouts() -> tuple:
     class, and ``kept[(class * 2 + negative) * 18 + significant digits]``
     the slots of the text: the sign, the digits up to the last nonzero one
     and up to the point, the point when digits follow it, and the rest.
+    ``classes[decpt + 400]`` is the class of a decpt in [-400, 400].
     """
     source = np.zeros((23, _FLOAT_WIDTH), np.intp)
     kept = np.zeros((23, 2, 18, _FLOAT_WIDTH), bool)
@@ -179,8 +188,10 @@ def _float_layouts() -> tuple:
                 src, keep = zip((_SRC_MINUS, neg), *slots)
                 source[cls, :len(src)] = src
                 kept[cls, int(neg), sig, :len(keep)] = keep
+    decpt = np.arange(-400, 401)  # %g: exponent -4 <= decpt - 1 < 17
+    classes = np.where((decpt >= -3) & (decpt <= 17), decpt + 3, 21 + (np.abs(decpt - 1) >= 100))
     # each row of kept as one item, so a gather copies whole rows
-    return source, kept.reshape(-1, _FLOAT_WIDTH).view(np.dtype((np.void, _FLOAT_WIDTH)))[:, 0]
+    return source, kept.reshape(-1, _FLOAT_WIDTH).view(np.dtype((np.void, _FLOAT_WIDTH)))[:, 0], classes
 
 
 def fill_floats(x: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
@@ -190,25 +201,26 @@ def fill_floats(x: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
     the same slots."""
     x = x.astype(np.float64, copy=False)
     n, decpt, exact = decimal17(x)
-    _, trailing, exponents = _digit_tables()
-    groups = _groups(n, 5)
+    _, trailing, _, exponents = _digit_tables()
+    source, kept, classes = _float_layouts()
+    cls = classes[decpt + 400]
     src = np.empty(x.shape + (_SRC_WIDTH // 4,), np.uint32)
-    _ascii(groups, src)
     src[..., 5] = np.frombuffer(b"-.0e", np.uint32)[0]
     src[..., 6] = exponents[decpt - 1 + 400]
-    zeros = 0  # trailing zeros of n; the leading digit is nonzero
-    run = True
-    for g in groups[:0:-1]:
-        zeros = zeros + np.where(run, trailing[g], 0)
-        run = run & (g == 0)
-    fixed = (decpt >= -3) & (decpt <= 17)  # %g: exponent -4 <= decpt - 1 < 17
-    cls = np.where(fixed, decpt + 3, 21 + (np.abs(decpt - 1) >= 100))
-    source, kept = _float_layouts()
-    at = source[cls]
+    groups = _groups(n, 5)
+    _ascii(groups, src)
+    zeros = trailing[groups[1]]  # n's trailing zeros; its leading digit is nonzero
+    for g in groups[2:]:
+        zeros = np.where(g, trailing[g], zeros + 4)
+    # a zero's groups give 16 zeros, so 1 significant digit
+    keep[...] = np.take(kept, (cls * 2 + np.signbit(x)) * 18 + 17 - zeros).view(bool).reshape(keep.shape)
+    del n, decpt, groups, g, zeros  # freed before the largest temporary, the gather's index
+    # np.take gathers these faster than indexing does
+    at = np.take(source, cls, axis=0)
     at += np.arange(0, _SRC_WIDTH * x.size, _SRC_WIDTH).reshape(x.shape + (1,))
-    data[...] = src.view(np.uint8).reshape(-1)[at]
-    sig = np.where(n == 0, 1, 17 - zeros)
-    keep[...] = kept[((cls * 2 + np.signbit(x)) * 18 + sig).ravel()].view(bool).reshape(keep.shape)
+    data[...] = np.take(src.view(np.uint8).reshape(-1), at)
+    if exact.all():
+        return
     for i in zip(*np.nonzero(~exact)):
         text = (_FLOAT_FORMAT % x[i]).encode()
         data[i][:len(text)] = np.frombuffer(text, np.uint8)
@@ -216,19 +228,23 @@ def fill_floats(x: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
 
 
 def fill_ints(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
-    """%d of each integer (int64 or uint64), in 21 slots: "-" and 20
-    digits, of which the row keeps those from the first nonzero one."""
-    v = v.astype(np.uint64 if v.dtype.kind == "u" else np.int64)
+    """%d of each integer (int64 or uint64) in "-" and the digits of the
+    base-10000 groups that ``data``'s slots hold, of which the row keeps
+    those from the first nonzero one."""
+    n = data.shape[-1] - 1
     neg = v < 0
-    digits = np.empty(v.shape + (5,), np.uint32)
-    _ascii(_groups(np.where(neg, -v, v).astype(np.uint64), 5), digits)  # -(-2**63) reads 2**63
-    digits = digits.view(np.uint8)
-    slot = np.arange(20)
-    first = np.argmax((digits != 48) | (slot == 19), axis=-1)
+    groups = _groups(np.where(neg, -v, v).astype(np.uint64), n // 4)  # -(-2**63) reads 2**63
+    digits = np.empty(v.shape + (n // 4,), np.uint32)
+    _ascii(groups, digits)
+    lengths = _digit_tables()[2]
+    # the digit count: the most significant nonzero group's, plus 4 per group after it
+    length = lengths[groups[-1]]
+    for i, g in enumerate(groups[-2::-1], 1):
+        length = np.where(g, 4 * i + lengths[g], length)
     data[..., 0] = 45  # "-"
-    data[..., 1:] = digits
+    data[..., 1:] = digits.view(np.uint8)
     keep[..., 0] = neg
-    keep[..., 1:] = slot >= first[..., None]
+    keep[..., 1:] = np.take(np.arange(n) >= np.arange(n)[:, None], n - length, axis=0)
 
 
 def fill_text(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
@@ -237,7 +253,17 @@ def fill_text(v: np.ndarray, data: np.ndarray, keep: np.ndarray) -> None:
     keep[...] = np.arange(v.itemsize) < np.char.str_len(v)[..., None]
 
 
-# a field's slot count and filler by its column's dtype kind; text has as
-# many slots as its longest UTF-8 encoding
-FIELDS = {"f": (_FLOAT_WIDTH, fill_floats), "i": (21, fill_ints), "u": (21, fill_ints),
-          "U": (None, fill_text)}
+def layout(v: np.ndarray) -> tuple:
+    """(values, slots per field, filler) of a block's run of adjacent fields
+    of one dtype kind, a 2-D array: floats in _FLOAT_WIDTH slots, integers
+    (as int64 or uint64) in "-" and the 4-digit groups that the run's
+    largest magnitude needs, and text, UTF-8 encoded, in as many as its
+    longest."""
+    kind = v.dtype.kind
+    if kind == "f":
+        return v, _FLOAT_WIDTH, fill_floats
+    if kind in "iu":
+        v = v.astype(np.uint64 if kind == "u" else np.int64, copy=False)
+        return v, 1 + 4 * -(-len(str(max(int(v.max()), -int(v.min())))) // 4), fill_ints
+    v = np.char.encode(v, "utf-8")
+    return v, v.itemsize, fill_text

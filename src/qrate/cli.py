@@ -10,7 +10,9 @@ errors.
 Every CSV field has the bytes of ``%d`` (integers), ``%s`` (text) or
 ``%.17g`` (floats, ``config.fmt_num``'s conversion), but a block
 formatter (``_write_table`` with the fillers of ``_fields``) writes them
-1,024 rows at a time with numpy.  It computes the 17 correctly rounded
+with numpy, about 5,120 fields at a time, with one filler call for each
+run of adjacent fields of one dtype kind: one float pass for t, x, xhat
+and u in each block of ``dense.csv``.  It computes the 17 correctly rounded
 digits of every float with |x| in [1e-280, 1e300) exactly
 (``_fields.decimal17``) and falls back to ``%`` for nan, inf, subnormals,
 magnitudes outside that range and values within 2**-40 of a rounding tie,
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -39,9 +42,9 @@ __all__ = ["main"]
 ENV_OUT = "QRATE_OUT"
 
 
-# rows per block: a block's byte buffers and the fillers' temporaries stay
-# near 1.6 MB for dense.csv
-_TABLE_BLOCK = 1024
+# fields per block: a block's byte buffers and the fillers' temporaries
+# peak near 1.4 MB for dense.csv, which takes 731 rows of 7 fields
+_TABLE_VALUES = 5120
 
 
 def _write_table(path: Path, header: list[str], columns, n_rows: int | None = None) -> None:
@@ -50,30 +53,29 @@ def _write_table(path: Path, header: list[str], columns, n_rows: int | None = No
     A column is a sequence or a 2-D array; a 2-D array gives one field
     per array column.  ``columns`` is a list of columns, or a function
     that returns the columns of rows lo:hi, with ``n_rows`` the row count.
-    Each field's bytes are those of %d (integers), %s (text) or %.17g
-    (floats): a block lays its fields out side by side in the fixed slots
-    of ``_fields.FIELDS``, each followed by its separator, and writes the
-    slots its fillers marked, with one compress and one write.
+    A block holds at most _TABLE_VALUES fields, one per header name, and
+    at least one row.  Each field's bytes are those of %d (integers), %s (text) or
+    %.17g (floats): a block stacks each run of adjacent fields of one
+    dtype kind into one array, which one filler of ``_fields`` lays out in
+    fixed slots (``_fields.layout``), each field followed by its
+    separator, and writes the slots its fillers marked, with one boolean
+    mask and one write.
     """
     block = columns if callable(columns) else lambda lo, hi: [c[lo:hi] for c in columns]
     n_rows = len(columns[0]) if n_rows is None else n_rows
+    step = max(1, _TABLE_VALUES // len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for lo in range(0, n_rows, _TABLE_BLOCK):
-            fields = []
-            for v in block(lo, min(lo + _TABLE_BLOCK, n_rows)):
-                v = np.asarray(v)
-                width, fill = _fields.FIELDS[v.dtype.kind]
-                if width is None:
-                    v = np.char.encode(v, "utf-8")
-                    width = v.itemsize
-                fields.append((v if v.ndim == 2 else v[:, None], width, fill))
-            rows = len(fields[0][0])
-            size = sum(v.shape[1] * (width + 1) for v, width, _ in fields)
+        for lo in range(0, n_rows, step):
+            fields = map(np.asarray, block(lo, min(lo + step, n_rows)))
+            runs = [_fields.layout(np.column_stack(list(vs)))
+                    for _, vs in itertools.groupby(fields, lambda v: v.dtype.kind)]
+            rows = len(runs[0][0])
+            size = sum(v.shape[1] * (width + 1) for v, width, _ in runs)
             data = np.empty((rows, size), np.uint8)
             keep = np.empty((rows, size), bool)
             at = 0
-            for v, width, fill in fields:
+            for v, width, fill in runs:
                 span = slice(at, at + v.shape[1] * (width + 1))
                 slots = data[:, span].reshape(rows, -1, width + 1)
                 kept = keep[:, span].reshape(rows, -1, width + 1)
@@ -82,7 +84,7 @@ def _write_table(path: Path, header: list[str], columns, n_rows: int | None = No
                 kept[..., width] = True
                 at = span.stop
             data[:, -1] = 10  # "\n" after the last field
-            fh.write(np.compress(keep.ravel(), data.ravel()))
+            fh.write(data[keep])
 
 
 def _out_dir(args, cfg: ScenarioConfig | None) -> Path:

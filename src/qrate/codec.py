@@ -121,7 +121,9 @@ def decode_center(state: CodecState, symbol: int, n_levels: int) -> np.ndarray:
     for _ in range(n_x):
         offset, i = divmod(offset, n_levels)
         cells.append((2.0 * i + 1.0 - n_levels) / n_levels)
-    return state.center + np.array(cells[::-1]) * state.radius
+    # c + cell * E in Python floats: numpy's elementwise bits, without its call costs
+    E = state.radius
+    return np.array([c + cell * E for c, cell in zip(state.center.tolist(), cells[::-1])])
 
 
 def quad_value(center: np.ndarray, radius: float, P: np.ndarray, rho: float) -> float:

@@ -24,9 +24,10 @@ with warnings.catch_warnings():
         pass
 
 
-# Four property tests run under the hypothesis profile that
+# Five property tests run under the hypothesis profile that
 # HYPOTHESIS_PROFILE names (CI's tier-1 step sets "ci"): the CSV formatter's
-# against the %-templates, the ZOH stepper's against its per-substep loop,
+# against the %-templates, twice (once with adjacent fields merged into one
+# pass at the block size), the ZOH stepper's against its per-substep loop,
 # which keeps at least its own 300 examples, RK4 intervals stepped alone in
 # each stage against the per-segment loop, and a run's state against the
 # state of each interval alone, whose steps the run's log repeats.  Every

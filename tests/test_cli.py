@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -633,11 +634,104 @@ def test_block_formatter_matches_the_percent_templates_on_hand_picked_values(tmp
     ints = np.array([-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1], dtype=np.int64)
     unsigned = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
     # tiled past two blocks, in rows of 3 floats, 1 int64, 1 uint64 and 1 text field
-    n = 2 * cli._TABLE_BLOCK + 7
+    n = 2 * (cli._TABLE_VALUES // 6) + 7
     columns = [np.resize(floats, (n, 3)), np.resize(ints, n), np.resize(unsigned, n),
                np.resize(np.array(["captured", "escaped", "", "ß"]), n)]
     new, old = _both_writers(tmp_path, ["a", "b", "c", "k", "u", "s"], columns)
     assert new == old
+
+
+def _ints(lo, hi):
+    """A block's integers: 1 to 4 values in [lo, hi], each needing at most
+    the drawn number of base-10000 groups."""
+    return st.integers(1, 5).flatmap(lambda g: st.lists(
+        st.integers(max(lo, 1 - 10**(4 * g)), min(hi, 10**(4 * g) - 1)), min_size=1, max_size=4))
+
+
+@PROPERTY_PROFILE
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+       st.sampled_from([-1, 0, 1]), st.lists(st.floats(), min_size=1, max_size=8),
+       st.tuples(_ints(-2**63, 2**63 - 1), _ints(-2**63, 2**63 - 1)),
+       st.tuples(_ints(0, 2**64 - 1), _ints(0, 2**64 - 1)))
+@example((2, 1, 3), 1, [0.5, -0.0], ([3, -7], [-2**63]), ([0, 9], [2**64 - 1]))
+@example((1, 2, 2), 1, [math.nan, 1e300], ([2**63 - 1], [5]), ([2**63], [1]))
+@example((3, 3, 1), -1, [5e-324], ([0], [0]), ([0], [0]))
+def test_block_formatter_merges_adjacent_fields_into_one_pass(tmp_path_factory, widths, offset,
+                                                              floats, ints, uints):
+    # int64 k, then 1-D, 2-D and 1-D float fields side by side, uint64 u, and
+    # two 2-D float fields side by side: each float run is one filler pass,
+    # and each integer block renders as many 4-digit groups as its largest
+    # magnitude needs; the first block's integers come from the first pool,
+    # the rest from the second, so a small block sits next to a large one
+    b, d, e = widths
+    n_fields = 5 + b + d + e
+    step = cli._TABLE_VALUES // n_fields
+    n = step + offset  # the block size minus one, at it, or plus one
+    x = np.resize(np.array(floats), (n, 3 + b + d + e))
+    first = np.arange(n) < step
+    k = np.where(first, np.resize(np.array(ints[0], np.int64), n),
+                 np.resize(np.array(ints[1], np.int64), n))
+    u = np.where(first, np.resize(np.array(uints[0], np.uint64), n),
+                 np.resize(np.array(uints[1], np.uint64), n))
+    columns = [k, x[:, 0], x[:, 1:1 + b], x[:, 1 + b], u, x[:, 2 + b:2 + b + d],
+               x[:, 2 + b + d:], ["stage"] * n]
+    header = [f"f{i}" for i in range(n_fields)]
+    new, old = _both_writers(tmp_path_factory.getbasetemp(), header, columns)
+    assert new == old
+
+
+@pytest.fixture(scope="module")
+def bundled_log():
+    cfg = bundled_scenario(certified=True)
+    params, _, _ = cli._certified_design(cfg)
+    d = design.derive_constants(cfg.plant, params)
+    return plant.run_closed_loop(cfg.plant, params, d, cfg.disturbance, cfg.x0, cfg.horizon,
+                                 cfg.substeps)
+
+
+@pytest.mark.parametrize("uniform, substeps", [(False, 100), (True, 1)],
+                         ids=["certified_substeps_100", "uniform_hold_0.37_substeps_1"])
+def test_block_formatter_writes_the_oracle_bytes_of_real_logs(tmp_path, monkeypatch, uniform,
+                                                              substeps):
+    # the bundled certified run, and uniform noise held 0.37 s on the
+    # coarsest grid (intervals split at hold edges): samples.csv and
+    # dense.csv from one log through both writers, so no pinned bits are read
+    cfg = bundled_scenario(certified=True)
+    cfg.substeps = substeps
+    if uniform:
+        cfg.disturbance = SeededUniform(bound=0.05, seed=3, hold=0.37)
+    write, written = cli._write_table, []
+
+    def both(path, header, columns, n_rows=None):
+        write(path, header, columns, n_rows)
+        if path.name in ("samples.csv", "dense.csv"):
+            rows = columns(0, n_rows) if callable(columns) else columns
+            csv_oracle.write_table(path.with_suffix(".oracle"), header, rows)
+            written.append(path)
+
+    monkeypatch.setattr(cli, "_write_table", both)
+    log, _, _ = cli._run(cfg, tmp_path, check=False)
+    assert [p.name for p in written] == ["samples.csv", "dense.csv"]
+    if uniform:
+        assert log.split.size > 0
+    for path in written:
+        assert path.read_bytes() == path.with_suffix(".oracle").read_bytes(), path.name
+
+
+def test_block_formatter_peak_memory_writing_the_bundled_dense_csv(tmp_path, bundled_log):
+    # a block's byte buffers and the float pass's temporaries, after a
+    # warm-up that builds the fillers' tables
+    header = ["k", "t", "x_1", "x_2", "xhat_1", "xhat_2", "u_1"]
+    write = lambda: _write_table(tmp_path / "dense.csv", header, bundled_log.dense_block,
+                                 len(bundled_log.dense_x))
+    write()
+    tracemalloc.start()
+    try:
+        write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= 1.75e6
 
 
 def test_the_ties_round_half_to_even():
@@ -649,14 +743,10 @@ def test_the_ties_round_half_to_even():
     assert not exact.any()  # ties go to %, which rounds them
 
 
-def test_the_bundled_dense_log_needs_no_fallback():
+def test_the_bundled_dense_log_needs_no_fallback(bundled_log):
     # every float of the certified run's dense.csv takes the exact path, so
     # a fallback to % on every field would fail here, not only run slower
-    cfg = bundled_scenario(certified=True)
-    params, _, _ = cli._certified_design(cfg)
-    d = design.derive_constants(cfg.plant, params)
-    log = plant.run_closed_loop(cfg.plant, params, d, cfg.disturbance, cfg.x0, cfg.horizon,
-                                cfg.substeps)
+    log = bundled_log
     floats = np.concatenate([log.dense_t, log.dense_x.ravel(), log.dense_xhat.ravel(),
                              log.dense_u.ravel()])
     assert floats.size == 6 * 30300  # six float fields in each of 30,300 rows

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import check_oracle
@@ -268,6 +268,22 @@ def test_encode_and_decode_match_the_numpy_index_oracle(n_x, n, radius, data):
     for s in symbols:
         assert (codec.decode_center(state, s, n).tobytes()
                 == codec_oracle.decode_center(state, s, n).tobytes())
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=4), st.integers(2, 9),
+       st.floats(5e-324, 1e300), st.data())
+@example([-0.0, 0.0], 3, 5e-324, None)  # cells 0 and +-2/3: -0.0 and +0.0 sums
+@example([-0.0, -1.0], 2, 1e300, None)
+def test_decode_center_has_the_bits_of_the_numpy_expression(center, n, radius, data):
+    # center + np.array(cells) * radius, as the oracle computes it, for any
+    # center (signed zeros, subnormals, inf, nan) and any positive radius
+    state = CodecState(center=np.array(center), radius=radius)
+    symbols = range(2, n**len(center) + 2)
+    for s in [data.draw(st.sampled_from(symbols))] if data is not None else symbols:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 + 1e300
+            expected = codec_oracle.decode_center(state, s, n)
+        assert codec.decode_center(state, s, n).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("center, x", [
