@@ -12,9 +12,10 @@ Every CSV field has the bytes of ``%d`` (integers), ``%s`` (text) or
 formatter (``_write_table`` with the fillers of ``_fields``) writes them
 with numpy, about 5,120 fields at a time, with one filler call for each
 run of adjacent fields of one dtype kind: one float pass for t, x, xhat
-and u in each block of ``dense.csv``.  It computes the 17 correctly rounded
-digits of every float with |x| in [1e-280, 1e300) exactly
-(``_fields.decimal17``) and falls back to ``%`` for nan, inf, subnormals,
+and u in each block of ``dense.csv``.  An integer takes only the 4-digit
+groups that its block's largest magnitude needs.  The formatter computes
+the 17 correctly rounded digits of every float with |x| in [1e-280,
+1e300) exactly (``_fields.decimal17``) and falls back to ``%`` for nan, inf, subnormals,
 magnitudes outside that range and values within 2**-40 of a rounding tie,
 exact ties among them.
 """
@@ -54,10 +55,10 @@ def _write_table(path: Path, header: list[str], columns, n_rows: int | None = No
     per array column.  ``columns`` is a list of columns, or a function
     that returns the columns of rows lo:hi, with ``n_rows`` the row count.
     A block holds at most _TABLE_VALUES fields, one per header name, and
-    at least one row.  Each field's bytes are those of %d (integers), %s (text) or
-    %.17g (floats): a block stacks each run of adjacent fields of one
-    dtype kind into one array, which one filler of ``_fields`` lays out in
-    fixed slots (``_fields.layout``), each field followed by its
+    at least one row.  Each field's bytes are those of %d (integers), %s
+    (text) or %.17g (floats): a block stacks each run of adjacent fields
+    of one dtype kind into one array, which one filler of ``_fields`` lays
+    out in fixed slots (``_fields.layout``), each field followed by its
     separator, and writes the slots its fillers marked, with one boolean
     mask and one write.
     """
