@@ -10,7 +10,7 @@ from .config import (ConfigError, ScenarioConfig, load_config, parse_config,
 from .design import (CertificateReport, DerivedConstants, DesignParams, PlantModel,
                      check_assumptions, derive_constants, synthesize_design,
                      validate_design)
-from .plant import TrajectoryEvent, TrajectoryLog, run_closed_loop, step_interval, sup_norm_on
+from .plant import TrajectoryEvent, TrajectoryLog, run_closed_loop, step_interval
 from .scenarios import bundled_params, bundled_plant, bundled_scenario
 from .signals import Constant, Disturbance, PulseTrain, SeededUniform, Sinusoid, Zero
 
@@ -25,6 +25,6 @@ __all__ = [
     "check_assumptions", "check_trajectory", "controller_input", "decode_center",
     "derive_constants", "encode", "eta_functions", "gain_constants", "initial_state",
     "iss_gains", "load_config", "parse_config", "quad_value", "run_closed_loop",
-    "save_config", "serialize_config", "step_interval", "sup_norm_on", "symbol_count",
+    "save_config", "serialize_config", "step_interval", "symbol_count",
     "synthesize_design", "validate_design",
 ]

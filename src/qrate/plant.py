@@ -38,15 +38,14 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import codec
+from . import codec, matnum
 from .codec import Stage
 from .design import DerivedConstants, DesignParams, PlantModel
 from .matnum import as_vector
 from .signals import Disturbance
 
-__all__ = ["TrajectoryEvent", "TrajectoryLog", "sup_norm_on", "step_interval", "run_closed_loop"]
+__all__ = ["TrajectoryEvent", "TrajectoryLog", "step_interval", "run_closed_loop"]
 
 DEFAULT_SUBSTEPS = 100
 # A run keeps the substep programs of this many recent (stage, kind) pairs.
@@ -76,8 +75,8 @@ class TrajectoryLog:
     in ``split_t`` (concatenated in interval order).  ``dense_block``
     derives a range of records' interval index k, time t and controller
     input u (the feedback law ``K`` in the interval's stage) with the bits
-    the run had; ``dense_k``, ``dense_t`` and ``dense_u`` are the whole
-    range.
+    the run had; it is the one reader of those columns, and
+    ``dense_block(0, len(dense_x))`` gives them whole.
     """
 
     t: np.ndarray
@@ -138,33 +137,23 @@ class TrajectoryLog:
         u[self.symbol[k] < 1] = 0.0
         return k, t, x, xhat, u
 
-    @property
-    def dense_k(self) -> np.ndarray:
-        return self.dense_block(0, len(self.dense_x))[0]
-
-    @property
-    def dense_t(self) -> np.ndarray:
-        return self.dense_block(0, len(self.dense_x))[1]
-
-    @property
-    def dense_u(self) -> np.ndarray:
-        return self.dense_block(0, len(self.dense_x))[4]
-
 
 def sup_norm_on(sig: Disturbance, a: float, b: float) -> float:
-    """Exact sup norm of the signal over [a, b] (``sig.sup_norm``; kept as a
-    public name for ``perfbench/layertrace.py``, which wraps it)."""
+    """Exact sup norm of the signal over [a, b] (``sig.sup_norm``).  No src
+    module calls it and it is not exported; it stays a module function
+    because ``perfbench/layertrace.py`` wraps it by name."""
     return sig.sup_norm(a, b)
 
 
 def _zoh_pair(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(e^{Mh}, integral of e^{Ms} ds over [0, h]) via one block exponential;
-    e^{Mh} C-contiguous, as ``ndarray.dot`` copies any other layout per call."""
+    e^{Mh} C-contiguous, as ``ndarray.dot`` copies any other layout per call.
+    The exponential is ``matnum.expm``'s, the one home of every exponential."""
     n = M.shape[0]
     blk = np.zeros((2 * n, 2 * n))
     blk[:n, :n] = M
     blk[:n, n:] = np.eye(n)
-    E = scipy.linalg.expm(blk * h)
+    E = matnum.expm(blk, h)
     return np.ascontiguousarray(E[:n, :n]), E[:n, n:]
 
 

@@ -1,7 +1,8 @@
 """Minimal self-contained SVG emitter: polylines, step traces, shaded spans,
 and dashed vertical markers.  No plotting dependency; output is a small
-deterministic text file.  Each polyline keeps only the points that its
-pixel columns draw (:func:`_m4`)."""
+deterministic text file.  Every plot has a title, two axis labels, spans
+and markers, which :func:`render_svg` requires.  Each polyline keeps only
+the points that its pixel columns draw (:func:`_m4`)."""
 
 from __future__ import annotations
 
@@ -69,10 +70,10 @@ def _m4(xp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xp[keep], yp[keep]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1, 2, 5, 10) if m * mag >= raw), default=10) * mag
     first = math.ceil(lo / step) * step
@@ -84,20 +85,19 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return ticks or [lo]
 
 
-def render_svg(path, series: list[Series], title: str = "", xlabel: str = "",
-               ylabel: str = "", ylog: bool = False,
-               spans: list[tuple[float, float]] | None = None,
-               vlines: list[float] | None = None) -> None:
-    """Write one framed plot with the given traces.
+def render_svg(path, series: list[Series], title: str, xlabel: str, ylabel: str,
+               spans: list[tuple[float, float]], vlines: list[float],
+               ylog: bool = False) -> None:
+    """Write one framed plot with the given traces, each of at least one point.
 
-    ``ylog`` plots log10 of the values (clamped at 1e-16); ``spans`` are
-    shaded x-ranges, ``vlines`` dashed vertical markers.
+    ``spans`` are shaded x-ranges, ``vlines`` dashed vertical markers;
+    ``ylog`` plots log10 of the values (clamped at 1e-16).
     """
     def ymap(v: np.ndarray) -> np.ndarray:
         return np.log10(np.maximum(np.asarray(v, dtype=float), 1e-16)) if ylog else v
 
-    xs_all = np.concatenate([s.xs for s in series if s.xs.size])
-    ys_all = np.concatenate([ymap(s.ys) for s in series if s.ys.size])
+    xs_all = np.concatenate([s.xs for s in series])
+    ys_all = np.concatenate([ymap(s.ys) for s in series])
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi <= x_lo:
@@ -123,14 +123,14 @@ def render_svg(path, series: list[Series], title: str = "", xlabel: str = "",
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
     ]
 
-    for a, b in spans or []:
+    for a, b in spans:
         a, b = max(a, x_lo), min(b, x_hi)
         if b > a:
             parts.append(f'<rect x="{_fmt(float(px(a)))}" y="{_MT}" '
                          f'width="{_fmt(float(px(b) - px(a)))}" height="{ph}" '
                          f'fill="#d9d9d9"/>')
 
-    for xv in vlines or []:
+    for xv in vlines:
         if x_lo <= xv <= x_hi:
             parts.append(f'<line x1="{_fmt(float(px(xv)))}" y1="{_MT}" '
                          f'x2="{_fmt(float(px(xv)))}" y2="{_MT + ph}" '
@@ -151,10 +151,8 @@ def render_svg(path, series: list[Series], title: str = "", xlabel: str = "",
                      f'text-anchor="end">{label}</text>')
 
     for s in series:
-        if not s.xs.size:
-            continue
         xs, ys = s.xs, ymap(s.ys)
-        if s.step and xs.size > 1:
+        if s.step:
             # hold each value until the next x
             sx = np.repeat(xs, 2)[1:]
             sy = np.repeat(ys, 2)[:-1]
@@ -164,15 +162,12 @@ def render_svg(path, series: list[Series], title: str = "", xlabel: str = "",
 
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                  f'fill="none" stroke="black"/>')
-    if title:
-        parts.append(f'<text x="{_W // 2}" y="20" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
-    if xlabel:
-        parts.append(f'<text x="{_ML + pw // 2}" y="{_H - 12}" '
-                     f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="16" y="{_MT + ph // 2}" text-anchor="middle" '
-                     f'transform="rotate(-90 16 {_MT + ph // 2})">{ylabel}</text>')
+    parts.append(f'<text x="{_W // 2}" y="20" text-anchor="middle" '
+                 f'font-size="14">{title}</text>')
+    parts.append(f'<text x="{_ML + pw // 2}" y="{_H - 12}" '
+                 f'text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="16" y="{_MT + ph // 2}" text-anchor="middle" '
+                 f'transform="rotate(-90 16 {_MT + ph // 2})">{ylabel}</text>')
     for i, s in enumerate(series):
         yp = _MT + 14 + 16 * i
         parts.append(f'<line x1="{_W - 150}" y1="{yp - 4}" x2="{_W - 126}" '

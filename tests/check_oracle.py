@@ -10,6 +10,9 @@ one at a time and looks each escape's recapture up among all captures.
 Each returns the row tuple ``(name, n_checked, status, worst_margin)`` that
 ``qrate.CheckRow`` carries.
 
+``dense_columns`` reads a log's whole dense columns through its one
+reader, ``dense_block``.
+
 ``replay`` is what the controller-side decoder knows: the range and value
 at each sample, from the symbol stream alone.  ``visibility_events`` logs
 the stage column and the events sample by sample, as the protocol loop
@@ -26,6 +29,13 @@ from qrate import codec
 from qrate.plant import TrajectoryEvent
 
 SLACK = 1e-9
+
+
+def dense_columns(log) -> dict:
+    """The log's whole dense columns by name, from one ``dense_block`` over
+    every record."""
+    return dict(zip(("dense_k", "dense_t", "dense_x", "dense_xhat", "dense_u"),
+                    log.dense_block(0, len(log.dense_x))))
 
 
 def replay(symbols, d, p, n_x):
@@ -98,7 +108,7 @@ def intersample_envelope(log, intersample_gain, dist_gain, sig):
     tally = _Tally("intersample_envelope")
     x_norm = np.max(np.abs(log.x), axis=1)
     dense_norm = np.max(np.abs(log.dense_x), axis=1) if log.dense_x.size else np.empty(0)
-    dense_k, dense_t = log.dense_k, log.dense_t  # derived by the log on each read
+    dense_k, dense_t = log.dense_block(0, len(log.dense_x))[:2]
     for k in np.unique(dense_k):
         mask = dense_k == k
         sups = np.array([sig.sup_norm(log.t[k], ti) for ti in dense_t[mask]])

@@ -31,9 +31,13 @@ with warnings.catch_warnings():
 # which keeps at least its own 300 examples, RK4 intervals stepped alone in
 # each stage against the per-segment loop, and a run's state against the
 # state of each interval alone, whose steps the run's log repeats.  Every
-# other test keeps its own settings.
-settings.register_profile("ci", max_examples=5000, deadline=None)
-PROPERTY_PROFILE = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+# other test keeps its own settings.  They compare bytes and bits, so no
+# profile has a deadline: a host stall past hypothesis's default 200 ms in
+# one example fails the test as "Unreliable test timings", not as a
+# mismatch.
+settings.register_profile("ci", max_examples=5000)
+PROPERTY_PROFILE = settings(settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "default")),
+                            deadline=None)
 
 
 @pytest.fixture(scope="session")

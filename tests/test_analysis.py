@@ -392,9 +392,9 @@ def test_check_trajectory_sup_norm_calls_scale_with_samples(monkeypatch, ref_pla
             rep = check_trajectory(log, cert_derived, cert_params, g, sig)
         assert rep.all_pass
         # one call per block of dense records, a few interval sups per event
-        assert log.dense_t.size > substeps * (log.n_samples - 1)
-        assert sum(calls) >= log.dense_t.size
-        blocks = -(-log.dense_t.size // _DENSE_BLOCK)
+        assert len(log.dense_x) > substeps * (log.n_samples - 1)
+        assert sum(calls) >= len(log.dense_x)
+        blocks = -(-len(log.dense_x) // _DENSE_BLOCK)
         assert len(calls) <= blocks + len(log.events) + 5
 
 
@@ -402,7 +402,8 @@ def test_dense_checks_in_blocks_match_one_block(monkeypatch, ref_plant, cert_par
                                                 cert_derived):
     # Both dense envelopes run block by block; the last block is partial.
     sig, log = _reference_log(ref_plant, cert_params, cert_derived, substeps=100)
-    assert log.dense_t.size > 2 * _DENSE_BLOCK and log.dense_t.size % _DENSE_BLOCK
+    n = len(log.dense_x)
+    assert n > 2 * _DENSE_BLOCK and n % _DENSE_BLOCK
     g = gain_constants(cert_derived, cert_params)
 
     def rows():
@@ -410,10 +411,9 @@ def test_dense_checks_in_blocks_match_one_block(monkeypatch, ref_plant, cert_par
                 for r in check_trajectory(log, cert_derived, cert_params, g, sig).rows]
 
     blocked = rows()
-    monkeypatch.setattr(analysis, "_DENSE_BLOCK", log.dense_t.size)
+    monkeypatch.setattr(analysis, "_DENSE_BLOCK", n)
     assert blocked == rows()
-    assert {r[0] for r in blocked if r[1] == log.dense_t.size} == {"intersample_envelope",
-                                                                  "iss_envelope"}
+    assert {r[0] for r in blocked if r[1] == n} == {"intersample_envelope", "iss_envelope"}
 
 
 def test_checker_memory_does_not_grow_with_the_horizon(ref_plant, cert_params, cert_derived):

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 import csv_oracle
 import qrate
 from conftest import PROPERTY_PROFILE
-from qrate import (Constant, ConfigError, DesignParams, Disturbance, PlantModel,
+from qrate import (CheckRow, Constant, ConfigError, DesignParams, Disturbance, PlantModel,
                    PulseTrain, ScenarioConfig, SeededUniform, Sinusoid, Zero, parse_config,
                    serialize_config)
-from qrate import _fields, cli, design, plant, svgplot
+from qrate import _fields, analysis, cli, design, plant, svgplot
 from qrate.config import fmt_num
 from qrate.cli import _write_table, main
 from qrate.scenarios import bundled_scenario
@@ -576,7 +576,7 @@ def test_row_templates_agree_with_the_number_formatters(tmp_path_factory, x, y, 
     for v in (x, y):
         assert "%.17g" % v == fmt_num(v)
         assert "%.6g" % v == svgplot._fmt(v)
-    # dense_k as the writer reads it: an int64 entry through tolist()
+    # k of dense_block as the writer reads it: an int64 entry through tolist()
     k = np.array([k], dtype=np.int64)
     assert "%d" % k.tolist()[0] == str(int(k[0]))
     # an int64 column, a 2-D float column and a text column
@@ -746,9 +746,8 @@ def test_the_ties_round_half_to_even():
 def test_the_bundled_dense_log_needs_no_fallback(bundled_log):
     # every float of the certified run's dense.csv takes the exact path, so
     # a fallback to % on every field would fail here, not only run slower
-    log = bundled_log
-    floats = np.concatenate([log.dense_t, log.dense_x.ravel(), log.dense_xhat.ravel(),
-                             log.dense_u.ravel()])
+    _, t, x, xhat, u = bundled_log.dense_block(0, len(bundled_log.dense_x))
+    floats = np.concatenate([t, x.ravel(), xhat.ravel(), u.ravel()])
     assert floats.size == 6 * 30300  # six float fields in each of 30,300 rows
     _, _, exact = _fields.decimal17(floats)
     assert exact.all()
@@ -932,6 +931,21 @@ def test_reproduce_paper(tmp_path):
     for label in ("raw", "certified"):
         assert (out / label / "checks.csv").exists()
         assert (out / label / f"paper_sec7_{label}.cfg").exists()
+
+
+def test_reproduce_paper_exits_1_when_a_check_fails(tmp_path, monkeypatch, capsys):
+    def failing(*args):
+        report = check_trajectory(*args)
+        report.rows.append(CheckRow("injected", 1, -1.0, "fail"))
+        return report
+
+    check_trajectory = analysis.check_trajectory
+    monkeypatch.setattr(analysis, "check_trajectory", failing)
+    assert main(["reproduce-paper", "--out", str(tmp_path), "--substeps", "1"]) == 1
+    # the one failing row is the injected one, in either run
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["raw", "certified"]
+    assert all(", 1 failed checks -> " in line for line in out), out
 
 
 # sha256 of every file reproduce-paper writes, as formatted one number at a

@@ -213,6 +213,9 @@ def test_design_params_validation():
     with pytest.raises(ValueError):
         DesignParams(radius0=1.0, search_margin=0.2, dist_level=0.1,
                      psi=0.2, rho=1.0, phi=0.01, Q=-np.eye(2))
+    with pytest.raises(ValueError, match="^Q must be square$"):
+        DesignParams(radius0=1.0, search_margin=0.2, dist_level=0.1,
+                     psi=0.2, rho=1.0, phi=0.01, Q=np.ones((2, 3)))
 
 
 def _same_plant(m):

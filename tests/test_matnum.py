@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import math
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,23 @@ def test_inf_norm_mat_examples():
     assert mn.inf_norm_mat(np.eye(2)) == 1.0
     assert mn.inf_norm_mat([[1.0, -2.0], [3.0, 4.0]]) == 7.0
     assert mn.inf_norm_mat([[0.5, 0.0], [0.0, -0.9]]) == 0.9
+
+
+def test_as_matrix_takes_a_scalar_as_1x1_and_rejects_bad_shapes_and_entries():
+    assert mn.as_matrix(2.5).tolist() == [[2.5]]
+    for bad in ([1.0, 2.0], np.zeros((0, 2)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="^M must be a non-empty 2-D array$"):
+            mn.as_matrix(bad, "M")
+    for v in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^M must have finite entries$"):
+            mn.as_matrix([[1.0, v]], "M")
+
+
+def test_as_vector_rejects_empty_and_non_finite_input():
+    with pytest.raises(ValueError, match="^v must be non-empty$"):
+        mn.as_vector([], "v")
+    with pytest.raises(ValueError, match="^v must have finite entries$"):
+        mn.as_vector([0.0, -math.inf], "v")
 
 
 def test_expm_zero_is_identity():
@@ -130,6 +149,14 @@ def test_phi_integral_rejects_mismatch():
         mn.phi_integral(np.eye(2), np.eye(3), 0.1)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.1, math.nan])
+def test_quadratures_reject_an_interval_that_is_not_positive(tau):
+    with pytest.raises(ValueError, match="^tau_s must be positive$"):
+        mn.phi_integral(np.eye(2), np.ones((2, 1)), tau)
+    with pytest.raises(ValueError, match="^tau_s must be positive$"):
+        mn.max_norm_over_interval(np.eye(2), tau)
+
+
 def test_max_norm_over_interval_cases():
     assert abs(mn.max_norm_over_interval(np.zeros((2, 2)), 3.0) - 1.0) < 1e-12
     assert abs(mn.max_norm_over_interval(np.diag([-1.0, -2.0]), 1.0) - 1.0) < 1e-8
@@ -166,6 +193,10 @@ def test_dlyap_rejects_bad_inputs():
         mn.dlyap(np.eye(2), np.eye(2))  # spectral radius 1
     with pytest.raises(ValueError):
         mn.dlyap(0.5 * np.eye(2), -np.eye(2))  # not positive definite
+    with pytest.raises(ValueError, match="^S and Q must have the same shape$"):
+        mn.dlyap(0.5 * np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="^Q must be symmetric$"):
+        mn.dlyap(0.5 * np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_dlyap_random_residual_contract():
@@ -300,3 +331,21 @@ def test_grid_norms_memory_is_bounded_by_the_block():
     assert peak < 4 * 2**20
     # 512 sub-chains, as many as _GRID_BLOCK: each block holds a single step
     assert got.tobytes() == oracle_grid_norms(A, D, 0.1, 1 << 17).tobytes()
+
+
+def test_only_matnum_imports_scipy():
+    # every exponential, quadrature and solve of the package goes through
+    # matnum, so replacing scipy is a change to one module
+    src = Path(__file__).resolve().parent.parent / "src"
+    importers = set()
+    for path in [*(src / "qrate").glob("*.py"), src / "qrate_console.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"matnum.py"}

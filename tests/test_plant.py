@@ -37,7 +37,8 @@ BUNDLED_DENSE_SHA256 = {
 }
 # sha256 of the dense_t, dense_k and dense_u of 30 s runs of the bundled
 # certified plant, by disturbance and substeps, as each interval wrote its
-# own edges, interval index and controller input
+# own edges, interval index and controller input (both tables name the
+# columns as check_oracle.dense_columns does)
 DENSE_GRID_SHA256 = {
     ("pulses", 1): (
         "d87ceaca15d0d573ee6fd023100d42a4dcb1868e1f8e2164d490f91b15b7c8b1",
@@ -261,10 +262,11 @@ def test_each_interval_runs_in_the_stage_advance_decided(monkeypatch, ref_plant,
     assert stepped == [Stage.STABILIZING if s >= 1 else Stage.SEARCHING
                        for s in log.symbol[:-1].tolist()]
     # and the log's inputs are the feedback law in that stage, interval by interval
+    dense_u = check_oracle.dense_columns(log)["dense_u"]
     for k, stage in enumerate(stepped):
         rows = slice(log.lo[k], log.lo[k + 1])
         want = codec.controller_input(stage, ref_plant.K, log.dense_xhat[rows])
-        assert log.dense_u[rows].tobytes() == want.tobytes(), k
+        assert dense_u[rows].tobytes() == want.tobytes(), k
 
 
 def test_run_keeps_the_call_contract_the_benchmark_tracer_counts(monkeypatch, ref_plant,
@@ -418,7 +420,7 @@ def test_xhat_endpoint_matches_propagated_center(ref_plant, cert_params, cert_de
     # the auxiliary flow must land on the propagated center at each sample
     log = run_closed_loop(ref_plant, cert_params, cert_derived, _reference_pulses(),
                           np.array([1.0, 1.0]), 12.0, substeps=20)
-    dense_k = log.dense_k
+    dense_k = check_oracle.dense_columns(log)["dense_k"]
     for k in range(log.n_samples - 1):
         mask = dense_k == k
         end_xhat = log.dense_xhat[mask][-1]
@@ -446,6 +448,9 @@ def test_run_rejects_bad_inputs(ref_plant, cert_params, cert_derived):
                                              f"not {substeps}$"):
             run_closed_loop(ref_plant, cert_params, cert_derived, Zero(dim=1), np.zeros(2),
                             5.0, substeps)
+    with pytest.raises(ValueError, match="^x0 must have finite entries$"):
+        run_closed_loop(ref_plant, cert_params, cert_derived, Zero(dim=1),
+                        np.array([math.nan, 0.0]), 5.0)
     # not the edges [0, 0.04, 0.08, 0.12], past the 0.1 s period
     with pytest.raises(ValueError, match="^substeps must be a positive integer, not 2.5$"):
         step_interval(ref_plant, np.zeros(2), np.zeros(2), Stage.SEARCHING, Zero(dim=1), 0.0,
@@ -556,7 +561,7 @@ def test_step_interval_matches_per_segment_loop_bitwise(plant, sig, ref_plant, c
                               substeps=50)
         starts = [(log.x[k], log.xhat[k], log.stage[k], log.t[k])
                   for k in range(log.n_samples - 1)]
-        dense_u = log.dense_u  # derived by the log on each read
+        dense_u = check_oracle.dense_columns(log)["dense_u"]
     else:
         # a 3-state plant with two disturbance channels, from random states
         m, rng = _plant_3x2(), np.random.default_rng(3)
@@ -716,7 +721,7 @@ def _rk4_cases(draw):
     return m, substeps, t_k, _SineAndPulses(sine, pulses), *rng.standard_normal((2, m.n_x))
 
 
-@settings(PROPERTY_PROFILE, deadline=None)
+@PROPERTY_PROFILE
 @given(_rk4_cases())
 def test_rk4_intervals_match_the_per_segment_loop_bitwise(case):
     # Each stage alone, each interval the per-segment loop's to the bit,
@@ -764,7 +769,7 @@ def _planned_runs(draw):
     return substeps, sig, np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
 
 
-@settings(PROPERTY_PROFILE, deadline=None)
+@PROPERTY_PROFILE
 @given(_planned_runs())
 def test_a_runs_time_plan_steps_each_interval_as_step_interval_alone(ref_plant, cert_params,
                                                                      cert_derived, case):
@@ -776,6 +781,7 @@ def test_a_runs_time_plan_steps_each_interval_as_step_interval_alone(ref_plant, 
     m, n_steps, ref_cache = ref_plant, 10, {}
     log = run_closed_loop(m, cert_params, cert_derived, sig, x0, n_steps * m.dt, substeps)
     plan = _Run(m, sig, np.arange(n_steps) * m.dt, substeps, (0.0, n_steps * m.dt))
+    dense = check_oracle.dense_columns(log)
     for k in range(n_steps):
         t_k, rows = k * m.dt, slice(*plan.lo[k:k + 2])
         alone = _Run(m, sig, np.array([t_k]), substeps, (t_k, t_k + m.dt))
@@ -786,8 +792,8 @@ def test_a_runs_time_plan_steps_each_interval_as_step_interval_alone(ref_plant, 
         stage = Stage.STABILIZING if log.symbol[k] >= 1 else Stage.SEARCHING
         args = (m, log.x[k], log.xhat[k], stage, sig, k * m.dt, substeps)
         got, want = step_interval(*args), _step_interval_per_segment(*args, ref_cache)
-        logged = (log.x[k + 1], log.dense_xhat[rows][-1], log.dense_t[rows], log.dense_x[rows],
-                  log.dense_xhat[rows], log.dense_u[rows])
+        logged = (log.x[k + 1], log.dense_xhat[rows][-1], dense["dense_t"][rows],
+                  log.dense_x[rows], log.dense_xhat[rows], dense["dense_u"][rows])
         for a, b, c in zip(got[:2] + got[2], want[:2] + want[2], logged):
             assert a.shape == b.shape == c.shape, k
             assert a.tobytes() == b.tobytes() == c.tobytes(), k
@@ -995,8 +1001,7 @@ def _zoh_cases(draw):
     return M, stage, hs, z0, w
 
 
-@settings(PROPERTY_PROFILE, max_examples=max(300, PROPERTY_PROFILE.max_examples),
-          deadline=None)
+@settings(PROPERTY_PROFILE, max_examples=max(300, PROPERTY_PROFILE.max_examples))
 @given(_zoh_cases())
 def test_zoh_steps_match_the_two_call_loop_bitwise(case):
     # An autonomous interval steps with the gemv alone and adds +0.0 once;
@@ -1055,8 +1060,9 @@ def test_bundled_run_matches_pinned_bits():
     log = run_closed_loop(cfg.plant, cfg.design, d, cfg.disturbance, cfg.x0, cfg.horizon,
                           cfg.substeps)
     assert hashlib.sha256(log.x.tobytes()).hexdigest() == BUNDLED_X_SHA256
+    dense = check_oracle.dense_columns(log)
     for name, digest in BUNDLED_DENSE_SHA256.items():
-        a = getattr(log, name)
+        a = dense[name]
         assert a.dtype == (np.int64 if name == "dense_k" else np.float64)
         assert hashlib.sha256(a.tobytes()).hexdigest() == digest, name
     for name, digest in BUNDLED_SAMPLE_SHA256.items():
@@ -1085,7 +1091,8 @@ def test_dense_times_intervals_and_inputs_match_pinned_bits(name, substeps):
     d = derive_constants(cfg.plant, cfg.design)
     log = run_closed_loop(cfg.plant, cfg.design, d, _PINNED_DISTURBANCES[name](cfg), cfg.x0,
                           30.0, substeps)
-    got = tuple(hashlib.sha256(getattr(log, f).tobytes()).hexdigest()
+    dense = check_oracle.dense_columns(log)
+    got = tuple(hashlib.sha256(dense[f].tobytes()).hexdigest()
                 for f in ("dense_t", "dense_k", "dense_u"))
     assert got == DENSE_GRID_SHA256[name, substeps]
 
@@ -1162,7 +1169,7 @@ def test_dense_blocks_at_any_sizes_make_the_whole_columns(ref_plant, cert_params
     while cuts[-1] < n:
         cuts.append(min(n, cuts[-1] + sizes[len(cuts) % len(sizes)]))
     blocks = [log.dense_block(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-    whole = (log.dense_k, log.dense_t, log.dense_x, log.dense_xhat, log.dense_u)
+    whole = tuple(check_oracle.dense_columns(log).values())
     for name, col, parts in zip(("k", "t", "x", "xhat", "u"), whole, zip(*blocks)):
         joined = np.concatenate(parts)
         assert joined.dtype == col.dtype and joined.shape == col.shape, name
@@ -1244,12 +1251,12 @@ def test_dense_arrays_own_only_their_records():
     sig = SeededUniform(0.05, 3, hold=0.001)
     d = derive_constants(cfg.plant, cfg.design)
     log = run_closed_loop(cfg.plant, cfg.design, d, sig, cfg.x0, 30.0, 100)
-    assert log.dense_t.size == 300 * 101
+    assert len(log.dense_x) == 300 * 101
     for name in ("dense_x", "dense_xhat"):
         a = getattr(log, name)
         assert a.base is None and a.flags.owndata, name
-    for name in ("dense_t", "dense_k", "dense_x", "dense_xhat", "dense_u"):
-        assert getattr(log, name).shape[0] == log.dense_t.size, name
+    for name, col in check_oracle.dense_columns(log).items():
+        assert col.shape[0] == 300 * 101, name
 
 
 def _count_value_calls(monkeypatch, cls):

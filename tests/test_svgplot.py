@@ -1,6 +1,7 @@
 """The M4 thinning of SVG polylines: every pixel column's first, last,
 lowest and highest point survives, in order, on random polylines and on the
-figures reproduce-paper writes."""
+figures reproduce-paper writes.  And the axes of a plot whose range is
+empty or flat."""
 
 import math
 import re
@@ -9,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qrate import svgplot
+from qrate import bundled_scenario, serialize_config, svgplot
 from qrate.cli import main
 
 
@@ -127,3 +128,26 @@ def test_reproduce_paper_svgs_keep_every_columns_extremes(tmp_path, monkeypatch)
         assert len(kept) <= 4 * 870 + np.count_nonzero(~np.isfinite(xp + yp))
         assert _m4_problems(xp, yp, kept, lambda x, y: svgplot._POINT % (x, y)) == [], \
             (label, name)
+
+
+def test_ticks_of_an_empty_range_are_its_low_end():
+    assert svgplot._ticks(2.0, 2.0) == [2.0]
+    assert svgplot._ticks(3.0, -1.0) == [3.0]
+
+
+def test_a_run_that_stays_at_zero_plots_a_flat_state(tmp_path):
+    # x0 = 0 and no disturbance: x and xhat are 0 at every record, so the
+    # state plot's y range is flat and is drawn as [0, 1] padded by 5%.
+    lines = [line for line in serialize_config(bundled_scenario(certified=True)).splitlines()
+             if not line.startswith(("sim.x0", "disturbance."))]
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("\n".join(lines + ["sim.x0 = 0 0", "disturbance.kind = zero"]) + "\n",
+                   encoding="utf-8")
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "err_E.svg").stat().st_size > 0
+    svg = (tmp_path / "out" / "x1_aux.svg").read_text(encoding="utf-8")
+    ys = {p.split(",")[1] for points in re.findall(r'points="([^"]*)"', svg)
+          for p in points.split(" ")}
+    assert ys == {svgplot._fmt(34 + 1.05 / 1.1 * 358)}  # y = 0 on the 358-pixel plot
+    labels = re.findall(r'text-anchor="end">([^<]*)<', svg)
+    assert labels == ["0", "0.5", "1"]
